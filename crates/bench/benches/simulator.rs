@@ -59,4 +59,24 @@ fn main() {
         }
         acc
     });
+
+    // Worst case for the near rung's sorted run: a full bucket has
+    // migrated in, and every push lands at the head of the run (the
+    // horizon's last nanosecond, behind every same-time tie), so each
+    // insert walks and shifts the whole run before the pop takes its
+    // tail.
+    group.bench("event_queue_head_insert_100k", || {
+        const RUN: u64 = 512;
+        const HORIZON_NS: u64 = (1 << 18) - 1; // end of the first bucket
+        let mut q = EventQueue::new();
+        for i in 1..=RUN {
+            q.push(SimTime::from_nanos(i), i);
+        }
+        let mut acc = q.pop().map_or(0, |(_, v)| v);
+        for i in 0..100_000u64 {
+            q.push(SimTime::from_nanos(HORIZON_NS), i);
+            acc = acc.wrapping_add(q.pop().map_or(0, |(_, v)| v));
+        }
+        acc
+    });
 }

@@ -539,15 +539,9 @@ impl Runner {
 
     fn run(mut self) -> Result<RunResult, SimError> {
         self.start();
-        // Drain whole same-timestamp runs in one grab so the queue
-        // bookkeeping (peek + bounds check) is paid once per instant
-        // instead of once per event — fan-in scenarios fire many flows
-        // on the same completion tick. Handlers only ever schedule at
-        // or after `now`, so anything they push at the current instant
-        // sorts *behind* this batch in FIFO (time, seq) order and is
-        // picked up by the next grab: the dispatch order stays
-        // byte-identical to the one-at-a-time supervised path
-        // ([`Runner::step_one`]), which checkpoint/resume still uses.
+        // One event per step, the same loop the supervised path drives
+        // through `step_events` — which is what keeps straight-through
+        // and checkpoint/resumed runs byte-identical.
         while self.step_one()? {}
         self.finish()
     }

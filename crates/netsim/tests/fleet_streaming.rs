@@ -111,3 +111,49 @@ fn fleet_runs_are_bit_identical() {
     assert_eq!(a.fct_us(0.999), b.fct_us(0.999));
     assert_eq!(a.finished_at, b.finished_at);
 }
+
+/// A short two-class WAN mix — unpaced CUBIC at 40 ms and paced BBR at
+/// 70 ms, log-normal sizes — whose flows re-arm and cancel loss timers
+/// all the way to close. The last flows' cancelled timers often sit
+/// later in the wheel than the final live event, so the drained queue
+/// must drop them rather than report them as stale.
+fn wan_fleet(seed: u64) -> FleetProfile {
+    let rate = 10_000.0;
+    let mut p = FleetProfile::new(
+        "fleet_streaming_wan",
+        ArrivalProcess::Poisson { rate_per_sec: rate },
+        SizeDist::LogNormal { median_bytes: 256.0 * 1024.0, sigma: 0.5 },
+    );
+    p.max_flows = 200;
+    p.duration = SimDuration::from_secs_f64(200.0 / rate);
+    p.seed = seed;
+    let class = |name: &str, cc, pacing, rtt_ms| FleetClass {
+        name: name.into(),
+        weight: 1,
+        cc,
+        pacing,
+        rtt: SimDuration::from_millis(rtt_ms),
+        bottleneck: BitRate::gbps(25.0),
+        buffer: Bytes::mib(64),
+    };
+    p.classes = vec![
+        class("cubic_wan", CcAlgorithm::Cubic, false, 40),
+        class("bbr_wan", CcAlgorithm::BbrV1, true, 70),
+    ];
+    p
+}
+
+#[test]
+fn cancelled_timers_leave_no_tombstones_after_drain() {
+    for seed in 0..16 {
+        let res = FleetSim::new(wan_fleet(seed))
+            .expect("profile validates")
+            .with_event_budget(10_000_000)
+            .run()
+            .expect("fleet run completes");
+        assert_eq!(res.flows_served, res.flows_opened, "seed {seed}");
+        assert!(res.timers_cancelled > 0, "seed {seed} cancelled no timers");
+        assert_eq!(res.health.stale_timers, 0, "stale timers after drain (seed {seed})");
+        assert_eq!(res.health.slab_slots, res.health.free_slots, "seed {seed}");
+    }
+}

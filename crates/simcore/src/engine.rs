@@ -20,22 +20,20 @@
 //! `tests/timer_wheel_differential.rs` for the differential proofs
 //! against a reference `BinaryHeap`).
 //!
-//! Payloads of plain [`EventQueue::push`] events ride *inline* in the
-//! rung nodes: the node a pop returns was just touched by the sift, so
-//! the common case costs zero extra memory traffic. Only cancelable
-//! timers ([`EventQueue::schedule_timer`]) indirect through a
-//! free-listed slab, which is what makes their cancellation O(1) — the
-//! slot is tombstoned and the floating node is filtered out when its
-//! bucket eventually drains.
+//! Every payload lives in a free-listed slab from push to pop. The rungs
+//! only move 24-byte `Copy` nodes — `(time, seq, slot)` — so sorting and
+//! re-filing never touch a payload, and a pop reads exactly one slab
+//! slot. Cancelling a timer empties its slot; the floating node is
+//! filtered out (a tombstone) when its bucket eventually drains.
 //!
 //! The queue is a three-rung **hierarchical timer wheel**, finest rung
 //! first:
 //!
-//! 1. **Near heap** — a Vec-backed 4-ary min-heap holding every entry
-//!    with `time <= horizon`. This is the only sifted structure; pops
-//!    come exclusively from its root. A 4-ary layout halves the tree
-//!    depth of a binary heap, trading a wider (but contiguous,
-//!    cache-resident) child scan per level for fewer levels.
+//! 1. **Near run** — a `Vec` sorted by *descending* `(time, seq)`,
+//!    holding every entry with `time <= horizon`. The minimum sits at
+//!    the tail, so a pop is `Vec::pop`. A push into this rung scans
+//!    from the tail to its place; new keys carry the largest `seq` yet
+//!    and mostly fire soon, so they land a few slots from the tail.
 //! 2. **Wheel ring** — `SLOTS` (64) buckets of `2^width_shift`
 //!    nanoseconds each, covering `(horizon, ring_end]`. A push lands in
 //!    its bucket with one shift and one append — O(1), no comparisons
@@ -48,11 +46,14 @@
 //!    most once per full ring span consumed, so the amortized cost per
 //!    entry is O(1)).
 //!
-//! When the near heap drains, `migrate` drains the next occupied bucket
-//! — whole slots at a time — into the near heap and Floyd-heapifies the
-//! batch. The slot width self-tunes toward drain batches in
-//! `[MIN_BATCH, MAX_BATCH]`, but only at rebase points (when the ring
-//! is empty), so an entry's bucket index never changes underneath it.
+//! When the near run drains, `migrate` moves the next occupied bucket
+//! — whole slots at a time — into it and sorts the batch. A bucket
+//! fills in push order, i.e. in ascending `seq`, so a stable radix sort
+//! on the time offset within the bucket orders it in a few linear
+//! passes. The slot
+//! width self-tunes toward drain batches in `[MIN_BATCH, MAX_BATCH]`,
+//! but only at rebase points (when the ring is empty), so an entry's
+//! bucket index never changes underneath it.
 //!
 //! The rungs are invisible in the pop order: every entry still compares
 //! by the same total `(time, seq)` order, each coarser rung only ever
@@ -64,33 +65,28 @@
 //!
 //! [`EventQueue::schedule_timer`] is `push` plus a [`TimerId`] receipt;
 //! [`EventQueue::cancel_timer`] revokes a pending timer. Cancellation
-//! is O(1) for wheel- and overflow-resident timers (the payload slot is
-//! tombstoned and the floating node is filtered out when its bucket
-//! drains); only the rare cancellations of a timer that is already in
-//! the near heap, or that is the exact minimum of its rung, pay a
-//! bounded scan to keep `peek_time` exact. Cancelled timers count as
-//! neither popped nor pending: `total_pushed - total_cancelled -
-//! total_popped == len` at all times.
+//! is O(1) for wheel- and overflow-resident timers (the slab slot is
+//! freed and the floating node is filtered out when its bucket drains);
+//! only the rare cancellations of a timer that is already in the near
+//! run (a binary search and `Vec::remove`), or that is the exact
+//! overflow minimum (a spill rescan), pay more. Once nothing live is
+//! pending, every floating tombstone is dropped at once. Cancelled
+//! timers count as neither popped nor pending: `total_pushed -
+//! total_cancelled - total_popped == len` at all times.
 
 use crate::time::SimTime;
 
-/// Arity of the near heap: each node has up to four children.
-const D: usize = 4;
-
-/// Number of buckets in the wheel ring (must be a multiple of 64 for
-/// the occupancy bitmap). Kept small so the bucket headers and their
-/// tail lines stay cache-resident under a scattered push pattern.
+/// Number of buckets in the wheel ring: one bit each in the `u64`
+/// occupancy bitmap. Kept small so the bucket headers and their tail
+/// lines stay cache-resident under a scattered push pattern.
 const SLOTS: usize = 64;
 
-/// Words in the occupancy bitmap.
-const OCC_WORDS: usize = SLOTS / 64;
-
 /// Bucket drains below this (mean, per rebase period) widen the slots
-/// (too many migrations, each paying a bitmap scan + heapify).
+/// (too many migrations, each paying a bitmap scan + sort).
 const MIN_BATCH: usize = 64;
 
-/// Bucket drains above this shrink the slots (near heap getting too
-/// deep to stay cache-resident).
+/// Bucket drains above this shrink the slots (near run getting too
+/// long to sort and insert into cheaply).
 const MAX_BATCH: usize = 512;
 
 /// Bounds for the adaptive slot width, as powers of two of nanoseconds:
@@ -102,31 +98,83 @@ const MAX_WIDTH_SHIFT: u32 = 31;
 /// and WAN timer spacings; the width self-tunes from there.
 const INIT_WIDTH_SHIFT: u32 = 18;
 
-/// Where a node's payload lives.
-#[derive(Debug, Clone)]
-enum Payload<E> {
-    /// A plain event: the payload rides in the node itself, so popping
-    /// it touches no memory beyond the heap the sift just walked.
-    Event(E),
-    /// A cancelable timer: the payload lives in the slab at this slot
-    /// (the indirection is what buys O(1) cancellation).
-    Timer(usize),
-}
-
-/// One pending entry: the `(time, seq)` ordering key plus its payload.
-#[derive(Debug, Clone)]
-struct Node<E> {
+/// One pending entry: the `(time, seq)` ordering key plus the slab slot
+/// holding its payload.
+#[derive(Debug, Clone, Copy)]
+struct Node {
     time: SimTime,
     seq: u64,
-    payload: Payload<E>,
+    slot: usize,
 }
 
-impl<E> Node<E> {
+impl Node {
     /// The total-order key: earliest time first, then insertion order.
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.time, self.seq)
     }
+}
+
+/// A slab slot: the payload of the entry with sequence number `seq`,
+/// or `None` once that entry popped or was cancelled.
+#[derive(Debug, Clone)]
+struct Slot<E> {
+    seq: u64,
+    event: Option<E>,
+}
+
+/// Is this node's entry still pending (not cancelled, slot not reused)?
+#[inline]
+fn node_live<E>(slab: &[Slot<E>], node: &Node) -> bool {
+    let slot = &slab[node.slot];
+    slot.seq == node.seq && slot.event.is_some()
+}
+
+/// Indices of the set bits of `bits`, lowest first.
+fn set_bits(mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let idx = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+        bits &= bits - 1;
+        Some(idx)
+    })
+}
+
+/// Sort a migrated bucket into near-run order: descending `(time, seq)`.
+///
+/// A bucket holds its nodes in ascending `seq` (see
+/// `EventQueue::buckets`), and so does `batch`. Reversed, equal times
+/// are in descending `seq`, and a stable LSD radix sort on each node's
+/// offset from the bucket `start` (below `2^width_shift`) finishes the
+/// order in a few linear passes, without comparisons. A pass whose
+/// digit is the same for every node would not move anything and is
+/// skipped.
+fn sort_batch(batch: &mut Vec<Node>, scratch: &mut Vec<Node>, start: u64, width_shift: u32) {
+    batch.reverse();
+    scratch.extend_from_slice(batch);
+    for shift in (0..width_shift).step_by(8) {
+        // Inverted digit, so larger offsets come first.
+        let digit = |n: &Node| usize::from(!(((n.time.as_nanos() - start) >> shift) as u8));
+        let mut at = [0usize; 256];
+        for n in batch.iter() {
+            at[digit(n)] += 1;
+        }
+        if at[digit(&batch[0])] == batch.len() {
+            continue;
+        }
+        let mut sum = 0;
+        for a in &mut at {
+            (*a, sum) = (sum, sum + *a);
+        }
+        for n in batch.iter() {
+            let d = digit(n);
+            scratch[at[d]] = *n;
+            at[d] += 1;
+        }
+        std::mem::swap(batch, scratch);
+    }
+    // Leave the buffer empty: nothing for the next sort or a `Clone`
+    // (checkpoint) to carry.
+    scratch.clear();
 }
 
 /// A point-in-time snapshot of [`EventQueue`] internals for
@@ -135,7 +183,7 @@ impl<E> Node<E> {
 /// inherit per-shard metrics without reaching into queue internals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueHealth {
-    /// Live events in the near (4-ary heap) rung.
+    /// Live events in the near (sorted run) rung.
     pub near_depth: usize,
     /// Live events parked in the wheel ring buckets.
     pub ring_occupancy: usize,
@@ -143,9 +191,11 @@ pub struct QueueHealth {
     pub overflow_live: usize,
     /// Cancelled-timer tombstones still floating in the rungs.
     pub stale_timers: usize,
-    /// Allocated timer-payload slab slots (high-water mark).
+    /// Allocated payload slab slots (high-water mark of pending
+    /// events: the slab holds the payload of every pending event).
     pub slab_slots: usize,
-    /// Slab slots currently on the free list.
+    /// Slab slots currently on the free list; `slab_slots -
+    /// free_slots == len` at all times.
     pub free_slots: usize,
     /// Total pending live events (== `EventQueue::len`).
     pub len: usize,
@@ -154,19 +204,26 @@ pub struct QueueHealth {
 }
 
 /// An event queue over an arbitrary event payload type `E`.
-#[derive(Debug)]
+///
+/// `Clone` is a deep copy: nodes, payload slab, free list, counters and
+/// the whole wheel geometry carry over verbatim, so a cloned queue pops
+/// the identical `(time, seq)` sequence as the original. This is the
+/// engine half of the checkpoint/resume contract.
+#[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// Min-heap of nodes with `time <= horizon`. Never contains
-    /// cancelled timers.
-    near: Vec<Node<E>>,
-    /// Times at or below this belong to the near heap.
+    /// Nodes with `time <= horizon`, sorted by descending key. Never
+    /// contains cancelled timers.
+    near: Vec<Node>,
+    /// Times at or below this belong to the near run.
     horizon: SimTime,
-    /// Wheel buckets: unsorted nodes with
-    /// `horizon < time < ring_end()`, indexed by
-    /// `(time - ring_base) >> width_shift`.
-    buckets: Vec<Vec<Node<E>>>,
+    /// Wheel buckets: nodes with `horizon < time < ring_end()`,
+    /// indexed by `(time - ring_base) >> width_shift`. Each bucket, like
+    /// `overflow`, is in ascending `seq` order: a push carries the
+    /// largest `seq` yet, a rebase re-files the (ascending) spill list
+    /// into an empty ring, and removals keep the order.
+    buckets: Vec<Vec<Node>>,
     /// One bit per bucket: does it hold any node (possibly stale)?
-    occ: [u64; OCC_WORDS],
+    occ: u64,
     /// Wheel origin (ns). Bucket `i` covers
     /// `[ring_base + (i << width_shift), ring_base + ((i+1) << width_shift))`.
     ring_base: u64,
@@ -175,25 +232,24 @@ pub struct EventQueue<E> {
     width_shift: u32,
     /// Live (non-cancelled) nodes across all buckets.
     ring_len: usize,
-    /// Unsorted spill list for nodes at or beyond `ring_end()`.
-    overflow: Vec<Node<E>>,
+    /// Spill list for nodes at or beyond `ring_end()`, in ascending
+    /// `seq` order.
+    overflow: Vec<Node>,
     /// Exact minimum live `(time, seq)` key in `overflow`, if any.
     overflow_min: Option<(SimTime, u64)>,
     /// Live nodes in `overflow` (the Vec may also hold tombstones).
     overflow_live: usize,
     /// Cancelled timers still floating in a bucket or the overflow list
-    /// (their payload slots are already recycled). While this is zero —
+    /// (their slab slots are already recycled). While this is zero —
     /// the common case, since the simulator's event chains never cancel
     /// — drains skip the per-node liveness filter entirely.
     stale: usize,
-    /// Timer payload storage addressed by `Payload::Timer` slots;
-    /// `None` marks a free or tombstoned slot.
-    slab: Vec<Option<E>>,
-    /// Sequence number of the timer currently owning each slab slot;
-    /// lets drains tell a live timer from a stale one after slot reuse.
-    slot_seq: Vec<u64>,
+    /// Payload of every pending event, addressed by `Node::slot`.
+    slab: Vec<Slot<E>>,
     /// Slots of `slab` ready for reuse.
     free: Vec<usize>,
+    /// Scratch space for `sort_batch`; empty between sorts.
+    sort_buf: Vec<Node>,
     /// Live nodes drained / drain batches since the last width
     /// adaptation (rebase-time feedback for `width_shift`).
     drained_keys: u64,
@@ -204,39 +260,6 @@ pub struct EventQueue<E> {
     popped: u64,
     cancelled: u64,
     past_clamps: u64,
-}
-
-impl<E: Clone> Clone for EventQueue<E> {
-    /// Deep copy: nodes, timer slab, free list, counters, and the
-    /// whole wheel geometry carry over verbatim, so a cloned queue pops
-    /// the identical (time, seq) sequence as the original. This is the
-    /// engine half of the checkpoint/resume contract.
-    fn clone(&self) -> Self {
-        EventQueue {
-            near: self.near.clone(),
-            horizon: self.horizon,
-            buckets: self.buckets.clone(),
-            occ: self.occ,
-            ring_base: self.ring_base,
-            width_shift: self.width_shift,
-            ring_len: self.ring_len,
-            overflow: self.overflow.clone(),
-            overflow_min: self.overflow_min,
-            overflow_live: self.overflow_live,
-            stale: self.stale,
-            slab: self.slab.clone(),
-            slot_seq: self.slot_seq.clone(),
-            free: self.free.clone(),
-            drained_keys: self.drained_keys,
-            drained_batches: self.drained_batches,
-            seq: self.seq,
-            now: self.now,
-            pushed: self.pushed,
-            popped: self.popped,
-            cancelled: self.cancelled,
-            past_clamps: self.past_clamps,
-        }
-    }
 }
 
 /// Receipt for a pending timer scheduled with
@@ -263,7 +286,7 @@ impl<E> EventQueue<E> {
             near: Vec::with_capacity(cap.min(2 * MAX_BATCH)),
             horizon: SimTime::ZERO,
             buckets: std::iter::repeat_with(Vec::new).take(SLOTS).collect(),
-            occ: [0; OCC_WORDS],
+            occ: 0,
             ring_base: 0,
             width_shift: INIT_WIDTH_SHIFT,
             ring_len: 0,
@@ -272,8 +295,8 @@ impl<E> EventQueue<E> {
             overflow_live: 0,
             stale: 0,
             slab: Vec::new(),
-            slot_seq: Vec::new(),
             free: Vec::new(),
+            sort_buf: Vec::new(),
             drained_keys: 0,
             drained_batches: 0,
             seq: 0,
@@ -298,13 +321,25 @@ impl<E> EventQueue<E> {
         self.ring_base.saturating_add((SLOTS as u64) << self.width_shift)
     }
 
-    /// Clamp-and-count for pushes dated in the past (a caller causality
-    /// bug that debug builds catch with a panic; see
-    /// [`EventQueue::past_clamps`]).
+    /// Schedule `event` to fire at absolute time `at`.
+    ///
+    /// Scheduling in the past is a logic error in the caller and panics
+    /// in debug builds; in release it is clamped to `now` to keep the
+    /// run monotonic, and the clamp is counted (see
+    /// [`EventQueue::past_clamps`]) so watchdogs can surface the masked
+    /// causality bug instead of letting it pass silently.
     #[inline]
-    fn admit(&mut self, at: SimTime) -> (SimTime, u64) {
+    pub fn push(&mut self, at: SimTime, event: E) {
+        self.schedule_timer(at, event);
+    }
+
+    /// Schedule a cancelable timer to fire `event` at absolute time
+    /// `at`. Identical to [`EventQueue::push`] except it returns a
+    /// [`TimerId`] receipt for [`EventQueue::cancel_timer`]. Scheduling
+    /// is O(1) (amortized) regardless of how far out `at` is.
+    pub fn schedule_timer(&mut self, at: SimTime, event: E) -> TimerId {
         debug_assert!(at >= self.now, "event scheduled in the past: {at} < {}", self.now);
-        let at = if at < self.now {
+        let time = if at < self.now {
             self.past_clamps += 1;
             self.now
         } else {
@@ -313,56 +348,40 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         self.pushed += 1;
-        (at, seq)
-    }
-
-    /// Schedule `event` to fire at absolute time `at`.
-    ///
-    /// Scheduling in the past is a logic error in the caller and panics
-    /// in debug builds; in release it is clamped to `now` to keep the
-    /// run monotonic, and the clamp is counted (see
-    /// [`EventQueue::past_clamps`]) so watchdogs can surface the masked
-    /// causality bug instead of letting it pass silently.
-    pub fn push(&mut self, at: SimTime, event: E) {
-        let (time, seq) = self.admit(at);
-        self.insert_node(Node { time, seq, payload: Payload::Event(event) });
-    }
-
-    /// Schedule a cancelable timer to fire `event` at absolute time
-    /// `at`. Identical to [`EventQueue::push`] except it returns a
-    /// [`TimerId`] receipt for [`EventQueue::cancel_timer`]. Scheduling
-    /// is O(1) (amortized) regardless of how far out `at` is.
-    pub fn schedule_timer(&mut self, at: SimTime, event: E) -> TimerId {
-        let (time, seq) = self.admit(at);
+        let filled = Slot { seq, event: Some(event) };
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slab[slot] = Some(event);
-                self.slot_seq[slot] = seq;
+                self.slab[slot] = filled;
                 slot
             }
             None => {
-                self.slab.push(Some(event));
-                self.slot_seq.push(seq);
+                self.slab.push(filled);
                 self.slab.len() - 1
             }
         };
-        self.insert_node(Node { time, seq, payload: Payload::Timer(slot) });
+        let node = Node { time, seq, slot };
+        if time <= self.horizon {
+            // Every key in the run is older (smaller seq), so the new
+            // node goes in front of all entries at or before its time.
+            let mut i = self.near.len();
+            while i > 0 && self.near[i - 1].time <= time {
+                i -= 1;
+            }
+            self.near.insert(i, node);
+        } else {
+            self.file_beyond_horizon(node);
+        }
         TimerId { time, seq, slot }
     }
 
-    /// Route a node to its rung. Shared by pushes and rebase re-filing.
+    /// File a node with `time > horizon` into its wheel bucket or the
+    /// overflow list. Shared by pushes and rebase re-filing.
     #[inline]
-    fn insert_node(&mut self, node: Node<E>) {
-        let at = node.time;
-        if at <= self.horizon {
-            self.near.push(node);
-            self.sift_up(self.near.len() - 1);
-            return;
-        }
-        let at_ns = at.as_nanos();
+    fn file_beyond_horizon(&mut self, node: Node) {
+        let at_ns = node.time.as_nanos();
         if at_ns < self.ring_end() {
             let idx = ((at_ns - self.ring_base) >> self.width_shift) as usize;
-            self.occ[idx / 64] |= 1 << (idx % 64);
+            self.occ |= 1 << idx;
             self.buckets[idx].push(node);
             self.ring_len += 1;
         } else {
@@ -374,51 +393,33 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Is this floating timer node still live (not cancelled, slot not
-    /// reused)?
-    #[inline]
-    fn node_live(slot_seq: &[u64], slab: &[Option<E>], node: &Node<E>) -> bool {
-        match node.payload {
-            Payload::Event(_) => true,
-            Payload::Timer(slot) => slot_seq[slot] == node.seq && slab[slot].is_some(),
-        }
-    }
-
     /// Cancel a pending timer. Returns `true` if the timer was still
     /// pending (it will now never fire), `false` if it already fired or
     /// was already cancelled.
     ///
-    /// Wheel- and overflow-resident timers cancel in O(1): the payload
-    /// slot is tombstoned immediately and the floating node is filtered
-    /// out when its bucket eventually drains. Only a timer that is the
-    /// exact minimum of its rung (a bounded bucket/spill rescan keeps
-    /// `peek_time` exact) or that already migrated into the near heap
-    /// (an eager heap removal) pays more.
+    /// Wheel- and overflow-resident timers cancel in O(1): the slab slot
+    /// is freed immediately and the floating node is filtered out when
+    /// its bucket eventually drains. Only a timer that already migrated
+    /// into the near run (a binary search and `Vec::remove`) or that is
+    /// the exact overflow minimum (a spill rescan keeps `peek_time`
+    /// exact) pays more.
     pub fn cancel_timer(&mut self, id: TimerId) -> bool {
-        if id.slot >= self.slab.len()
-            || self.slot_seq[id.slot] != id.seq
-            || self.slab[id.slot].is_none()
-        {
-            return false;
+        match self.slab.get_mut(id.slot) {
+            Some(slot) if slot.seq == id.seq && slot.event.is_some() => slot.event = None,
+            _ => return false,
         }
-        // Drop the payload and recycle the slot immediately; the
-        // floating node is detected as stale wherever it surfaces (seq
-        // mismatch once the slot is reused, empty slab entry until
-        // then).
-        self.slab[id.slot] = None;
         self.free.push(id.slot);
         self.cancelled += 1;
-        let at_ns = id.time.as_nanos();
         if id.time <= self.horizon {
-            // Near-resident: remove eagerly so the heap root (and thus
+            // Near-resident: remove eagerly so the tail (and thus
             // `peek_time`/`pop`) never sees a tombstone.
+            let key = (id.time, id.seq);
             let i = self
                 .near
-                .iter()
-                .position(|n| n.seq == id.seq)
-                .expect("live near timer must be in the near heap");
-            self.heap_remove_at(i);
-        } else if at_ns < self.ring_end() {
+                .binary_search_by(|n| key.cmp(&n.key()))
+                .expect("live near timer must be in the near run");
+            self.near.remove(i);
+        } else if id.time.as_nanos() < self.ring_end() {
             self.ring_len -= 1;
             self.stale += 1;
         } else {
@@ -428,140 +429,92 @@ impl<E> EventQueue<E> {
                 self.rescan_overflow_min();
             }
         }
+        self.drop_tombstones_if_drained();
         true
     }
 
     /// Recompute the overflow's exact live minimum (dropping tombstoned
     /// nodes while at it).
     fn rescan_overflow_min(&mut self) {
-        let mut min: Option<(SimTime, u64)> = None;
-        let mut i = 0;
-        while i < self.overflow.len() {
-            if Self::node_live(&self.slot_seq, &self.slab, &self.overflow[i]) {
-                let k = self.overflow[i].key();
-                if min.is_none_or(|m| k < m) {
-                    min = Some(k);
-                }
-                i += 1;
-            } else {
-                self.overflow.swap_remove(i);
-                self.stale -= 1;
-            }
-        }
-        self.overflow_min = min;
+        let before = self.overflow.len();
+        let slab = &self.slab;
+        self.overflow.retain(|n| node_live(slab, n));
+        self.stale -= before - self.overflow.len();
+        self.overflow_min = self.overflow.iter().map(Node::key).min();
     }
 
-    /// Remove `near[i]`, restoring the heap property.
-    fn heap_remove_at(&mut self, i: usize) {
-        let _removed = self.near.swap_remove(i);
-        if i < self.near.len() {
-            // The replacement may violate either direction.
-            self.sift_down(i);
-            self.sift_up(i);
-        }
-    }
-
-    /// Take the payload out of a popped node.
+    /// Once nothing live is pending, every node still floating in a
+    /// bucket or the spill list is a tombstone: drop them all, so a
+    /// drained queue holds (and reports) no stale timers.
     #[inline]
-    fn claim(&mut self, node: Node<E>) -> E {
-        match node.payload {
-            Payload::Event(e) => e,
-            Payload::Timer(slot) => {
-                let e = self.slab[slot].take().expect("popped timer slot holds an event");
-                self.free.push(slot);
-                e
-            }
+    fn drop_tombstones_if_drained(&mut self) {
+        if self.stale != 0 && self.is_empty() {
+            self.clear_buckets();
+            self.overflow.clear();
+            self.overflow_min = None;
+            self.stale = 0;
         }
+    }
+
+    /// Empty every occupied bucket (keeping its allocation) and clear
+    /// the bitmap; returns how many nodes were dropped.
+    fn clear_buckets(&mut self) -> usize {
+        let mut dropped = 0;
+        for idx in set_bits(self.occ) {
+            dropped += self.buckets[idx].len();
+            self.buckets[idx].clear();
+        }
+        self.occ = 0;
+        dropped
     }
 
     /// Pop the next event, advancing the clock to its firing time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.near.is_empty() {
-            self.migrate()?;
-        }
-        let node = if self.near.len() > 1 {
-            let node = self.near.swap_remove(0);
-            self.sift_down(0);
-            node
-        } else {
-            self.near.pop().expect("near heap is non-empty")
+        let node = match self.near.pop() {
+            Some(node) => node,
+            None => {
+                self.migrate()?;
+                self.near.pop().expect("migrate refilled the near run")
+            }
         };
         debug_assert!(node.time >= self.now, "event queue time went backwards");
         self.now = node.time;
         self.popped += 1;
-        let time = node.time;
-        Some((time, self.claim(node)))
+        let event = self.slab[node.slot].event.take().expect("popped node's slot holds its event");
+        self.free.push(node.slot);
+        self.drop_tombstones_if_drained();
+        Some((node.time, event))
     }
 
-    /// Pop every pending event sharing the earliest firing time into
-    /// `out`, in seq (FIFO) order, provided that time is at most
-    /// `limit`. Returns the shared firing time, or `None` when the
-    /// queue is exhausted or the next event is beyond `limit`. The
-    /// clock advances exactly as if each event were popped
-    /// individually, which is what makes the batch invisible to
-    /// determinism: callers dispatch the batch in order and any events
-    /// they push land at or after the batch time, i.e. after the batch
-    /// in `(time, seq)` order.
-    ///
-    /// `out` is cleared first; reuse one buffer across calls to keep
-    /// the drain allocation-free.
-    pub fn pop_same_time(&mut self, limit: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
-        out.clear();
-        let t = self.peek_time()?;
-        if t > limit {
-            return None;
-        }
-        let (_, first) = self.pop().expect("peeked event must pop");
-        out.push(first);
-        // Subsequent same-time entries are all near-resident (migration
-        // drains whole buckets, and a bucket covers its full window),
-        // so a root time check is exact.
-        while self.near.first().is_some_and(|n| n.time == t) {
-            let (_, ev) = self.pop().expect("root checked non-empty");
-            out.push(ev);
-        }
-        Some(t)
-    }
-
-    /// Refill the (empty) near heap from the coarser rungs: drain the
+    /// Refill the (empty) near run from the coarser rungs: drain the
     /// next occupied wheel bucket (whole slots at a time), advance the
-    /// horizon to that bucket's end, and Floyd-heapify the batch. When
-    /// the ring is empty too, rebase it at the overflow minimum and
-    /// re-file the spill list. Returns `None` when every rung is empty.
+    /// horizon to that bucket's end, and sort the batch. When the ring
+    /// is empty too, rebase it at the overflow minimum and re-file the
+    /// spill list. Returns `None` when every rung is empty.
     ///
     /// Every ingredient — bucket geometry, occupancy, overflow minimum
     /// — is a pure function of the entries pushed so far, so the rung
     /// split can never perturb determinism; and since each coarser rung
     /// only holds entries strictly beyond the finer rungs' coverage,
-    /// the near heap's minimum is always the global minimum.
+    /// the near run's minimum is always the global minimum.
     fn migrate(&mut self) -> Option<()> {
         debug_assert!(self.near.is_empty());
         loop {
             if self.ring_len > 0 {
-                let idx = self.first_occupied_bucket().expect("ring_len > 0 implies occupancy");
+                let idx = self.occ.trailing_zeros() as usize;
+                self.occ &= !(1 << idx);
                 let mut bucket = std::mem::take(&mut self.buckets[idx]);
-                self.occ[idx / 64] &= !(1 << (idx % 64));
-                let live;
-                if self.stale == 0 {
-                    // No cancelled timer floats anywhere: the whole
-                    // bucket is live, so skip the per-node slab probe
-                    // (the timer slab is cache-cold here).
-                    live = bucket.len();
-                    self.near.append(&mut bucket);
-                } else {
-                    let mut kept = 0usize;
-                    for node in bucket.drain(..) {
-                        if Self::node_live(&self.slot_seq, &self.slab, &node) {
-                            self.near.push(node);
-                            kept += 1;
-                        } else {
-                            // Stale nodes are dropped here; their slots
-                            // were already recycled at cancel time.
-                            self.stale -= 1;
-                        }
-                    }
-                    live = kept;
+                debug_assert!(bucket.windows(2).all(|w| w[0].seq < w[1].seq));
+                if self.stale != 0 {
+                    // Stale nodes are dropped here; their slots were
+                    // already recycled at cancel time.
+                    let before = bucket.len();
+                    let slab = &self.slab;
+                    bucket.retain(|n| node_live(slab, n));
+                    self.stale -= before - bucket.len();
                 }
+                let live = bucket.len();
+                self.near.append(&mut bucket);
                 self.buckets[idx] = bucket; // keep the allocation warm
                 self.ring_len -= live;
                 // The drained bucket covers [start, end); entries
@@ -574,14 +527,9 @@ impl<E> EventQueue<E> {
                 );
                 self.drained_keys += live as u64;
                 self.drained_batches += 1;
-                // Floyd heapify: sift down every internal node,
-                // deepest first.
-                if self.near.len() > 1 {
-                    for n in (0..=(self.near.len() - 2) / D).rev() {
-                        self.sift_down(n);
-                    }
-                }
-                if !self.near.is_empty() {
+                if live > 0 {
+                    let start = self.ring_base + ((idx as u64) << self.width_shift);
+                    sort_batch(&mut self.near, &mut self.sort_buf, start, self.width_shift);
                     return Some(());
                 }
                 // All-tombstone bucket: keep draining.
@@ -589,75 +537,53 @@ impl<E> EventQueue<E> {
                 self.rebase();
                 // The overflow minimum's time equals the new horizon,
                 // so re-filing always lands at least one node in near.
-                if !self.near.is_empty() {
-                    return Some(());
-                }
+                return Some(());
             } else {
                 return None;
             }
         }
     }
 
-    /// Index of the first bucket with its occupancy bit set.
-    #[inline]
-    fn first_occupied_bucket(&self) -> Option<usize> {
-        for (w, &bits) in self.occ.iter().enumerate() {
-            if bits != 0 {
-                return Some(w * 64 + bits.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
     /// Move the (empty) ring so it starts at the overflow minimum,
     /// adapt the slot width from the drain batches observed since the
     /// last rebase, and re-file the spill list into the new geometry.
-    /// The overflow minimum itself lands in the near heap (its time
+    /// The overflow minimum itself lands in the near run (its time
     /// equals the new horizon), so a rebase always makes progress.
     fn rebase(&mut self) {
         debug_assert!(self.near.is_empty() && self.ring_len == 0);
         // With zero live ring nodes, anything left in a bucket is a
         // cancelled timer's floating tombstone. Sweep them out before
         // the geometry changes underneath their (stale) indices.
-        if self.stale > 0 {
-            for w in 0..OCC_WORDS {
-                let mut bits = self.occ[w];
-                while bits != 0 {
-                    let idx = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.stale -= self.buckets[idx].len();
-                    self.buckets[idx].clear();
-                }
-            }
+        if self.stale != 0 {
+            self.stale -= self.clear_buckets();
         }
-        self.occ = [0; OCC_WORDS];
         let (min_time, _) = self.overflow_min.expect("rebase requires a live overflow node");
         self.adapt_width();
         self.horizon = min_time;
         self.ring_base = min_time.as_nanos();
         let spill = std::mem::take(&mut self.overflow);
+        debug_assert!(spill.windows(2).all(|w| w[0].seq < w[1].seq));
         self.overflow_min = None;
         self.overflow_live = 0;
-        if self.stale == 0 {
-            for node in spill {
-                self.insert_node(node);
-            }
-        } else {
-            for node in spill {
-                if Self::node_live(&self.slot_seq, &self.slab, &node) {
-                    self.insert_node(node);
-                } else {
-                    self.stale -= 1;
-                }
+        for node in spill {
+            if self.stale != 0 && !node_live(&self.slab, &node) {
+                self.stale -= 1;
+            } else if node.time <= self.horizon {
+                self.near.push(node);
+            } else {
+                self.file_beyond_horizon(node);
             }
         }
+        // Every node that landed in near has the minimum's time, and
+        // the spill list is in ascending `seq`: reversed, it is sorted.
+        self.near.reverse();
     }
 
     /// Steer drain batches into `[MIN_BATCH, MAX_BATCH]`: bitmap scans
-    /// and heapify setup cost a pass per drain (wants wide slots),
-    /// while sift depth grows with the near heap (wants narrow). Only
-    /// called while the ring is empty, so existing bucket indices never
-    /// move.
+    /// and sort setup cost a pass per drain (wants wide slots), while
+    /// sorting and near-run inserts grow with the batch (wants narrow).
+    /// Only called while the ring is empty, so existing bucket indices
+    /// never move.
     fn adapt_width(&mut self) {
         if self.drained_batches == 0 {
             return;
@@ -674,43 +600,25 @@ impl<E> EventQueue<E> {
 
     /// Firing time of the next event without popping it.
     ///
-    /// Exact at every rung: the near root when the heap is non-empty,
+    /// Exact at every rung: the near run's tail when it is non-empty,
     /// else the minimum of the first occupied wheel bucket holding a
     /// live node, else the maintained overflow minimum. The bucket scan
     /// is not maintained per push — it only runs in the brief window
-    /// where the near heap is drained, i.e. at most once per migration
+    /// where the near run is drained, i.e. at most once per migration
     /// cycle, so its amortized cost matches the drain it precedes.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(node) = self.near.first() {
+        if let Some(node) = self.near.last() {
             return Some(node.time);
         }
         if self.ring_len > 0 {
-            for (w, &bits) in self.occ.iter().enumerate() {
-                let mut bits = bits;
-                while bits != 0 {
-                    let idx = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let mut min = u64::MAX;
-                    if self.stale == 0 {
-                        // Every node is live; an occupied bit implies a
-                        // non-empty bucket.
-                        for n in &self.buckets[idx] {
-                            min = min.min(n.time.as_nanos());
-                        }
-                        return Some(SimTime::from_nanos(min));
-                    }
-                    for n in &self.buckets[idx] {
-                        if Self::node_live(&self.slot_seq, &self.slab, n) {
-                            min = min.min(n.time.as_nanos());
-                        }
-                    }
-                    if min != u64::MAX {
-                        return Some(SimTime::from_nanos(min));
-                    }
-                    // All-stale bucket: keep scanning.
-                }
-            }
-            unreachable!("ring_len > 0 implies a live bucket node");
+            let earliest = set_bits(self.occ).find_map(|idx| {
+                self.buckets[idx]
+                    .iter()
+                    .filter(|n| self.stale == 0 || node_live(&self.slab, n))
+                    .map(|n| n.time)
+                    .min()
+            });
+            return Some(earliest.expect("ring_len > 0 implies a live bucket node"));
         }
         self.overflow_min.map(|(time, _)| time)
     }
@@ -771,61 +679,8 @@ impl<E> EventQueue<E> {
 
     /// Iterate over the pending events in arbitrary order (used for
     /// end-of-run accounting, e.g. counting in-flight payloads).
-    /// Cancelled timers' floating nodes are skipped.
     pub fn iter(&self) -> impl Iterator<Item = &E> {
-        self.near
-            .iter()
-            .chain(self.buckets.iter().flatten())
-            .chain(self.overflow.iter())
-            .filter_map(move |n| match &n.payload {
-                Payload::Event(e) => Some(e),
-                Payload::Timer(slot) => {
-                    if self.slot_seq[*slot] == n.seq {
-                        self.slab[*slot].as_ref()
-                    } else {
-                        None
-                    }
-                }
-            })
-    }
-
-    /// Move `near[i]` toward the root until its parent is no larger.
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / D;
-            if self.near[parent].key() <= self.near[i].key() {
-                break;
-            }
-            self.near.swap(i, parent);
-            i = parent;
-        }
-    }
-
-    /// Move `near[i]` toward the leaves until no child is smaller.
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.near.len();
-        loop {
-            let first_child = i * D + 1;
-            if first_child >= len {
-                break;
-            }
-            // Smallest of the (up to four) children.
-            let last_child = (first_child + D).min(len);
-            let mut min_child = first_child;
-            let mut min_key = self.near[first_child].key();
-            for c in first_child + 1..last_child {
-                let ck = self.near[c].key();
-                if ck < min_key {
-                    min_child = c;
-                    min_key = ck;
-                }
-            }
-            if self.near[i].key() <= min_key {
-                break;
-            }
-            self.near.swap(i, min_child);
-            i = min_child;
-        }
+        self.slab.iter().filter_map(|s| s.event.as_ref())
     }
 }
 
@@ -844,36 +699,40 @@ mod tests {
     fn health_snapshot_tracks_rungs_and_tombstones() {
         let mut q = EventQueue::new();
         assert_eq!(q.health(), QueueHealth::default());
-        // Near events plus timers far enough apart to exercise rungs.
+        // The rungs partition the pending entries, and the slab holds
+        // exactly one slot per pending payload — after every step.
+        let check = |q: &EventQueue<&str>| {
+            let h = q.health();
+            assert_eq!(h.len, q.len());
+            assert_eq!(h.near_depth + h.ring_occupancy + h.overflow_live, h.len);
+            assert_eq!(h.slab_slots - h.free_slots, h.len, "slab slots in use != pending");
+            h
+        };
+        // Events plus timers far enough apart to exercise rungs.
         for i in 0..8u64 {
             q.push(SimTime::from_nanos(i + 1), "ev");
+            check(&q);
         }
         let far = q.schedule_timer(SimTime::from_nanos(1_000_000_000), "far");
+        check(&q);
         let near = q.schedule_timer(SimTime::from_nanos(2), "near-timer");
-        let h = q.health();
-        assert_eq!(h.len, q.len());
-        assert_eq!(h.near_depth + h.ring_occupancy + h.overflow_live, h.len);
+        let h = check(&q);
         assert_eq!(h.stale_timers, 0);
-        assert!(h.slab_slots >= 2, "two live timers occupy slab slots");
-        // Cancelling leaves tombstones (or frees slots, depending on
-        // where the node sits) — either way the invariants hold.
-        q.cancel_timer(near);
-        q.cancel_timer(far);
-        let h = q.health();
-        assert_eq!(h.len, q.len());
-        assert_eq!(h.near_depth + h.ring_occupancy + h.overflow_live, h.len);
-        // No live timers remain: every slab slot is back on the free
-        // list, and the far (wheel/overflow-resident) cancel left one
-        // floating tombstone while the near one was removed eagerly.
-        assert_eq!(h.free_slots, h.slab_slots);
-        assert_eq!(h.stale_timers, 1);
-        while q.pop().is_some() {}
-        let h = q.health();
-        assert_eq!(h.len, 0);
-        assert_eq!(h.near_depth, 0);
-        assert_eq!(h.ring_occupancy, 0);
-        assert_eq!(h.overflow_live, 0);
-        assert_eq!(h.past_clamps, 0);
+        assert_eq!(h.slab_slots, 10);
+        assert!(q.cancel_timer(near));
+        check(&q);
+        assert!(q.cancel_timer(far));
+        // The bucket-resident cancel left one floating tombstone; the
+        // far one was the overflow minimum, so its rescan dropped it.
+        assert_eq!(check(&q).stale_timers, 1);
+        while q.pop().is_some() {
+            check(&q);
+        }
+        // Draining the last live event dropped the tombstone too.
+        assert_eq!(
+            q.health(),
+            QueueHealth { slab_slots: 10, free_slots: 10, ..QueueHealth::default() }
+        );
     }
 
     #[test]
@@ -1069,8 +928,8 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// A timer that has already migrated into the near heap cancels
-    /// eagerly (the heap root must never be a tombstone).
+    /// A timer that has already migrated into the near run cancels
+    /// eagerly (the run's tail must never be a tombstone).
     #[test]
     fn cancel_of_near_resident_timer() {
         let mut q = EventQueue::new();
@@ -1101,6 +960,37 @@ mod tests {
         assert_eq!(q.peek_time().unwrap(), SimTime::from_nanos(1_000_000_000));
         assert_eq!(q.pop().unwrap().1, 99);
         assert!(q.pop().is_none());
+    }
+
+    /// Tombstones floating beyond the last live event must not outlive
+    /// it: once nothing live is pending — whether the last entry popped
+    /// or was cancelled — the queue reports zero stale timers.
+    #[test]
+    fn cancel_then_drain_leaves_no_tombstones() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(500), 0u64);
+        let ids: Vec<_> =
+            (1..=4).map(|i| q.schedule_timer(SimTime::from_nanos(1_000_000 + i), i)).collect();
+        for id in ids {
+            assert!(q.cancel_timer(id));
+        }
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.health().stale_timers, 4);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(500), 0)));
+        assert_eq!(q.health().stale_timers, 0);
+        assert!(q.pop().is_none());
+
+        // The cancel that empties the queue sweeps as well.
+        let a = q.schedule_timer(SimTime::from_nanos(2_000_000), 1);
+        let b = q.schedule_timer(SimTime::from_nanos(2_000_001), 2);
+        assert!(q.cancel_timer(b));
+        assert_eq!(q.health().stale_timers, 1);
+        assert!(q.cancel_timer(a));
+        let h = q.health();
+        assert_eq!((h.len, h.stale_timers), (0, 0));
+        assert_eq!(h.slab_slots, h.free_slots);
+        assert!(q.pop().is_none());
+        assert_eq!(q.total_pushed() - q.total_cancelled() - q.total_popped(), 0);
     }
 
     /// Keys far beyond the ring span live in the overflow rung and
@@ -1148,30 +1038,6 @@ mod tests {
             assert_eq!((pt.as_nanos(), pv), (t, v));
         }
         assert!(q.pop().is_none());
-    }
-
-    /// `pop_same_time` drains exactly the maximal same-time FIFO run at
-    /// or below the limit, and nothing else.
-    #[test]
-    fn pop_same_time_batches_exact_runs() {
-        let mut q = EventQueue::new();
-        for i in 0..5u32 {
-            q.push(SimTime::from_nanos(10), i);
-        }
-        q.push(SimTime::from_nanos(20), 100);
-        q.push(SimTime::from_nanos(30), 200);
-        let mut out = Vec::new();
-        let t = q.pop_same_time(SimTime::from_nanos(25), &mut out).unwrap();
-        assert_eq!(t.as_nanos(), 10);
-        assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        let t = q.pop_same_time(SimTime::from_nanos(25), &mut out).unwrap();
-        assert_eq!(t.as_nanos(), 20);
-        assert_eq!(out, vec![100]);
-        // Next event (t=30) is beyond the limit.
-        assert!(q.pop_same_time(SimTime::from_nanos(25), &mut out).is_none());
-        assert!(out.is_empty());
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.now().as_nanos(), 20, "limit refusal must not advance the clock");
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Differential test: the 4-ary indexed heap inside
+//! Differential test: the timer-wheel engine inside
 //! [`simcore::EventQueue`] against a straightforward
 //! `BinaryHeap`-based reference, on randomized push/pop schedules.
 //!
 //! The determinism contract (DESIGN.md §6e) says any correct min-heap
 //! keyed on `(time, seq)` pops the *identical* total order, because
 //! the monotonically increasing `seq` makes every key unique. This
-//! suite is the executable form of that claim: if the engine's sift
+//! suite is the executable form of that claim: if the engine's ordering
 //! logic ever breaks tie-ordering or drops an element, these tests
 //! catch it without needing a full simulation to diverge first.
 //!

@@ -219,25 +219,92 @@ fn cancel_after_partial_drain_matches_reference() {
     }
 }
 
-/// `pop_same_time` is pop() in bulk: against the reference, a
-/// same-time batch must equal exactly the reference pops that share
-/// the first pending instant, in the same order.
+/// The near rung is a run sorted by descending `(time, seq)`; this
+/// stresses its three non-trivial paths against the reference heap:
+/// pushes that land at the *head* of the run (just under the horizon,
+/// so the insert walks the whole run), dense same-time ties (the insert
+/// must pass every equal-time entry), and near-resident cancels (a
+/// binary search and removal) interleaved with pops.
 #[test]
-fn pop_same_time_batches_match_reference_run_lengths() {
-    let mut rng = Lcg(99);
-    let mut engine: EventQueue<u64> = EventQueue::new();
-    let mut reference = ReferenceQueue::new();
-    for payload in 0..4000u64 {
-        let t = SimTime::ZERO + SimDuration::from_nanos(rng.next() % 512);
-        engine.push(t, payload);
-        reference.push(t, payload);
-    }
-    let end = SimTime::ZERO + SimDuration::from_secs(1);
-    let mut batch = Vec::new();
-    while let Some(t) = engine.pop_same_time(end, &mut batch) {
-        for &payload in &batch {
-            assert_eq!(reference.pop(), Some((t, payload)), "batch member mismatch");
+fn sorted_near_run_head_inserts_ties_and_cancels_match_reference() {
+    // Initial wheel bucket width. Nothing here is pushed more than one
+    // bucket past `now`, so the ring never rebases and bucket `k`
+    // keeps covering `[k * SPAN, (k + 1) * SPAN)`; once the bucket
+    // holding `now` has migrated, the horizon is its last nanosecond.
+    const SPAN: u64 = 1 << 18;
+    for seed in 0..8u64 {
+        let mut rng = Lcg(0x5eed ^ (seed << 17));
+        let mut engine: EventQueue<u64> = EventQueue::new();
+        let mut reference = ReferenceQueue::new();
+        let mut timers: Vec<(TimerId, u64)> = Vec::new();
+        let mut payload = 0u64;
+        let mut head_inserts = 0;
+        for step in 0..4000 {
+            let now = engine.now().as_nanos();
+            match rng.next() % 10 {
+                // Head-of-run pushes, half of them cancelable timers.
+                0..=2 => {
+                    let head = (now | (SPAN - 1)) - rng.next() % 4;
+                    let t = SimTime::from_nanos(head.max(now));
+                    let depth = engine.health().near_depth;
+                    if rng.next().is_multiple_of(2) {
+                        let id = engine.schedule_timer(t, payload);
+                        timers.push((id, reference.push(t, payload)));
+                    } else {
+                        engine.push(t, payload);
+                        reference.push(t, payload);
+                    }
+                    if engine.health().near_depth > depth {
+                        head_inserts += 1;
+                    }
+                    payload += 1;
+                }
+                // Dense ties: bursts onto three instants at `now`.
+                3..=5 => {
+                    let t = SimTime::from_nanos(now + rng.next() % 3);
+                    for _ in 0..1 + rng.next() % 8 {
+                        if rng.next().is_multiple_of(3) {
+                            let id = engine.schedule_timer(t, payload);
+                            timers.push((id, reference.push(t, payload)));
+                        } else {
+                            engine.push(t, payload);
+                            reference.push(t, payload);
+                        }
+                        payload += 1;
+                    }
+                }
+                // Cancels: mostly near-resident, some already fired.
+                6 | 7 => {
+                    if !timers.is_empty() {
+                        let i = (rng.next() as usize) % timers.len();
+                        let (id, seq) = timers.swap_remove(i);
+                        assert_eq!(
+                            engine.cancel_timer(id),
+                            reference.cancel(seq),
+                            "cancel liveness diverged (seed {seed}, step {step})"
+                        );
+                    }
+                }
+                _ => {
+                    assert_eq!(
+                        engine.pop(),
+                        reference.pop(),
+                        "mid-run divergence (seed {seed}, step {step})"
+                    );
+                }
+            }
+            // Every few hundred steps, drain most of the queue so the
+            // clock (and the run) moves on to later buckets.
+            if step % 500 == 499 {
+                for _ in 0..engine.len() * 3 / 4 {
+                    assert_eq!(engine.pop(), reference.pop(), "drain divergence (seed {seed})");
+                }
+            }
+            let h = engine.health();
+            assert_eq!(h.slab_slots - h.free_slots, h.len, "slab accounting (seed {seed})");
         }
+        assert!(head_inserts > 500, "only {head_inserts} head pushes hit the run (seed {seed})");
+        assert_drained_identically(&mut engine, &mut reference);
+        assert_eq!(engine.health().stale_timers, 0, "tombstones after drain (seed {seed})");
     }
-    assert_eq!(reference.pop(), None, "engine finished before the reference");
 }
