@@ -177,13 +177,6 @@ pub enum Verdict {
     NotInBaseline,
 }
 
-impl Verdict {
-    /// Does this verdict fail the gate?
-    pub fn failed(&self) -> bool {
-        !matches!(self, Verdict::Pass(_))
-    }
-}
-
 /// Compare a run against the baseline snapshot. Returns one
 /// `(scenario, verdict)` per *current* scenario: the gate checks what
 /// ran, and a baseline scenario missing from the run (e.g. a
@@ -303,7 +296,7 @@ mod tests {
         let verdicts =
             check(&baseline(), "smoke", &[point("fanin", 1_000_000, 109.0, 0)], DEFAULT_THRESHOLD);
         assert_eq!(verdicts.len(), 1);
-        assert!(!verdicts[0].1.failed(), "{verdicts:?}");
+        assert!(matches!(verdicts[0].1, Verdict::Pass(_)), "{verdicts:?}");
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl BenchGroup {
         self.reports.push(report);
         self.reports.last().expect("just pushed")
     }
-
-    /// All reports so far.
-    pub fn reports(&self) -> &[BenchReport] {
-        &self.reports
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +107,7 @@ mod tests {
         let mut g = BenchGroup::new("t", 2, 3);
         g.bench("count", || calls += 1);
         assert_eq!(calls, 5);
-        let r = &g.reports()[0];
+        let r = &g.reports[0];
         assert_eq!(r.iters, 3);
         assert!(r.min <= r.mean && r.mean <= r.max);
         assert!(r.name.contains("t/count"));

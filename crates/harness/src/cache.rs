@@ -129,16 +129,6 @@ impl CacheStats {
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Reset all counters (per-experiment reporting).
-    pub fn reset(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.stores.store(0, Ordering::Relaxed);
-        self.corrupt.store(0, Ordering::Relaxed);
-        self.truncated.store(0, Ordering::Relaxed);
-        self.stale.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A content-addressed report cache rooted at one directory.
@@ -197,15 +187,9 @@ impl RunCache {
         self.dir.join(key.file_name())
     }
 
-    /// Load the entry for `key`, if present and intact. Absent, corrupt
-    /// and stale entries all read as a miss.
-    pub fn lookup(&self, key: &CacheKey) -> Option<Iperf3Report> {
-        self.lookup_detail(key).ok().flatten()
-    }
-
-    /// [`RunCache::lookup`] with the miss cause exposed: `Ok(Some)` is
-    /// a hit, `Ok(None)` means no entry existed, and `Err(fault)` means
-    /// an entry existed but was corrupt/truncated/stale — counted on
+    /// Load the entry for `key`, with the miss cause exposed: `Ok(Some)`
+    /// is a hit, `Ok(None)` means no entry existed, and `Err(fault)`
+    /// means an entry existed but was corrupt/truncated/stale — counted on
     /// [`RunCache::stats`], logged with the offending path, and left
     /// for the caller's recompute-and-store to overwrite (self-heal).
     pub fn lookup_detail(&self, key: &CacheKey) -> Result<Option<Iperf3Report>, CacheFault> {
@@ -623,10 +607,6 @@ mod tests {
         let healed = cache.lookup_detail(&key).expect("intact").expect("hit");
         assert!(reports_bit_identical(&r, &healed));
         assert_eq!(cache.stats.recoveries(), 1, "heal adds no new fault");
-
-        // Recovery counters reset with the rest.
-        cache.stats.reset();
-        assert_eq!(cache.stats.recoveries(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

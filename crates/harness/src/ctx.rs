@@ -101,12 +101,6 @@ impl RunCtx {
         }
     }
 
-    /// Builder: write telemetry traces to `dir`.
-    pub fn with_trace_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.trace_dir = Some(dir.into());
-        self
-    }
-
     /// Builder: consult and fill `cache`.
     pub fn with_cache(mut self, cache: Arc<RunCache>) -> Self {
         self.cache = Some(cache);
@@ -175,9 +169,8 @@ mod tests {
     #[test]
     fn harness_inherits_ctx_settings() {
         let cache = Arc::new(RunCache::new("/tmp/nonexistent-cache-dir-for-test"));
-        let ctx = RunCtx::new(Effort::Smoke)
-            .with_trace_dir("/tmp/traces")
-            .with_cache(cache);
+        let mut ctx = RunCtx::new(Effort::Smoke).with_cache(cache);
+        ctx.trace_dir = Some("/tmp/traces".into());
         let h = ctx.harness();
         assert_eq!(h.repetitions, Effort::Smoke.repetitions());
         assert_eq!(h.trace_dir.as_deref(), Some(std::path::Path::new("/tmp/traces")));
@@ -220,10 +213,10 @@ mod tests {
         assert!(Arc::ptr_eq(sup.budget().expect("budget wired"), &budget));
         assert!(Arc::ptr_eq(sup.chaos().expect("chaos wired"), &chaos));
         // Chaos without an explicit cadence turns checkpointing on.
-        assert_eq!(sup.checkpoint_cadence(), DEFAULT_CHECKPOINT_EVERY);
+        assert_eq!(sup.checkpoint_every, DEFAULT_CHECKPOINT_EVERY);
         // An explicit cadence wins.
         let mut ctx2 = RunCtx::new(Effort::Smoke).with_chaos(chaos);
         ctx2.checkpoint_every = 7;
-        assert_eq!(ctx2.harness().supervisor.checkpoint_cadence(), 7);
+        assert_eq!(ctx2.harness().supervisor.checkpoint_every, 7);
     }
 }

@@ -216,8 +216,3 @@ impl ExperimentId {
         self.run(ctx).render_ascii()
     }
 }
-
-/// Run every table of the paper (I–III).
-pub fn all_tables(ctx: &RunCtx) -> Vec<TableData> {
-    vec![tables::table1(ctx), tables::table2(ctx), tables::table3(ctx)]
-}

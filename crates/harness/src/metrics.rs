@@ -235,14 +235,6 @@ impl MetricsHub {
         });
     }
 
-    /// Time `f` on the wall clock and record it as a span.
-    pub fn time_span<T>(&self, scope: &str, name: &str, f: impl FnOnce() -> T) -> T {
-        let start = self.wall_now();
-        let out = f();
-        self.span(scope, name, "wall_s", start, self.wall_now() - start);
-        out
-    }
-
     // ---- exposition ------------------------------------------------
 
     /// Write the OpenMetrics exposition of the full registry to

@@ -60,11 +60,6 @@ impl FailedRep {
         self.class == ErrorClass::InvalidConfig
     }
 
-    /// Did the failure survive at least one retry?
-    pub fn retried(&self) -> bool {
-        self.attempts > 1
-    }
-
     /// Serialize for the degraded-run manifest.
     pub fn to_json(&self) -> String {
         format!(
@@ -667,7 +662,7 @@ mod tests {
         match err {
             ScenarioError::AllRepetitionsFailed { failures, .. } => {
                 assert_eq!(failures.len(), 2);
-                assert!(failures.iter().all(|f| f.retried()));
+                assert!(failures.iter().all(|f| f.attempts > 1));
                 assert!(failures.iter().all(|f| f.class == ErrorClass::WatchdogBudget));
                 assert!(failures.iter().any(|f| f.seed == rep0_seed));
                 assert!(failures[0].error.contains("stalled"), "{}", failures[0].error);
@@ -687,7 +682,7 @@ mod tests {
         assert_eq!(failures.len(), 2);
         assert_eq!(failures[0].seed, 50);
         assert_eq!(failures[1].seed, 51);
-        assert!(failures.iter().all(|f| !f.retried() && !f.invalid()));
+        assert!(failures.iter().all(|f| f.attempts <= 1 && !f.invalid()));
         assert!(failures.iter().all(|f| f.class == ErrorClass::WorkerDeath));
         assert!(failures[0].error.contains("worker died"), "{}", failures[0].error);
     }

@@ -76,22 +76,6 @@ impl Scenario {
         use simcore::Canonicalize;
         self.canon_fingerprint()
     }
-
-    /// Full description for logs.
-    pub fn describe(&self) -> String {
-        let mut d = format!(
-            "{} | {} -> {} over {} | {}",
-            self.label,
-            self.client.name,
-            self.server.name,
-            self.path.name,
-            self.opts.command_line(&self.server.name)
-        );
-        if !self.faults.is_empty() {
-            d.push_str(&format!(" | {} fault(s)", self.faults.events.len()));
-        }
-        d
-    }
 }
 
 impl simcore::Canonicalize for Scenario {
@@ -105,40 +89,5 @@ impl simcore::Canonicalize for Scenario {
             None => c.put_str("event_budget", "default"),
             Some(n) => c.put_u64("event_budget", n),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::testbeds::{EsnetPath, Testbeds};
-    use linuxhost::KernelVersion;
-    use simcore::SimDuration;
-
-    fn base() -> Scenario {
-        Scenario::symmetric(
-            "default",
-            Testbeds::esnet_host(KernelVersion::L6_8),
-            Testbeds::esnet_path(EsnetPath::Lan),
-            Iperf3Opts::new(10),
-        )
-    }
-
-    #[test]
-    fn describe_is_informative() {
-        let d = base().describe();
-        assert!(d.contains("default"));
-        assert!(d.contains("ESnet LAN"));
-        assert!(d.contains("iperf3 -c"));
-        assert!(!d.contains("fault(s)"));
-    }
-
-    #[test]
-    fn describe_mentions_faults() {
-        let s = base().with_faults(FaultPlan::none().with_link_flap(
-            SimDuration::from_secs(2),
-            SimDuration::from_millis(50),
-        ));
-        assert!(s.describe().contains("1 fault(s)"));
     }
 }

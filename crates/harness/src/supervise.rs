@@ -232,7 +232,8 @@ pub struct Supervisor {
     policy: RetryPolicy,
     budget: Option<Arc<ErrorBudget>>,
     chaos: Option<Arc<ChaosPlan>>,
-    checkpoint_every: u64,
+    /// Checkpoint cadence in events (0 = checkpointing off).
+    pub(crate) checkpoint_every: u64,
     metrics: Option<Arc<crate::metrics::MetricsHub>>,
 }
 
@@ -306,11 +307,6 @@ impl Supervisor {
     /// The chaos schedule, if any.
     pub fn chaos(&self) -> Option<&Arc<ChaosPlan>> {
         self.chaos.as_ref()
-    }
-
-    /// Checkpoint cadence in events (0 = checkpointing off).
-    pub fn checkpoint_cadence(&self) -> u64 {
-        self.checkpoint_every
     }
 
     /// May a retry run, given `class` and the attempts made so far?

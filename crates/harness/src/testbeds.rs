@@ -182,10 +182,10 @@ mod tests {
     fn amlight_paths() {
         assert_eq!(AmLightPath::ALL.len(), 4);
         let lan = Testbeds::amlight_path(AmLightPath::Lan);
-        assert!(!lan.is_wan());
+        assert_eq!(lan.class, nethw::PathClass::Lan);
         assert!(lan.cross_traffic.is_none(), "LAN is clean");
         let wan = Testbeds::amlight_path(AmLightPath::Wan104ms);
-        assert!(wan.is_wan());
+        assert_eq!(wan.class, nethw::PathClass::Wan);
         assert_eq!(wan.rtt, SimDuration::from_millis(104));
         assert!(wan.cross_traffic.is_some(), "WAN shares with production");
     }

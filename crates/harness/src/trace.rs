@@ -145,21 +145,9 @@ pub fn render_jsonl(
     Some(out)
 }
 
-/// Write one repetition's trace into `dir`, creating the directory as
-/// needed. Returns the path written, or `None` when the report carries
-/// no telemetry.
-pub fn write_rep_trace(
-    dir: &Path,
-    label: &str,
-    rep: usize,
-    seed: u64,
-    report: &Iperf3Report,
-) -> std::io::Result<Option<PathBuf>> {
-    write_rep_trace_with(&RealIo, dir, label, rep, seed, report)
-}
-
-/// [`write_rep_trace`] through an explicit [`TraceIo`] (chaos shim or
-/// the real filesystem).
+/// Write one repetition's trace into `dir` through `io` (the chaos
+/// shim or [`RealIo`]), creating the directory as needed. Returns the
+/// path written, or `None` when the report carries no telemetry.
 pub fn write_rep_trace_with(
     io: &dyn TraceIo,
     dir: &Path,
@@ -177,20 +165,10 @@ pub fn write_rep_trace_with(
     Ok(Some(path))
 }
 
-/// Write one repetition's simulated-`perf` profiles into `dir`:
-/// `<label>_rep<i>.folded` (flame-graph input) and
+/// Write one repetition's simulated-`perf` profiles into `dir` through
+/// `io`: `<label>_rep<i>.folded` (flame-graph input) and
 /// `<label>_rep<i>.perf.txt` (the `perf report` table). Returns the
 /// paths written, or `None` when the report carries no attribution.
-pub fn write_rep_profiles(
-    dir: &Path,
-    label: &str,
-    rep: usize,
-    report: &Iperf3Report,
-) -> std::io::Result<Option<(PathBuf, PathBuf)>> {
-    write_rep_profiles_with(&RealIo, dir, label, rep, report)
-}
-
-/// [`write_rep_profiles`] through an explicit [`TraceIo`].
 pub fn write_rep_profiles_with(
     io: &dyn TraceIo,
     dir: &Path,
@@ -259,8 +237,8 @@ mod tests {
             iperf3sim::run(&host, &host, &path, &Iperf3Opts::new(2).omit(0)).expect("run");
         assert!(render_jsonl("x", 0, 1, &report).is_none());
         let dir = std::env::temp_dir().join(format!("trace_none_{}", std::process::id()));
-        assert!(write_rep_trace(&dir, "x", 0, 1, &report).expect("io").is_none());
-        assert!(write_rep_profiles(&dir, "x", 0, &report).expect("io").is_none());
+        assert!(write_rep_trace_with(&RealIo, &dir, "x", 0, 1, &report).expect("io").is_none());
+        assert!(write_rep_profiles_with(&RealIo, &dir, "x", 0, &report).expect("io").is_none());
         assert!(!dir.exists(), "no telemetry must create no directory");
     }
 
@@ -307,7 +285,7 @@ mod tests {
         let report = iperf3sim::run(&host, &host, &path, &Iperf3Opts::new(2).omit(0).attribution())
             .expect("run");
         let dir = std::env::temp_dir().join(format!("profile_test_{}", std::process::id()));
-        let (folded, perf) = write_rep_profiles(&dir, "ESnet LAN", 1, &report)
+        let (folded, perf) = write_rep_profiles_with(&RealIo, &dir, "ESnet LAN", 1, &report)
             .expect("io")
             .expect("attribution present");
         assert_eq!(folded.file_name().unwrap().to_str().unwrap(), "esnet_lan_rep1.folded");
@@ -324,7 +302,7 @@ mod tests {
     fn trace_file_written_per_repetition() {
         let report = sampled_report();
         let dir = std::env::temp_dir().join(format!("trace_test_{}", std::process::id()));
-        let path = write_rep_trace(&dir, "ESnet LAN", 3, 1003, &report)
+        let path = write_rep_trace_with(&RealIo, &dir, "ESnet LAN", 3, 1003, &report)
             .expect("io")
             .expect("telemetry present");
         assert_eq!(path.file_name().unwrap().to_str().unwrap(), "esnet_lan_rep3.jsonl");

@@ -24,13 +24,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod neper;
 pub mod opts;
 pub mod report;
 pub mod runner;
 pub mod version;
 
-pub use neper::{run_tcp_stream, NeperOpts, NeperReport};
 pub use opts::Iperf3Opts;
 pub use report::{Iperf3Report, StreamReport};
 pub use runner::{run, run_with_faults, start_session, RunError, SessionCheckpoint, SimSession};

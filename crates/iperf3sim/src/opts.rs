@@ -247,7 +247,7 @@ mod tests {
     #[test]
     fn zerocopy_needs_patch_1690() {
         let mut o = Iperf3Opts::new(10).zerocopy();
-        o.version = Iperf3Version::v3_17();
+        o.version = Iperf3Version { minor: 17, patch_1690: false, patch_1728: false };
         let errs = o.validate();
         assert!(errs.iter().any(|e| e.contains("1690")), "{errs:?}");
     }
@@ -255,12 +255,12 @@ mod tests {
     #[test]
     fn fq_rate_above_32g_needs_patch_1728() {
         let mut o = Iperf3Opts::new(10).fq_rate(BitRate::gbps(50.0));
-        o.version = Iperf3Version::v3_16();
+        o.version = Iperf3Version { minor: 16, patch_1690: false, patch_1728: false };
         let errs = o.validate();
         assert!(errs.iter().any(|e| e.contains("1728")), "{errs:?}");
         // 25G fits in u32 bits/sec? No — 25e9 > u32::MAX too.
         let mut o2 = Iperf3Opts::new(10).fq_rate(BitRate::gbps(4.0));
-        o2.version = Iperf3Version::v3_16();
+        o2.version = Iperf3Version { minor: 16, patch_1690: false, patch_1728: false };
         assert!(o2.validate().is_empty());
     }
 
@@ -270,7 +270,7 @@ mod tests {
         assert!(o.validate().iter().any(|e| e.contains("mutually exclusive")));
         // -Z alone works on every version, even unpatched old builds.
         let mut plain = Iperf3Opts::new(10).sendfile();
-        plain.version = Iperf3Version::v3_13();
+        plain.version = Iperf3Version { minor: 13, patch_1690: false, patch_1728: false };
         assert!(plain.validate().is_empty());
         assert!(plain.command_line("h").contains(" -Z"));
     }

@@ -18,17 +18,6 @@ pub enum RunError {
     Sim(SimError),
 }
 
-impl RunError {
-    /// The individual error messages (validation problems, or the one
-    /// simulation error rendered as text).
-    pub fn messages(&self) -> Vec<String> {
-        match self {
-            RunError::Invalid(errors) => errors.clone(),
-            RunError::Sim(e) => vec![e.to_string()],
-        }
-    }
-}
-
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -245,7 +234,7 @@ mod tests {
     fn invalid_flags_refused() {
         let (c, s, p) = hosts_and_path();
         let mut opts = Iperf3Opts::new(3).zerocopy();
-        opts.version = Iperf3Version::v3_17(); // no patch 1690
+        opts.version = Iperf3Version { minor: 17, patch_1690: false, patch_1728: false };
         let err = run(&c, &s, &p, &opts).unwrap_err();
         assert!(err.to_string().contains("1690"));
     }

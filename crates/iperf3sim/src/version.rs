@@ -14,21 +14,6 @@ pub struct Iperf3Version {
 }
 
 impl Iperf3Version {
-    /// Stock v3.13 (single-threaded parallel streams, no new flags).
-    pub fn v3_13() -> Self {
-        Iperf3Version { minor: 13, patch_1690: false, patch_1728: false }
-    }
-
-    /// Stock v3.16 (first multi-threaded release).
-    pub fn v3_16() -> Self {
-        Iperf3Version { minor: 16, patch_1690: false, patch_1728: false }
-    }
-
-    /// Stock v3.17.
-    pub fn v3_17() -> Self {
-        Iperf3Version { minor: 17, patch_1690: false, patch_1728: false }
-    }
-
     /// The paper's build: v3.17 + #1690 + #1728 (§III-B).
     pub fn paper_patched() -> Self {
         Iperf3Version { minor: 17, patch_1690: true, patch_1728: true }
@@ -47,12 +32,6 @@ impl Iperf3Version {
     /// `--fq-rate` accepted above 32 Gbps.
     pub fn fq_rate_above_32g(&self) -> bool {
         self.patch_1728
-    }
-
-    /// The classic `sendfile`-based `--zerocopy` (`-Z`) — available in
-    /// every modern iperf3 (§II-B mentions it as the older alternative).
-    pub fn has_sendfile_zerocopy(&self) -> bool {
-        true
     }
 }
 
@@ -89,19 +68,21 @@ mod tests {
 
     #[test]
     fn version_capabilities() {
-        let old = Iperf3Version::v3_13();
+        let old = Iperf3Version { minor: 13, patch_1690: false, patch_1728: false };
         assert!(!old.multithreaded());
         assert!(!old.has_msg_zerocopy_flags());
         let paper = Iperf3Version::paper_patched();
         assert!(paper.multithreaded());
         assert!(paper.has_msg_zerocopy_flags());
         assert!(paper.fq_rate_above_32g());
-        assert!(!Iperf3Version::v3_17().has_msg_zerocopy_flags());
+        let stock = Iperf3Version { patch_1690: false, patch_1728: false, ..paper };
+        assert!(!stock.has_msg_zerocopy_flags());
     }
 
     #[test]
     fn display_shows_patches() {
         assert_eq!(Iperf3Version::paper_patched().to_string(), "iperf 3.17+p1690+p1728");
-        assert_eq!(Iperf3Version::v3_16().to_string(), "iperf 3.16");
+        let stock = Iperf3Version { minor: 16, patch_1690: false, patch_1728: false };
+        assert_eq!(stock.to_string(), "iperf 3.16");
     }
 }

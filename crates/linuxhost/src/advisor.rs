@@ -62,16 +62,6 @@ impl Intent {
             parallel_streams: false,
         }
     }
-
-    /// A production DTN moving parallel streams (§V-B).
-    pub fn production_dtn() -> Self {
-        Intent {
-            max_rtt: SimDuration::from_millis(110),
-            target_rate: BitRate::gbps(100.0),
-            zerocopy: false,
-            parallel_streams: true,
-        }
-    }
 }
 
 /// Audit `cfg` against the paper's recommendations.
@@ -309,7 +299,9 @@ mod tests {
     #[test]
     fn dtn_intent_adds_pacing_note() {
         let cfg = HostConfig::esnet_prod_dtn();
-        let recs = advise(&cfg, &Intent::production_dtn());
+        let intent =
+            Intent { zerocopy: false, parallel_streams: true, ..Intent::benchmarking_100g() };
+        let recs = advise(&cfg, &intent);
         assert!(recs.iter().any(|r| r.message.contains("pace")));
     }
 

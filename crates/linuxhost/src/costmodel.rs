@@ -318,25 +318,6 @@ impl CostModel {
     pub fn clock_hz(&self) -> f64 {
         self.clock_hz
     }
-
-    /// The kernel cost multiplier in effect.
-    pub fn kernel_multiplier(&self) -> f64 {
-        self.kmult
-    }
-}
-
-/// Throughput (Gbit/s) a single server sustains at the given per-burst
-/// service time — analysis helper used by calibration tests and docs.
-///
-/// A zero (or sub-nanosecond) service time is clamped to one
-/// simulation tick: the simulator cannot schedule work finer than a
-/// nanosecond, so that is the fastest any server can actually run.
-/// Returning a finite ceiling instead of `inf` keeps the value safe to
-/// feed into `RunningStats` (which would otherwise skip it as a
-/// non-finite sample).
-pub fn server_rate_gbps(burst: Bytes, service: SimDuration) -> f64 {
-    let service = service.max(SimDuration::from_nanos(1));
-    burst.bits() as f64 / service.as_secs_f64() / 1e9
 }
 
 #[cfg(test)]
@@ -348,6 +329,12 @@ mod tests {
 
     fn rng() -> SimRng {
         SimRng::seed_from_u64(0)
+    }
+
+    /// Throughput (Gbit/s) of one server at the given per-burst
+    /// service time.
+    fn server_rate_gbps(burst: Bytes, service: SimDuration) -> f64 {
+        burst.bits() as f64 / service.as_secs_f64() / 1e9
     }
 
     fn mean_service<F: FnMut(&mut SimRng) -> SimDuration>(mut f: F) -> SimDuration {
@@ -483,17 +470,6 @@ mod tests {
         let b = Bytes::mib(1);
         let rate = server_rate_gbps(b, m.fabric_rx_service(b, false));
         assert!((165.0..176.0).contains(&rate), "AMD 5.15 rx fabric {rate:.0} Gbps");
-    }
-
-    #[test]
-    fn zero_service_rate_is_finite() {
-        let r = server_rate_gbps(Bytes::kib(64), SimDuration::ZERO);
-        assert!(r.is_finite(), "zero service must clamp, got {r}");
-        // Clamped to the 1 ns tick: 64 KiB / 1 ns.
-        assert!((r - Bytes::kib(64).bits() as f64).abs() < 1e-3, "{r}");
-        // Ordinary service times are unaffected.
-        let normal = server_rate_gbps(Bytes::kib(64), SimDuration::from_micros(10));
-        assert!((normal - 52.4288).abs() < 1e-3, "{normal}");
     }
 
     #[test]

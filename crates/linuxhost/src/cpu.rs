@@ -32,14 +32,6 @@ impl CpuArch {
         }
     }
 
-    /// Base clock in Hz.
-    pub fn base_clock_hz(self) -> f64 {
-        match self {
-            CpuArch::IntelXeon6346 => 3.1e9,
-            CpuArch::AmdEpyc73F3 => 3.5e9,
-        }
-    }
-
     /// Effective last-level cache visible to one network flow's working
     /// set. Intel Ice Lake has a monolithic 36 MB L3 per socket; Milan's
     /// 32 MB per 4-core CCX is *less* effective for a single flow whose
@@ -49,12 +41,6 @@ impl CpuArch {
             CpuArch::IntelXeon6346 => Bytes::mib(36),
             CpuArch::AmdEpyc73F3 => Bytes::mib(32),
         }
-    }
-
-    /// AVX-512 available (used by 6.x checksum/copy paths — one of the
-    /// paper's explanations for Intel's single-stream edge, §IV-A).
-    pub fn has_avx512(self) -> bool {
-        matches!(self, CpuArch::IntelXeon6346)
     }
 
     /// Physical cores per socket.
@@ -142,8 +128,6 @@ mod tests {
     fn arch_properties() {
         let intel = CpuArch::IntelXeon6346;
         let amd = CpuArch::AmdEpyc73F3;
-        assert!(intel.has_avx512());
-        assert!(!amd.has_avx512());
         assert!(amd.boost_clock_hz() > intel.boost_clock_hz());
         assert_eq!(intel.cores_per_socket(), 16);
     }

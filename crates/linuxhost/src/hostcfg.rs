@@ -133,12 +133,6 @@ impl HostConfig {
         }
     }
 
-    /// Builder: set the kernel.
-    pub fn with_kernel(mut self, kernel: KernelVersion) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// Builder: replace the sysctl set.
     pub fn with_sysctl(mut self, sysctl: SysctlConfig) -> Self {
         self.sysctl = sysctl;
@@ -148,18 +142,6 @@ impl HostConfig {
     /// Builder: set `optmem_max` only.
     pub fn with_optmem(mut self, optmem: Bytes) -> Self {
         self.sysctl.optmem_max = optmem;
-        self
-    }
-
-    /// Builder: replace the offload config.
-    pub fn with_offload(mut self, offload: OffloadConfig) -> Self {
-        self.offload = offload;
-        self
-    }
-
-    /// Builder: set the virtualisation mode.
-    pub fn with_virt(mut self, virt: VirtMode) -> Self {
-        self.virt = virt;
         self
     }
 
@@ -255,11 +237,8 @@ mod tests {
 
     #[test]
     fn builder_chain() {
-        let cfg = HostConfig::amlight_intel(KernelVersion::L6_5)
-            .with_optmem(Bytes::kib(20))
-            .with_virt(VirtMode::Baremetal);
+        let cfg = HostConfig::amlight_intel(KernelVersion::L6_5).with_optmem(Bytes::kib(20));
         assert_eq!(cfg.sysctl.optmem_max, Bytes::kib(20));
-        assert_eq!(cfg.virt, VirtMode::Baremetal);
         assert_eq!(cfg.kernel, KernelVersion::L6_5);
     }
 

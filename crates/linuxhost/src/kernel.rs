@@ -36,22 +36,6 @@ impl KernelVersion {
     pub const STUDY: [KernelVersion; 3] =
         [KernelVersion::L5_15, KernelVersion::L6_5, KernelVersion::L6_8];
 
-    /// `(major, minor)` pair.
-    pub fn number(self) -> (u32, u32) {
-        match self {
-            KernelVersion::L5_10 => (5, 10),
-            KernelVersion::L5_15 => (5, 15),
-            KernelVersion::L6_5 => (6, 5),
-            KernelVersion::L6_8 => (6, 8),
-            KernelVersion::L6_11 => (6, 11),
-        }
-    }
-
-    /// MSG_ZEROCOPY has been available since 4.17 — all studied kernels.
-    pub fn supports_msg_zerocopy(self) -> bool {
-        true
-    }
-
     /// BIG TCP for IPv6 landed in 5.19.
     pub fn supports_big_tcp_ipv6(self) -> bool {
         self >= KernelVersion::L6_5
@@ -106,7 +90,6 @@ mod tests {
 
     #[test]
     fn feature_gates() {
-        assert!(KernelVersion::L5_15.supports_msg_zerocopy());
         assert!(!KernelVersion::L5_15.supports_big_tcp_ipv4());
         assert!(KernelVersion::L6_5.supports_big_tcp_ipv4());
         assert!(KernelVersion::L6_8.supports_big_tcp_ipv6());

@@ -134,7 +134,7 @@ impl OffloadConfig {
     }
 
     /// Enable hardware GRO (needs kernel ≥ 6.11; NIC support is checked
-    /// by `nethw::Nic`).
+    /// by `HostConfig::validate`).
     pub fn with_hw_gro(mut self, kernel: KernelVersion) -> Self {
         assert!(kernel.supports_hw_gro(), "kernel {kernel} lacks mlx5 hardware GRO");
         self.hw_gro = true;

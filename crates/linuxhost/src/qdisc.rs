@@ -82,16 +82,6 @@ impl Pacer {
     pub fn backlog(&self, now: SimTime) -> simcore::SimDuration {
         self.next_allowed.saturating_since(now)
     }
-
-    /// The explicit `--fq-rate`, if configured.
-    pub fn fq_rate(&self) -> Option<BitRate> {
-        self.fq_rate
-    }
-
-    /// True when an explicit per-flow cap is active.
-    pub fn is_explicitly_paced(&self) -> bool {
-        self.fq_rate.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +99,6 @@ mod tests {
     fn fq_codel_never_paces() {
         let p = Pacer::new(Qdisc::FqCodel, None);
         assert_eq!(p.current_rate(BitRate::gbps(10.0), line()).as_gbps(), 100.0);
-        assert!(!p.is_explicitly_paced());
     }
 
     #[test]

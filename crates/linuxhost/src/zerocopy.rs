@@ -118,18 +118,6 @@ impl ZerocopyAccounting {
         self.charged = self.charged.saturating_sub(self.charge);
     }
 
-    /// Outstanding charged bytes.
-    pub fn charged(&self) -> Bytes {
-        self.charged
-    }
-
-    /// Maximum payload bytes that can be in flight as true zerocopy,
-    /// assuming `burst`-sized sends.
-    pub fn max_pinned_bytes(&self, burst: Bytes) -> Bytes {
-        let slots = self.optmem_max.as_u64() / self.charge.as_u64();
-        Bytes::new(slots * burst.as_u64())
-    }
-
     /// Count of true zerocopy sends.
     pub fn zerocopy_sends(&self) -> u64 {
         self.zerocopy_sends
@@ -151,6 +139,18 @@ impl ZerocopyAccounting {
 mod tests {
     use super::*;
 
+    /// Payload bytes that `optmem_max` lets be in flight as true
+    /// zerocopy with `burst`-sized sends: sends until the first
+    /// fallback, none completed.
+    fn max_pinned_bytes(optmem_max: Bytes, burst: Bytes) -> Bytes {
+        let mut acct = ZerocopyAccounting::new(optmem_max);
+        let mut sends = 0;
+        while acct.try_send() == SendOutcome::Zerocopy {
+            sends += 1;
+        }
+        Bytes::new(sends * burst.as_u64())
+    }
+
     #[test]
     fn charges_until_budget_then_falls_back() {
         // Budget for exactly 4 notifications.
@@ -167,8 +167,7 @@ mod tests {
 
     #[test]
     fn paper_scale_1mb_pins_370mb() {
-        let acct = ZerocopyAccounting::new(Bytes::mib(1));
-        let pinned = acct.max_pinned_bytes(Bytes::kib(64));
+        let pinned = max_pinned_bytes(Bytes::mib(1), Bytes::kib(64));
         let mb = pinned.as_f64() / 1e6;
         // Covers the 54 ms BDP at 50 Gbps (~340 MB) but only ~60 % of
         // the 104 ms one — the Fig. 9 plateau at ~40 Gbps.
@@ -180,8 +179,7 @@ mod tests {
 
     #[test]
     fn paper_scale_3_25mb_covers_104ms_pinned_window() {
-        let acct = ZerocopyAccounting::new(Bytes::new(3_405_376));
-        let pinned = acct.max_pinned_bytes(Bytes::kib(64));
+        let pinned = max_pinned_bytes(Bytes::new(3_405_376), Bytes::kib(64));
         // The 104 ms BDP at 50 Gbps plus write-ahead ≈ 1.2 GB; 3.25 MB
         // must cover it.
         assert!(pinned.as_u64() > 1_150_000_000, "got {} pinned", pinned);
@@ -189,8 +187,7 @@ mod tests {
 
     #[test]
     fn default_20kb_is_tiny() {
-        let acct = ZerocopyAccounting::new(Bytes::kib(20));
-        let pinned = acct.max_pinned_bytes(Bytes::kib(64));
+        let pinned = max_pinned_bytes(Bytes::kib(20), Bytes::kib(64));
         assert!(pinned.as_u64() < 20_000_000, "20 KB optmem must pin < 20 MB");
     }
 

@@ -9,7 +9,7 @@
 //! bottleneck egress port, and exponential OFF gaps, with the long-run
 //! average matching the configured mean rate.
 
-use simcore::{BitRate, SimDuration, SimRng, SimTime};
+use simcore::{BitRate, SimDuration};
 
 /// Configuration of a cross-traffic aggregate.
 #[derive(Debug, Clone, Copy)]
@@ -58,51 +58,6 @@ impl simcore::Canonicalize for CrossTrafficSpec {
     }
 }
 
-/// Live state of the on/off process.
-#[derive(Debug, Clone)]
-pub struct CrossTraffic {
-    spec: CrossTrafficSpec,
-    on: bool,
-    /// Time of the next ON↔OFF transition.
-    next_transition: SimTime,
-}
-
-impl CrossTraffic {
-    /// Start the process (in an OFF gap) at time zero.
-    pub fn new(spec: CrossTrafficSpec, rng: &mut SimRng) -> Self {
-        assert!(spec.burst_rate.as_bps() >= spec.mean_rate.as_bps(), "burst rate below mean");
-        let first_gap = SimDuration::from_secs_f64(
-            rng.exponential(spec.mean_gap().as_secs_f64().max(1e-9)),
-        );
-        CrossTraffic { spec, on: false, next_transition: SimTime::ZERO + first_gap }
-    }
-
-    /// Advance the process to `now`, then report the instantaneous rate.
-    pub fn rate_at(&mut self, now: SimTime, rng: &mut SimRng) -> BitRate {
-        while now >= self.next_transition {
-            self.on = !self.on;
-            let mean = if self.on {
-                self.spec.mean_burst.as_secs_f64()
-            } else {
-                self.spec.mean_gap().as_secs_f64().max(1e-9)
-            };
-            self.next_transition += SimDuration::from_secs_f64(rng.exponential(mean));
-        }
-        if self.on { self.spec.burst_rate } else { BitRate::ZERO }
-    }
-
-    /// Time of the next state change (lets the event loop know when to
-    /// re-evaluate).
-    pub fn next_transition(&self) -> SimTime {
-        self.next_transition
-    }
-
-    /// The configured spec.
-    pub fn spec(&self) -> CrossTrafficSpec {
-        self.spec
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,54 +68,5 @@ mod tests {
         assert!((spec.duty_cycle() - 0.4).abs() < 1e-12);
         // gap = 2 ms * 0.6/0.4 = 3 ms.
         assert_eq!(spec.mean_gap().as_nanos(), 3_000_000);
-    }
-
-    #[test]
-    fn long_run_average_matches_mean_rate() {
-        let spec = CrossTrafficSpec::amlight_production();
-        let mut rng = SimRng::seed_from_u64(17);
-        let mut ct = CrossTraffic::new(spec, &mut rng);
-        // Sample every 100 µs over 20 simulated seconds.
-        let step = SimDuration::from_micros(100);
-        let mut t = SimTime::ZERO;
-        let mut acc = 0.0;
-        let n = 200_000;
-        for _ in 0..n {
-            acc += ct.rate_at(t, &mut rng).as_gbps();
-            t += step;
-        }
-        let avg = acc / n as f64;
-        assert!(
-            (avg - spec.mean_rate.as_gbps()).abs() < 1.5,
-            "long-run average {avg:.2} Gbps too far from 16"
-        );
-    }
-
-    #[test]
-    fn rate_is_burst_or_zero() {
-        let spec = CrossTrafficSpec::amlight_production();
-        let mut rng = SimRng::seed_from_u64(3);
-        let mut ct = CrossTraffic::new(spec, &mut rng);
-        let mut t = SimTime::ZERO;
-        for _ in 0..10_000 {
-            let r = ct.rate_at(t, &mut rng).as_gbps();
-            assert!(r == 0.0 || (r - 40.0).abs() < 1e-9);
-            t += SimDuration::from_micros(50);
-        }
-    }
-
-    #[test]
-    fn deterministic_under_seed() {
-        let spec = CrossTrafficSpec::amlight_production();
-        let sample = |seed: u64| {
-            let mut rng = SimRng::seed_from_u64(seed);
-            let mut ct = CrossTraffic::new(spec, &mut rng);
-            (0..1000)
-                .map(|i| {
-                    ct.rate_at(SimTime::from_nanos(i * 100_000), &mut rng).as_gbps() as u64
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(sample(5), sample(5));
     }
 }

@@ -6,14 +6,13 @@
 //! ms RTT. This crate models those components:
 //!
 //! * [`nic`] — NIC models: line rate, effective PCIe throughput, RX ring.
-//! * [`link`] — point-to-point links (serialisation + propagation).
 //! * [`switch`] — a shared-buffer output-queued switch with tail drop and
 //!   optional IEEE 802.3x pause-frame flow control.
 //! * [`pause`] — the 802.3x xoff/xon state machine.
 //! * [`path`] — an end-to-end path specification (RTT, bottleneck,
 //!   buffering, cross traffic) as used by the experiments.
-//! * [`cross`] — bursty on/off background traffic (AmLight's ~16 Gbps of
-//!   production traffic).
+//! * [`cross`] — parameters of the bursty on/off background traffic
+//!   (AmLight's ~16 Gbps of production traffic); `netsim` runs the process.
 //!
 //! These are passive models: the discrete-event loop in `netsim` owns
 //! time and drives them.
@@ -27,15 +26,13 @@
 #![warn(missing_docs)]
 
 pub mod cross;
-pub mod link;
 pub mod nic;
 pub mod path;
 pub mod pause;
 pub mod switch;
 
-pub use cross::{CrossTraffic, CrossTrafficSpec};
-pub use link::Link;
-pub use nic::{Nic, NicModel, RxRing};
+pub use cross::CrossTrafficSpec;
+pub use nic::{NicModel, RxRing};
 pub use path::{PathClass, PathSpec};
 pub use pause::{PauseState, PauseThresholds};
 pub use switch::{EnqueueOutcome, SharedBufferSwitch};

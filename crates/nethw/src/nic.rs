@@ -49,6 +49,11 @@ impl NicModel {
         }
     }
 
+    /// Effective rate the host side can sustain (min of wire and PCIe).
+    pub fn effective_rate(self) -> BitRate {
+        self.line_rate().min(self.host_interface_rate())
+    }
+
     /// Default RX descriptor ring size (entries), as shipped by the
     /// mlx5 driver.
     pub fn default_ring_entries(self) -> u32 {
@@ -83,7 +88,6 @@ pub struct RxRing {
     entries: u32,
     mtu: Bytes,
     occupied: Bytes,
-    drops: u64,
 }
 
 impl RxRing {
@@ -91,17 +95,12 @@ impl RxRing {
     pub fn new(entries: u32, mtu: Bytes) -> Self {
         assert!(entries > 0, "ring must have descriptors");
         assert!(mtu.as_u64() > 0, "MTU must be positive");
-        RxRing { entries, mtu, occupied: Bytes::ZERO, drops: 0 }
+        RxRing { entries, mtu, occupied: Bytes::ZERO }
     }
 
     /// Total byte capacity.
     pub fn capacity(&self) -> Bytes {
         Bytes::new(self.entries as u64 * self.mtu.as_u64())
-    }
-
-    /// Bytes currently waiting for softirq processing.
-    pub fn occupied(&self) -> Bytes {
-        self.occupied
     }
 
     /// Free space.
@@ -110,14 +109,13 @@ impl RxRing {
     }
 
     /// Offer an arriving burst. Returns `true` if accepted; `false`
-    /// means the ring was full and the burst was dropped (counted).
+    /// means the ring was full and the burst was dropped.
     ///
     /// Mirrors real NIC behaviour at burst granularity: a burst that
     /// doesn't fit is dropped in its entirety (the remaining frames of
     /// a train overrun the ring).
     pub fn offer(&mut self, burst: Bytes) -> bool {
         if burst > self.free() {
-            self.drops += 1;
             false
         } else {
             self.occupied += burst;
@@ -129,64 +127,6 @@ impl RxRing {
     pub fn drain(&mut self, burst: Bytes) {
         debug_assert!(burst <= self.occupied, "draining more than occupied");
         self.occupied = self.occupied.saturating_sub(burst);
-    }
-
-    /// Number of dropped bursts so far.
-    pub fn drop_count(&self) -> u64 {
-        self.drops
-    }
-
-    /// Ring fill fraction in `[0, 1]`.
-    pub fn fill(&self) -> f64 {
-        self.occupied.as_f64() / self.capacity().as_f64()
-    }
-}
-
-/// A NIC instance in a host: model + configured ring.
-#[derive(Debug, Clone)]
-pub struct Nic {
-    /// Hardware model.
-    pub model: NicModel,
-    /// RX ring as configured (default or `ethtool -G`-tuned).
-    pub rx_ring: RxRing,
-    /// Hardware GRO enabled (requires model support and kernel ≥ 6.11).
-    pub hw_gro_enabled: bool,
-}
-
-impl Nic {
-    /// NIC with driver-default ring sizing.
-    pub fn new(model: NicModel, mtu: Bytes) -> Self {
-        Nic {
-            model,
-            rx_ring: RxRing::new(model.default_ring_entries(), mtu),
-            hw_gro_enabled: false,
-        }
-    }
-
-    /// Apply `ethtool -G rx N` (the paper uses 8192 on AMD hosts).
-    pub fn with_ring_entries(mut self, entries: u32) -> Self {
-        let mtu = self.rx_ring.mtu;
-        self.rx_ring = RxRing::new(entries, mtu);
-        self
-    }
-
-    /// Enable hardware GRO (ConnectX-7 + kernel 6.11 path, §V-C).
-    /// Panics if the model doesn't support it — misconfiguration is a
-    /// bug in the experiment definition, not a runtime condition.
-    pub fn with_hw_gro(mut self) -> Self {
-        assert!(self.model.supports_hw_gro(), "{} has no hardware GRO", self.model.name());
-        self.hw_gro_enabled = true;
-        self
-    }
-
-    /// Wire rate.
-    pub fn line_rate(&self) -> BitRate {
-        self.model.line_rate()
-    }
-
-    /// Effective rate the host side can sustain (min of wire and PCIe).
-    pub fn effective_rate(&self) -> BitRate {
-        self.model.line_rate().min(self.model.host_interface_rate())
     }
 }
 
@@ -219,43 +159,13 @@ mod tests {
         assert!(ring.offer(Bytes::kib(64)));
         // 128 KiB in a 140.6 KiB ring: a third 64 KiB burst must drop.
         assert!(!ring.offer(Bytes::kib(64)));
-        assert_eq!(ring.drop_count(), 1);
         ring.drain(Bytes::kib(64));
         assert!(ring.offer(Bytes::kib(64)));
-        assert_eq!(ring.drop_count(), 1);
-    }
-
-    #[test]
-    fn ring_fill_fraction() {
-        let mut ring = RxRing::new(10, Bytes::new(1000));
-        assert_eq!(ring.fill(), 0.0);
-        ring.offer(Bytes::new(5000));
-        assert!((ring.fill() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn nic_effective_rate_is_min_of_wire_and_pcie() {
-        let cx5 = Nic::new(NicModel::ConnectX5, Bytes::new(9000));
-        assert_eq!(cx5.effective_rate().as_gbps(), 97.0);
-        let cx7 = Nic::new(NicModel::ConnectX7, Bytes::new(9000));
-        assert_eq!(cx7.effective_rate().as_gbps(), 197.0);
-    }
-
-    #[test]
-    fn hw_gro_gating() {
-        let cx7 = Nic::new(NicModel::ConnectX7, Bytes::new(9000)).with_hw_gro();
-        assert!(cx7.hw_gro_enabled);
-    }
-
-    #[test]
-    #[should_panic(expected = "no hardware GRO")]
-    fn hw_gro_rejected_on_cx5() {
-        let _ = Nic::new(NicModel::ConnectX5, Bytes::new(9000)).with_hw_gro();
-    }
-
-    #[test]
-    fn ring_tuning_via_nic() {
-        let nic = Nic::new(NicModel::ConnectX7, Bytes::new(9000)).with_ring_entries(8192);
-        assert_eq!(nic.rx_ring.capacity().as_u64(), 8192 * 9000);
+        assert_eq!(NicModel::ConnectX5.effective_rate().as_gbps(), 97.0);
+        assert_eq!(NicModel::ConnectX7.effective_rate().as_gbps(), 197.0);
     }
 }

@@ -79,12 +79,6 @@ impl PathSpec {
         }
     }
 
-    /// Builder: enable WRED-style AQM at the bottleneck.
-    pub fn with_red(mut self) -> Self {
-        self.red = true;
-        self
-    }
-
     /// Builder: apply an administrative rate cap.
     pub fn with_policy_cap(mut self, cap: BitRate) -> Self {
         self.policy_cap = Some(cap);
@@ -135,11 +129,6 @@ impl PathSpec {
     pub fn bdp(&self) -> Bytes {
         self.usable_rate().bdp(self.rtt)
     }
-
-    /// True if this is a WAN path.
-    pub fn is_wan(&self) -> bool {
-        self.class == PathClass::Wan
-    }
 }
 
 impl simcore::Canonicalize for PathSpec {
@@ -175,7 +164,7 @@ mod tests {
         assert!(p.rtt < SimDuration::from_millis(1));
         assert!(!p.flow_control);
         assert_eq!(p.usable_rate().as_gbps(), 100.0);
-        assert!(!p.is_wan());
+        assert_eq!(p.class, PathClass::Lan);
     }
 
     #[test]
@@ -203,7 +192,7 @@ mod tests {
         assert!(p.cross_traffic.is_some());
         assert!(p.random_loss > 0.0);
         assert_eq!(p.switch_buffer, Bytes::mib(32));
-        assert!(p.is_wan());
+        assert_eq!(p.class, PathClass::Wan);
     }
 
     #[test]

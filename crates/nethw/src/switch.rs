@@ -52,7 +52,6 @@ struct Port {
     /// Time the port finishes serialising everything queued so far.
     busy_until: SimTime,
     queued: Bytes,
-    forwarded: Bytes,
     drops: u64,
 }
 
@@ -81,7 +80,6 @@ impl SharedBufferSwitch {
                     rate,
                     busy_until: SimTime::ZERO,
                     queued: Bytes::ZERO,
-                    forwarded: Bytes::ZERO,
                     drops: 0,
                 })
                 .collect(),
@@ -113,11 +111,6 @@ impl SharedBufferSwitch {
         rng.chance(p)
     }
 
-    /// Whether RED is configured.
-    pub fn has_red(&self) -> bool {
-        self.red.is_some()
-    }
-
     /// Offer a burst for egress on `port` at time `now`.
     ///
     /// On success the caller must schedule a departure event at the
@@ -144,7 +137,6 @@ impl SharedBufferSwitch {
         let p = &mut self.ports[port];
         debug_assert!(bytes <= p.queued, "departing more than queued");
         p.queued = p.queued.saturating_sub(bytes);
-        p.forwarded += bytes;
         self.occupancy = self.occupancy.saturating_sub(bytes);
         self.update_pause();
     }
@@ -161,11 +153,6 @@ impl SharedBufferSwitch {
         self.occupancy
     }
 
-    /// Shared buffer capacity.
-    pub fn buffer_capacity(&self) -> Bytes {
-        self.buffer_capacity
-    }
-
     /// Is 802.3x currently asserting pause toward senders?
     pub fn is_pausing(&self) -> bool {
         self.pause.as_ref().is_some_and(|p| p.is_paused())
@@ -176,29 +163,9 @@ impl SharedBufferSwitch {
         self.pause.is_some()
     }
 
-    /// Total bursts dropped on a port.
-    pub fn drops(&self, port: usize) -> u64 {
-        self.ports[port].drops
-    }
-
     /// Total drops across all ports.
     pub fn total_drops(&self) -> u64 {
         self.ports.iter().map(|p| p.drops).sum()
-    }
-
-    /// Bytes forwarded through a port.
-    pub fn forwarded(&self, port: usize) -> Bytes {
-        self.ports[port].forwarded
-    }
-
-    /// Queue depth (bytes) on a port.
-    pub fn port_queue(&self, port: usize) -> Bytes {
-        self.ports[port].queued
-    }
-
-    /// Queueing delay currently faced by a new arrival on `port`.
-    pub fn port_backlog_delay(&self, port: usize, now: SimTime) -> SimDuration {
-        self.ports[port].busy_until.saturating_since(now)
     }
 
     fn update_pause(&mut self) {
@@ -234,7 +201,6 @@ mod tests {
         sw.departed(0, b);
         sw.departed(0, b);
         assert_eq!(sw.occupancy(), Bytes::ZERO);
-        assert_eq!(sw.forwarded(0).as_u64(), Bytes::kib(128).as_u64());
     }
 
     #[test]
@@ -285,14 +251,5 @@ mod tests {
             panic!("drop")
         };
         assert!(departs_at.as_nanos() >= 100_000);
-    }
-
-    #[test]
-    fn backlog_delay_reflects_queue() {
-        let mut sw = switch_100g(Bytes::mib(64), false);
-        assert!(sw.port_backlog_delay(0, SimTime::ZERO).is_zero());
-        sw.enqueue(0, Bytes::mib(1), SimTime::ZERO);
-        assert!(!sw.port_backlog_delay(0, SimTime::ZERO).is_zero());
-        assert_eq!(sw.port_queue(0), Bytes::mib(1));
     }
 }

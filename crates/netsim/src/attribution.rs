@@ -22,7 +22,6 @@
 //! completion times, so an attributed run is bit-identical to an
 //! unattributed one with the same seed.
 
-use linuxhost::Stage;
 use simcore::{SimDuration, SimTime};
 
 /// The resource that limited throughput over one interval.
@@ -288,7 +287,7 @@ pub struct StageProfile {
 pub struct CoreProfile {
     /// Role label: `app0`, `irq1`, `fabric`.
     pub role: String,
-    /// Busy time per stage, indexed by [`Stage::index`].
+    /// Busy time per stage, indexed by [`linuxhost::Stage::index`].
     pub stage_busy: Vec<SimDuration>,
 }
 
@@ -298,13 +297,6 @@ impl StageProfile {
         self.cores.iter().fold(SimDuration::ZERO, |acc, c| {
             c.stage_busy.iter().fold(acc, |a, d| a + *d)
         })
-    }
-
-    /// Busy time of one stage summed over all cores.
-    pub fn stage_total(&self, stage: Stage) -> SimDuration {
-        self.cores
-            .iter()
-            .fold(SimDuration::ZERO, |acc, c| acc + c.stage_busy[stage.index()])
     }
 
     /// Convert a busy time to cycles at this profile's clock.
@@ -329,6 +321,7 @@ pub struct Attribution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use linuxhost::Stage;
     use simcore::SimDuration;
 
     fn base() -> IntervalObs {
@@ -485,7 +478,6 @@ mod tests {
             ],
         };
         assert_eq!(profile.total_busy(), SimDuration::from_millis(750));
-        assert_eq!(profile.stage_total(Stage::TxApp), SimDuration::from_millis(500));
         assert_eq!(profile.cycles(SimDuration::from_millis(500)), 2_000_000_000);
     }
 }

@@ -87,18 +87,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Builder: enable sendfile-based sending.
-    pub fn with_sendfile(mut self) -> Self {
-        self.sendfile = true;
-        self
-    }
-
-    /// Builder: enable `--skip-rx-copy`.
-    pub fn with_skip_rx_copy(mut self) -> Self {
-        self.skip_rx_copy = true;
-        self
-    }
-
     /// Builder: enable user-level checksumming.
     pub fn with_user_checksum(mut self) -> Self {
         self.user_checksum = true;
@@ -108,12 +96,6 @@ impl WorkloadSpec {
     /// Builder: set a per-flow pacing rate.
     pub fn with_fq_rate(mut self, rate: BitRate) -> Self {
         self.fq_rate = Some(rate);
-        self
-    }
-
-    /// Builder: choose the congestion controller.
-    pub fn with_cc(mut self, cc: CcAlgorithm) -> Self {
-        self.cc = cc;
         self
     }
 
@@ -165,11 +147,6 @@ impl WorkloadSpec {
     pub fn with_attribution(mut self) -> Self {
         self.attribution = true;
         self
-    }
-
-    /// Measured window (duration − omit).
-    pub fn measured_window(&self) -> SimDuration {
-        self.duration.saturating_sub(self.omit)
     }
 }
 
@@ -276,21 +253,19 @@ mod tests {
     fn workload_builders() {
         let w = WorkloadSpec::parallel(8, 20)
             .with_zerocopy()
-            .with_skip_rx_copy()
             .with_fq_rate(BitRate::gbps(15.0))
-            .with_cc(CcAlgorithm::BbrV1)
             .with_seed(99)
             .with_attribution();
         assert_eq!(w.num_flows, 8);
-        assert!(w.zerocopy && w.skip_rx_copy);
+        assert!(w.zerocopy);
+        assert_eq!(w.fq_rate, Some(BitRate::gbps(15.0)));
         assert!(w.attribution);
         assert_eq!(w.seed, 99);
-        assert_eq!(w.measured_window(), SimDuration::from_secs(18));
     }
 
     #[test]
     fn cc_mix_round_robins_and_defaults_to_single_cc() {
-        let plain = WorkloadSpec::parallel(4, 10).with_cc(CcAlgorithm::BbrV3);
+        let plain = WorkloadSpec { cc: CcAlgorithm::BbrV3, ..WorkloadSpec::parallel(4, 10) };
         for f in 0..8 {
             assert_eq!(plain.flow_cc(f), CcAlgorithm::BbrV3);
         }

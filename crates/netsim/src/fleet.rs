@@ -24,9 +24,7 @@
 use std::collections::BTreeMap;
 
 use obs::{HdrHistogram, IntervalAggregator, IntervalRecord};
-use simcore::{
-    Bytes, EventQueue, QueueHealth, SimDuration, SimTime, TimerId, WatchdogTrip,
-};
+use simcore::{Bytes, EventQueue, QueueHealth, SimDuration, SimTime, TimerId, Watchdog};
 use tcpstack::{SendSlot, TcpReceiver, TcpSender, TimerKind};
 
 use crate::error::SimError;
@@ -280,7 +278,9 @@ impl FleetSim {
     }
 
     /// Execute the profile to completion: all arrivals within the
-    /// duration served, all flows closed, queue drained.
+    /// duration served, all flows closed, queue drained. Fails with
+    /// [`SimError::Stalled`] when the watchdog trips: a livelock, or
+    /// more events than [`FleetSim::with_event_budget`] allows.
     pub fn run(self) -> Result<FleetResult, SimError> {
         Loop::new(&self.profile, self.fingerprint, self.event_budget).run()
     }
@@ -321,8 +321,8 @@ struct Loop<'p> {
     tlp_events: u64,
     retx_bursts: u64,
     timers_cancelled: u64,
-    events: u64,
-    budget: Option<u64>,
+    /// Livelock and event-budget guard, observed once per popped event.
+    watchdog: Watchdog,
 }
 
 impl<'p> Loop<'p> {
@@ -366,8 +366,7 @@ impl<'p> Loop<'p> {
             tlp_events: 0,
             retx_bursts: 0,
             timers_cancelled: 0,
-            events: 0,
-            budget,
+            watchdog: Watchdog::new(budget),
             p,
             fingerprint,
         }
@@ -375,14 +374,8 @@ impl<'p> Loop<'p> {
 
     fn run(mut self) -> Result<FleetResult, SimError> {
         while let Some((now, ev)) = self.q.pop() {
-            self.events += 1;
-            if let Some(budget) = self.budget {
-                if self.events > budget {
-                    return Err(SimError::Stalled {
-                        at: now,
-                        trip: WatchdogTrip::BudgetExhausted { events: self.events, budget },
-                    });
-                }
+            if let Err(trip) = self.watchdog.observe(now) {
+                return Err(SimError::Stalled { at: now, trip });
             }
             match ev {
                 FlowEvent::Open => self.on_open(now),
@@ -688,7 +681,7 @@ impl<'p> Loop<'p> {
             flows_served: self.flows_served,
             peak_active: self.peak_active,
             peak_slots: self.slots.len(),
-            events: self.events,
+            events: self.watchdog.total_events(),
             past_clamps: self.q.past_clamps(),
             total_bytes: self.total_bytes,
             finished_at: now,
@@ -728,7 +721,7 @@ fn classify_flow(slot: &FlowSlot) -> FlowFactor {
 mod tests {
     use super::*;
     use crate::workload::{ArrivalProcess, Diurnal, FleetClass, SizeDist};
-    use simcore::BitRate;
+    use simcore::{BitRate, WatchdogTrip};
     use tcpstack::CcAlgorithm;
 
     fn wan_class(pacing: bool) -> FleetClass {
@@ -889,9 +882,10 @@ mod tests {
             .with_event_budget(50)
             .run()
             .expect_err("50 events cannot serve ~1000 flows");
+        // The trip lands on the event after the budget is spent.
         assert!(matches!(
             err,
-            SimError::Stalled { trip: WatchdogTrip::BudgetExhausted { .. }, .. }
+            SimError::Stalled { trip: WatchdogTrip::BudgetExhausted { events: 51, budget: 50 }, .. }
         ));
     }
 

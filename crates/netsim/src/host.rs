@@ -103,10 +103,7 @@ impl SimHost {
             fabric: CoreServer::default(),
             fabric_busy: SimDuration::ZERO,
             nic_egress: CoreServer::default(),
-            nic_rate: {
-                let nic = nethw::Nic::new(cfg.nic, mtu);
-                nic.effective_rate()
-            },
+            nic_rate: cfg.nic.effective_rate(),
             ring: RxRing::new(cfg.effective_ring_entries(), mtu),
             placements,
             n_app,
@@ -177,22 +174,6 @@ impl SimHost {
         self.nic_rate
     }
 
-    /// How far ahead of `now` the transmit path (fabric + NIC egress)
-    /// is booked. When the TX ring/DMA path backs up, the driver stops
-    /// pulling from the qdisc and TSQ holds the socket — this is that
-    /// backpressure signal.
-    pub fn tx_backlog(&self, now: SimTime) -> SimDuration {
-        self.fabric
-            .next_free
-            .max(self.nic_egress.next_free)
-            .saturating_since(now)
-    }
-
-    /// Is the flow's app core currently busy past `now`?
-    pub fn app_core_busy(&self, flow: usize, now: SimTime) -> bool {
-        self.cores[self.placements[flow].app_core].next_free > now
-    }
-
     /// CPU report over a window.
     pub fn cpu_report(&self, start: SimTime, end: SimTime) -> CpuReport {
         self.accounting.report(start, end)
@@ -216,11 +197,6 @@ impl SimHost {
             acct.add_busy(i, self.accounting.busy(i).saturating_sub(*snap));
         }
         acct.report(start, end)
-    }
-
-    /// Placement penalty of a flow (diagnostics; 1.0 when tuned).
-    pub fn placement_penalty(&self, flow: usize) -> f64 {
-        self.placements[flow].placement_penalty
     }
 
     /// The per-core, per-stage busy ledger, when attribution is on.
@@ -282,7 +258,7 @@ mod tests {
         for f in 0..8 {
             let done = h.serve_app(f, SimTime::ZERO, svc, Stage::TxApp);
             assert_eq!(done.as_nanos(), 10_000, "flow {f} should not queue");
-            assert_eq!(h.placement_penalty(f), 1.0);
+            assert_eq!(h.placements[f].placement_penalty, 1.0);
         }
     }
 
@@ -295,7 +271,7 @@ mod tests {
         );
         let mut rng = SimRng::seed_from_u64(7);
         let h = SimHost::new(&cfg, 16, false, &mut rng);
-        let penalties: Vec<f64> = (0..16).map(|f| h.placement_penalty(f)).collect();
+        let penalties: Vec<f64> = (0..16).map(|f| h.placements[f].placement_penalty).collect();
         assert!(penalties.iter().any(|&p| p > 1.0), "some flows must be penalised");
         let spread = penalties.iter().cloned().fold(f64::MIN, f64::max)
             / penalties.iter().cloned().fold(f64::MAX, f64::min);

@@ -80,21 +80,11 @@ impl RunResult {
         self.flows.iter().map(|f| f.retr_packets).sum()
     }
 
-    /// Per-flow goodputs in Gbps (for range/fairness reporting).
-    pub fn flow_gbps(&self) -> Vec<f64> {
-        self.flows.iter().map(|f| f.goodput.as_gbps()).collect()
-    }
-
     /// Fraction of zerocopy sends that fell back (0 when zerocopy off).
     pub fn zc_fallback_fraction(&self) -> f64 {
         let zc: u64 = self.flows.iter().map(|f| f.zc_sends).sum();
         let fb: u64 = self.flows.iter().map(|f| f.zc_fallbacks).sum();
         if zc + fb == 0 { 0.0 } else { fb as f64 / (zc + fb) as f64 }
-    }
-
-    /// Total losses of any kind (bursts).
-    pub fn total_drops(&self) -> u64 {
-        self.switch_drops + self.ring_drops + self.random_drops + self.fault_drops
     }
 
     /// Run-level warnings: conditions that did not fail the run but
@@ -155,8 +145,6 @@ mod tests {
         let r = result();
         assert!((r.total_goodput().as_gbps() - 22.0).abs() < 1e-9);
         assert_eq!(r.total_retr(), 12);
-        assert_eq!(r.flow_gbps(), vec![10.0, 12.0]);
-        assert_eq!(r.total_drops(), 10);
         assert!((r.zc_fallback_fraction() - 0.75).abs() < 1e-12);
     }
 

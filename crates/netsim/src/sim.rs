@@ -203,11 +203,6 @@ impl Simulation {
         Ok(Simulation { cfg, burst })
     }
 
-    /// The burst (GSO super-packet) size in use.
-    pub fn burst_size(&self) -> Bytes {
-        self.burst
-    }
-
     /// Run to completion and report. Fails with [`SimError::Stalled`]
     /// if the watchdog kills a livelocked loop, or
     /// [`SimError::ConservationViolation`] if end-of-run burst

@@ -82,11 +82,6 @@ impl IntervalAggregator {
         Self { width: width.max(1), open: BTreeMap::new(), sealed: Vec::new(), watermark: 0, late: 0 }
     }
 
-    /// Interval width in caller ticks.
-    pub fn width(&self) -> u64 {
-        self.width
-    }
-
     /// Record `value` for `metric` at time `t` (caller ticks). Samples
     /// in already-sealed intervals are dropped and counted as late.
     pub fn record(&mut self, t: u64, metric: &str, value: u64) {

@@ -103,15 +103,6 @@ impl Canon {
         self.push(key, format!("{:?}", value));
     }
 
-    /// Record an optional field: `None` is recorded explicitly (an
-    /// absent knob is configuration too).
-    pub fn put_opt(&mut self, key: &str, value: Option<&dyn Canonicalize>) {
-        match value {
-            None => self.push(key, "none".into()),
-            Some(v) => self.scope(key, |c| v.canonicalize(c)),
-        }
-    }
-
     /// Record a nested value under `key.` — used for struct fields.
     pub fn scope(&mut self, key: &str, f: impl FnOnce(&mut Canon)) {
         let saved = self.prefix.clone();

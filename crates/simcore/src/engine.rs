@@ -16,8 +16,7 @@
 //! shape. Any correct priority structure therefore pops the exact same
 //! sequence, which is what lets the engine be swapped without
 //! disturbing bit-for-bit determinism (see
-//! `tests/engine_differential.rs` and
-//! `tests/timer_wheel_differential.rs` for the differential proofs
+//! `tests/timer_wheel_differential.rs` for the differential proof
 //! against a reference `BinaryHeap`).
 //!
 //! Every payload lives in a free-listed slab from push to pop. The rungs

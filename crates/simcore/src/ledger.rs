@@ -35,11 +35,6 @@ impl CycleLedger {
         self.num_cores
     }
 
-    /// Number of stages tracked.
-    pub fn num_stages(&self) -> usize {
-        self.num_stages
-    }
-
     /// Charge `dur` of busy time to `(core, stage)`.
     pub fn charge(&mut self, core: usize, stage: usize, dur: SimDuration) {
         self.busy[core * self.num_stages + stage] += dur;
@@ -58,12 +53,6 @@ impl CycleLedger {
             .fold(SimDuration::ZERO, |acc, d| acc + *d)
     }
 
-    /// Total busy time of one stage across all cores.
-    pub fn stage_total(&self, stage: usize) -> SimDuration {
-        (0..self.num_cores)
-            .fold(SimDuration::ZERO, |acc, c| acc + self.busy[c * self.num_stages + stage])
-    }
-
     /// Per-core totals, one entry per core (for interval marks).
     pub fn core_totals(&self) -> Vec<SimDuration> {
         (0..self.num_cores).map(|c| self.core_total(c)).collect()
@@ -73,24 +62,6 @@ impl CycleLedger {
     pub fn core_row(&self, core: usize) -> Vec<SimDuration> {
         let base = core * self.num_stages;
         self.busy[base..base + self.num_stages].to_vec()
-    }
-
-    /// Cell-wise difference `self − mark` (saturating), for turning two
-    /// cumulative snapshots into a per-interval delta. Panics if the
-    /// shapes differ.
-    pub fn delta_since(&self, mark: &CycleLedger) -> CycleLedger {
-        assert_eq!(self.num_cores, mark.num_cores, "ledger core count mismatch");
-        assert_eq!(self.num_stages, mark.num_stages, "ledger stage count mismatch");
-        CycleLedger {
-            num_cores: self.num_cores,
-            num_stages: self.num_stages,
-            busy: self
-                .busy
-                .iter()
-                .zip(&mark.busy)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-        }
     }
 }
 
@@ -108,7 +79,6 @@ mod tests {
         assert_eq!(l.busy(1, 0), SimDuration::ZERO);
         assert_eq!(l.core_total(0), SimDuration::from_micros(15));
         assert_eq!(l.core_total(2), SimDuration::from_micros(7));
-        assert_eq!(l.stage_total(1), SimDuration::from_micros(12));
         assert_eq!(
             l.core_totals(),
             vec![
@@ -129,19 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_since_subtracts_cellwise() {
-        let mut mark = CycleLedger::new(2, 2);
-        mark.charge(0, 0, SimDuration::from_micros(4));
-        let mut now = mark.clone();
-        now.charge(0, 0, SimDuration::from_micros(6));
-        now.charge(1, 1, SimDuration::from_micros(2));
-        let d = now.delta_since(&mark);
-        assert_eq!(d.busy(0, 0), SimDuration::from_micros(6));
-        assert_eq!(d.busy(1, 1), SimDuration::from_micros(2));
-        assert_eq!(d.busy(0, 1), SimDuration::ZERO);
-    }
-
-    #[test]
     fn core_row_matches_cells() {
         let mut l = CycleLedger::new(2, 3);
         l.charge(1, 0, SimDuration::from_nanos(1));
@@ -154,13 +111,5 @@ mod tests {
                 SimDuration::from_nanos(9)
             ]
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "core count mismatch")]
-    fn delta_shape_mismatch_panics() {
-        let a = CycleLedger::new(2, 2);
-        let b = CycleLedger::new(3, 2);
-        let _ = a.delta_since(&b);
     }
 }

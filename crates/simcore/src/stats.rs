@@ -120,10 +120,6 @@ impl Summary {
         s.summary()
     }
 
-    /// Coefficient of variation (stdev/mean), 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 { 0.0 } else { self.stdev / self.mean }
-    }
 }
 
 impl fmt::Display for Summary {
@@ -133,48 +129,6 @@ impl fmt::Display for Summary {
             "mean={:.2} stdev={:.2} min={:.2} max={:.2} (n={})",
             self.mean, self.stdev, self.min, self.max, self.n
         )
-    }
-}
-
-/// Percentile of a sample via linear interpolation (p in `[0, 100]`).
-///
-/// Non-finite samples are filtered out (matching
-/// [`RunningStats::push`]) rather than panicking the comparison sort;
-/// a slice with no finite samples reads as 0.0. Filters and sorts a
-/// copy on every call — fine for one-shot harness summaries, but a
-/// caller reading several percentiles from the same sample should sort
-/// once and use [`percentile_sorted`].
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    let mut v: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("filtered samples are comparable"));
-    percentile_sorted(&v, p)
-}
-
-/// Percentile of an already-sorted (ascending) sample of finite values,
-/// without allocating or re-sorting — the cheap path when extracting
-/// many percentiles from one sample.
-///
-/// Edge cases match [`percentile`]: an empty slice reads as 0.0 and a
-/// single-element slice reads as that element for every `p`. Debug
-/// builds assert the slice really is sorted; release builds trust the
-/// caller (interpolation between misordered neighbours is garbage-in,
-/// garbage-out, never a panic).
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
-    assert!((0.0..=100.0).contains(&p), "percentile out of range");
-    debug_assert!(
-        sorted.windows(2).all(|w| w[0] <= w[1]),
-        "percentile_sorted requires an ascending sample"
-    );
-    match sorted {
-        [] => 0.0,
-        [only] => *only,
-        _ => {
-            let rank = p / 100.0 * (sorted.len() - 1) as f64;
-            let lo = rank.floor() as usize;
-            let hi = rank.ceil() as usize;
-            let frac = rank - lo as f64;
-            sorted[lo] + (sorted[hi] - sorted[lo]) * frac
-        }
     }
 }
 
@@ -206,17 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn percentiles() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 50.0), 3.0);
-        assert_eq!(percentile(&xs, 100.0), 5.0);
-        assert_eq!(percentile(&xs, 25.0), 2.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[7.0], 90.0), 7.0);
-    }
-
-    #[test]
     fn non_finite_observations_skipped_and_counted() {
         let mut s = RunningStats::new();
         s.push(1.0);
@@ -233,58 +176,6 @@ mod tests {
         let frozen = s.summary();
         assert_eq!(frozen.n, 2);
         assert!(frozen.mean.is_finite() && frozen.stdev.is_finite());
-    }
-
-    #[test]
-    fn percentile_filters_non_finite() {
-        let xs = [1.0, f64::NAN, 2.0, f64::INFINITY, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&xs, 50.0), 3.0);
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 100.0), 5.0);
-        // All-non-finite degrades to zero, like an empty sample.
-        assert_eq!(percentile(&[f64::NAN, f64::INFINITY], 50.0), 0.0);
-    }
-
-    #[test]
-    fn percentile_sorted_matches_unsorted_path() {
-        // Same sample, shuffled vs pre-sorted: identical answers at
-        // every probed percentile, with no allocation on the fast path.
-        let shuffled = [9.0, 1.0, 5.0, 3.0, 7.0, 2.0, 8.0, 4.0, 6.0];
-        let mut sorted = shuffled;
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for p in [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0] {
-            assert_eq!(percentile(&shuffled, p), percentile_sorted(&sorted, p), "p={p}");
-        }
-    }
-
-    #[test]
-    fn percentile_empty_slice_reads_zero() {
-        for p in [0.0, 50.0, 100.0] {
-            assert_eq!(percentile(&[], p), 0.0);
-            assert_eq!(percentile_sorted(&[], p), 0.0);
-        }
-    }
-
-    #[test]
-    fn percentile_single_element_reads_that_element() {
-        for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
-            assert_eq!(percentile(&[42.5], p), 42.5);
-            assert_eq!(percentile_sorted(&[42.5], p), 42.5);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile out of range")]
-    fn percentile_rejects_out_of_range_p() {
-        percentile_sorted(&[1.0, 2.0], 101.0);
-    }
-
-    #[test]
-    fn cv_handles_zero_mean() {
-        let s = Summary::of(&[0.0, 0.0]);
-        assert_eq!(s.cv(), 0.0);
-        let s2 = Summary::of(&[10.0, 10.0, 10.0]);
-        assert_eq!(s2.cv(), 0.0);
     }
 
     #[test]

@@ -185,12 +185,6 @@ impl BitRate {
         Self::from_bps(g * 1e9)
     }
 
-    /// Construct from megabits per second.
-    #[inline]
-    pub fn mbps(m: f64) -> Self {
-        Self::from_bps(m * 1e6)
-    }
-
     /// Rate in bits per second.
     #[inline]
     pub fn as_bps(self) -> f64 {

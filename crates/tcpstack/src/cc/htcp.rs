@@ -94,11 +94,6 @@ impl Htcp {
         };
         (2.0 * base * scale * (1.0 - self.beta)).max(1.0)
     }
-
-    /// Current adaptive backoff factor (for tests/telemetry).
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
 }
 
 impl CongestionControl for Htcp {
@@ -261,7 +256,7 @@ mod tests {
         let before = h.cwnd();
         h.on_loss(SimTime::ZERO + base * 2);
         let ratio = h.cwnd().as_f64() / before.as_f64();
-        assert!((h.beta() - BETA_MAX).abs() < 1e-9, "near-empty queue clamps β at 0.8");
+        assert!((h.beta - BETA_MAX).abs() < 1e-9, "near-empty queue clamps β at 0.8");
         assert!((ratio - BETA_MAX).abs() < 0.01, "cut by β, got {ratio:.2}");
 
         // Deep queue (RTT tripled): β clamps at the 0.5 floor.
@@ -269,7 +264,7 @@ mod tests {
         h2.on_ack(w, Some(base), SimTime::ZERO, w, true);
         h2.on_ack(w, Some(base * 3), SimTime::ZERO + base, w, true);
         h2.on_loss(SimTime::ZERO + base * 2);
-        assert!((h2.beta() - BETA_MIN).abs() < 1e-9, "bloated queue floors β at 0.5");
+        assert!((h2.beta - BETA_MIN).abs() < 1e-9, "bloated queue floors β at 0.5");
     }
 
     #[test]
@@ -280,13 +275,13 @@ mod tests {
         h.on_ack(w, Some(base), SimTime::ZERO, w, true);
         h.on_ack(w, Some(base * 4), SimTime::ZERO + base, w, true);
         h.on_loss(SimTime::ZERO + base * 2);
-        assert!((h.beta() - BETA_MIN).abs() < 1e-9);
+        assert!((h.beta - BETA_MIN).abs() < 1e-9);
         // After the backoff only clean samples arrive: the stale
         // maxRTT must not keep β pinned at the floor.
         let t = SimTime::ZERO + SimDuration::from_secs(5);
         h.on_ack(h.cwnd(), Some(base), t, h.cwnd(), true);
         h.on_loss(t + base);
-        assert!((h.beta() - BETA_MAX).abs() < 1e-9, "β re-adapts after the queue drains");
+        assert!((h.beta - BETA_MAX).abs() < 1e-9, "β re-adapts after the queue drains");
     }
 
     #[test]

@@ -142,11 +142,6 @@ impl TcpReceiver {
     pub fn rcv_nxt(&self) -> u64 {
         self.rcv_nxt
     }
-
-    /// Bursts currently held out of order.
-    pub fn ooo_len(&self) -> usize {
-        self.ooo.len()
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +161,6 @@ mod tests {
             assert_eq!(ack.acked_idx, i);
         }
         assert_eq!(r.readable_bursts(), 4);
-        assert_eq!(r.ooo_len(), 0);
     }
 
     #[test]
@@ -177,12 +171,10 @@ mod tests {
         assert_eq!(ack.cum_ack, 1);
         assert_eq!(ack.acked_idx, 2);
         assert_eq!(r.readable_bursts(), 1);
-        assert_eq!(r.ooo_len(), 1);
         // Retransmit fills the hole: everything becomes readable.
         let ack2 = r.on_burst(1);
         assert_eq!(ack2.cum_ack, 3);
         assert_eq!(r.readable_bursts(), 3);
-        assert_eq!(r.ooo_len(), 0);
     }
 
     #[test]

@@ -178,17 +178,6 @@ impl TcpSender {
         self.flow_bursts = Some(bursts);
     }
 
-    /// The finite-flow size in bursts, if one was set.
-    pub fn flow_bursts(&self) -> Option<u64> {
-        self.flow_bursts
-    }
-
-    /// Bursts still to be written by the application of a finite flow
-    /// (`None` for unbounded flows).
-    pub fn remaining_app_bursts(&self) -> Option<u64> {
-        self.flow_bursts.map(|n| n.saturating_sub(self.bursts_written))
-    }
-
     /// A finite flow is complete when its last burst is cumulatively
     /// acknowledged — the burst-granularity equivalent of the FIN being
     /// ACKed. Unbounded flows never complete.
@@ -514,16 +503,6 @@ impl TcpSender {
             .map(|t| t + self.rtt.rto())
     }
 
-    /// First unacknowledged burst index.
-    pub fn snd_una(&self) -> u64 {
-        self.snd_una
-    }
-
-    /// Next fresh burst index.
-    pub fn snd_nxt(&self) -> u64 {
-        self.snd_nxt
-    }
-
     /// Whether a recovery episode is in progress.
     pub fn in_recovery(&self) -> bool {
         self.in_recovery
@@ -596,7 +575,7 @@ mod tests {
         let sent = fill(&mut s, 4);
         assert_eq!(sent, vec![0, 1, 2, 3]);
         assert_eq!(s.inflight(), Bytes::kib(256));
-        assert_eq!(s.snd_nxt(), 4);
+        assert_eq!(s.snd_nxt, 4);
     }
 
     #[test]
@@ -620,7 +599,7 @@ mod tests {
         fill(&mut s, 4);
         let out = s.on_ack(2, 1, Bytes::gib(1), SimTime::from_nanos(1000));
         assert_eq!(out.newly_acked, Bytes::kib(128));
-        assert_eq!(s.snd_una(), 2);
+        assert_eq!(s.snd_una, 2);
         assert_eq!(s.inflight(), Bytes::kib(128));
     }
 
@@ -675,7 +654,7 @@ mod tests {
         assert!(matches!(s.next_slot(t), SendSlot::Retransmit(0)));
         s.on_ack(8, 0, Bytes::gib(1), t);
         assert!(!s.in_recovery());
-        assert_eq!(s.snd_una(), 8);
+        assert_eq!(s.snd_una, 8);
         assert_eq!(s.inflight(), Bytes::ZERO);
     }
 
@@ -751,14 +730,12 @@ mod tests {
     fn finite_flow_gates_writes_and_completes_on_final_ack() {
         let mut s = sender();
         s.set_flow_bursts(3);
-        assert_eq!(s.remaining_app_bursts(), Some(3));
         let mut writes = 0;
         while s.app_can_write() {
             s.app_wrote();
             writes += 1;
         }
         assert_eq!(writes, 3, "writes must stop at the flow size");
-        assert_eq!(s.remaining_app_bursts(), Some(0));
         for i in 0..3 {
             assert!(matches!(s.next_slot(SimTime::ZERO), SendSlot::New(idx) if idx == i));
         }
@@ -793,8 +770,7 @@ mod tests {
         fill(&mut s, 2);
         s.on_ack(2, 1, Bytes::gib(1), SimTime::from_nanos(50));
         assert!(!s.is_complete());
-        assert_eq!(s.flow_bursts(), None);
-        assert_eq!(s.remaining_app_bursts(), None);
+        assert_eq!(s.flow_bursts, None);
     }
 
     #[test]

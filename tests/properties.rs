@@ -103,7 +103,7 @@ fn goodput_bounded_by_physics() {
         let s = draw(0xFEED, case);
         let (host, path, opts) = build(&s);
         let report = iperf3_run(&host, &host, &path, &opts).unwrap();
-        let nic = dtnperf::nethw::Nic::new(host.nic, host.offload.mtu).effective_rate().as_gbps();
+        let nic = host.nic.effective_rate().as_gbps();
         let mut limit = path.usable_rate().as_gbps().min(nic);
         if let Some(g) = s.pace_gbps {
             limit = limit.min(g * s.flows as f64);

@@ -1,15 +1,18 @@
-//! Differential test: the timer-wheel scheduling path
-//! ([`EventQueue::schedule_timer`] / [`EventQueue::cancel_timer`])
-//! against a `BinaryHeap` reference, on randomized pacing/RTO-style
-//! workloads — the timer-wheel twin of `tests/engine_differential.rs`.
+//! Differential test: [`simcore::EventQueue`] against a
+//! `BinaryHeap` reference, on randomized schedules — plain-push
+//! schedules with no cancels, and pacing/RTO-style workloads through
+//! the timer path ([`EventQueue::schedule_timer`] /
+//! [`EventQueue::cancel_timer`]).
 //!
-//! The determinism contract (DESIGN.md §6e/§6g) extends to cancelable
-//! timers: a timer shares the queue's single `(time, seq)` key space
-//! with plain events, so the pop stream of the survivors must be
-//! *identical* to a heap that never had the cancelled keys — tombstones
-//! and lazily-filtered wheel buckets are invisible in the output. The
-//! reference mirrors that by assigning the same monotone sequence
-//! numbers and skipping cancelled ones at pop time.
+//! The determinism contract (DESIGN.md §6e/§6g) says any correct
+//! min-heap keyed on `(time, seq)` pops the *identical* total order,
+//! because the monotonically increasing `seq` makes every key unique.
+//! It extends to cancelable timers: a timer shares the queue's single
+//! `(time, seq)` key space with plain events, so the pop stream of the
+//! survivors must be *identical* to a heap that never had the cancelled
+//! keys — tombstones and lazily-filtered wheel buckets are invisible in
+//! the output. The reference mirrors that by assigning the same
+//! monotone sequence numbers and skipping cancelled ones at pop time.
 //!
 //! Randomness is a hand-rolled LCG from fixed seeds (same policy as
 //! `tests/properties.rs`): failures are reproducible by construction.
@@ -307,4 +310,77 @@ fn sorted_near_run_head_inserts_ties_and_cancels_match_reference() {
         assert_drained_identically(&mut engine, &mut reference);
         assert_eq!(engine.health().stale_timers, 0, "tombstones after drain (seed {seed})");
     }
+}
+
+#[test]
+fn randomized_bulk_schedules_match_reference() {
+    for seed in 0..32u64 {
+        let mut rng = Lcg(0x9e3779b97f4a7c15 ^ seed);
+        let mut engine = EventQueue::new();
+        let mut reference = ReferenceQueue::new();
+        let n = 1 + (rng.next() % 2000) as usize;
+        // Alternate seeds between a tight time range (heavy same-time
+        // collisions, where FIFO tie-ordering actually matters) and a
+        // seconds-wide one (events land far beyond the near band).
+        let spread = if seed.is_multiple_of(2) { 64 } else { 3_000_000_000 };
+        for i in 0..n {
+            let t = SimTime::ZERO + SimDuration::from_nanos(rng.next() % spread);
+            engine.push(t, i as u64);
+            reference.push(t, i as u64);
+        }
+        assert_drained_identically(&mut engine, &mut reference);
+    }
+}
+
+#[test]
+fn interleaved_push_pop_matches_reference() {
+    for seed in 0..16u64 {
+        let mut rng = Lcg(0xdeadbeefcafe ^ (seed << 17));
+        let mut engine = EventQueue::new();
+        let mut reference = ReferenceQueue::new();
+        let mut next_payload = 0u64;
+        for _ in 0..4000 {
+            // Bias towards pushes so the queues stay non-trivially
+            // deep; pops advance `now`, making later pushes relative
+            // to a moving clock like a real simulation.
+            if !rng.next().is_multiple_of(3) {
+                // Mostly near-term events plus an RTO-timer-like tail
+                // milliseconds out — the bimodal spread a TCP
+                // simulation produces, which keeps the engine's far
+                // band (see DESIGN.md §6e) busy migrating.
+                let delta = if rng.next().is_multiple_of(7) {
+                    SimDuration::from_nanos(1_000_000 + rng.next() % 20_000_000)
+                } else {
+                    SimDuration::from_nanos(rng.next() % 1000)
+                };
+                let t = engine.now() + delta;
+                engine.push(t, next_payload);
+                reference.push(t, next_payload);
+                next_payload += 1;
+            } else {
+                assert_eq!(engine.pop(), reference.pop(), "mid-run divergence");
+            }
+        }
+        assert_drained_identically(&mut engine, &mut reference);
+    }
+}
+
+#[test]
+fn popped_times_are_monotone_and_count_preserving() {
+    let mut rng = Lcg(42);
+    let mut engine = EventQueue::with_capacity(512);
+    let n = 5000u64;
+    for i in 0..n {
+        let t = SimTime::ZERO + SimDuration::from_micros(rng.next() % 10_000);
+        engine.push(t, i);
+    }
+    let mut last = SimTime::ZERO;
+    let mut seen = 0u64;
+    while let Some((t, _)) = engine.pop() {
+        assert!(t >= last, "pop times went backwards");
+        last = t;
+        seen += 1;
+    }
+    assert_eq!(seen, n, "events were lost or duplicated");
+    assert_eq!(engine.total_popped(), engine.total_pushed());
 }
