@@ -233,10 +233,18 @@ mod tests {
     #[test]
     fn invalid_flags_refused() {
         let (c, s, p) = hosts_and_path();
-        let mut opts = Iperf3Opts::new(3).zerocopy();
-        opts.version = Iperf3Version { minor: 17, patch_1690: false, patch_1728: false };
-        let err = run(&c, &s, &p, &opts).unwrap_err();
-        assert!(err.to_string().contains("1690"));
+        let mut unpatched = Iperf3Opts::new(3).zerocopy();
+        unpatched.version = Iperf3Version { minor: 17, patch_1690: false, patch_1728: false };
+        // -P 0 fails flag validation too; both must come back classed
+        // as invalid flags, not as a simulation failure.
+        for (opts, flag) in [(unpatched, "1690"), (Iperf3Opts::new(2).parallel(0), "-P")] {
+            match run(&c, &s, &p, &opts) {
+                Err(RunError::Invalid(msgs)) => {
+                    assert!(msgs.iter().any(|m| m.contains(flag)), "{flag}: {msgs:?}")
+                }
+                other => panic!("{flag}: expected RunError::Invalid, got {other:?}"),
+            }
+        }
     }
 
     #[test]

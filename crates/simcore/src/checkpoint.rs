@@ -53,14 +53,12 @@ pub struct Checkpointer {
     policy: CheckpointPolicy,
     /// Event count at the last snapshot (or start).
     last_at: u64,
-    /// Snapshots taken so far.
-    taken: u64,
 }
 
 impl Checkpointer {
     /// A checkpointer starting from event count zero.
     pub fn new(policy: CheckpointPolicy) -> Self {
-        Checkpointer { policy, last_at: 0, taken: 0 }
+        Checkpointer { policy, last_at: 0 }
     }
 
     /// Report the engine's total dispatched-event count; returns `true`
@@ -73,16 +71,10 @@ impl Checkpointer {
         }
         if events_done - self.last_at >= self.policy.every_events {
             self.last_at = events_done;
-            self.taken += 1;
             true
         } else {
             false
         }
-    }
-
-    /// Snapshots recorded via [`Checkpointer::due`] so far.
-    pub fn taken(&self) -> u64 {
-        self.taken
     }
 
     /// The policy driving this checkpointer.
@@ -101,7 +93,6 @@ mod tests {
         for n in [0, 1, 100, 1_000_000] {
             assert!(!ck.due(n));
         }
-        assert_eq!(ck.taken(), 0);
         assert!(!CheckpointPolicy::DISABLED.enabled());
     }
 
@@ -113,7 +104,6 @@ mod tests {
         assert!(!ck.due(10), "same count must not double-fire");
         assert!(!ck.due(19));
         assert!(ck.due(20));
-        assert_eq!(ck.taken(), 2);
     }
 
     #[test]
@@ -122,7 +112,6 @@ mod tests {
         assert!(ck.due(1_000), "one snapshot even after skipping 10 boundaries");
         assert!(!ck.due(1_050));
         assert!(ck.due(1_100));
-        assert_eq!(ck.taken(), 2);
     }
 
     #[test]

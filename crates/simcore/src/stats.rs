@@ -12,7 +12,6 @@ use std::fmt;
 #[derive(Debug, Clone, Default)]
 pub struct RunningStats {
     n: u64,
-    skipped: u64,
     mean: f64,
     m2: f64,
     min: f64,
@@ -24,7 +23,6 @@ impl RunningStats {
     pub fn new() -> Self {
         RunningStats {
             n: 0,
-            skipped: 0,
             mean: 0.0,
             m2: 0.0,
             min: f64::INFINITY,
@@ -33,11 +31,9 @@ impl RunningStats {
     }
 
     /// Add one observation. A non-finite observation (NaN, ±inf) would
-    /// corrupt the mean/min/max permanently, so it is skipped and
-    /// counted in [`RunningStats::skipped`] instead of accumulated.
+    /// corrupt the mean/min/max permanently, so it is skipped.
     pub fn push(&mut self, x: f64) {
         if !x.is_finite() {
-            self.skipped += 1;
             return;
         }
         self.n += 1;
@@ -58,11 +54,6 @@ impl RunningStats {
     /// Number of observations so far.
     pub fn count(&self) -> u64 {
         self.n
-    }
-
-    /// Non-finite observations rejected by [`RunningStats::push`].
-    pub fn skipped(&self) -> u64 {
-        self.skipped
     }
 
     /// Mean of observations (0 when empty).
@@ -160,22 +151,19 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_observations_skipped_and_counted() {
+    fn non_finite_observations_are_skipped() {
         let mut s = RunningStats::new();
         s.push(1.0);
-        s.push(f64::NAN);
         s.push(3.0);
-        s.push(f64::INFINITY);
-        s.push(f64::NEG_INFINITY);
+        let before = s.summary();
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            s.push(x);
+            assert_eq!(s.summary(), before, "{x} must leave the stats untouched");
+        }
         assert_eq!(s.count(), 2);
-        assert_eq!(s.skipped(), 3);
         assert!((s.mean() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 3.0);
-        // The frozen summary is untouched by the skipped samples.
-        let frozen = s.summary();
-        assert_eq!(frozen.n, 2);
-        assert!(frozen.mean.is_finite() && frozen.stdev.is_finite());
     }
 
     #[test]

@@ -38,10 +38,6 @@ pub struct TcpReceiver {
     readable: u64,
     /// Totals for reporting.
     total_bursts: u64,
-    duplicate_bursts: u64,
-    /// New data discarded because the advertised window was closed
-    /// (zero-window probes during a receiver stall land here).
-    window_rejects: u64,
 }
 
 impl TcpReceiver {
@@ -57,8 +53,6 @@ impl TcpReceiver {
             buffered: Bytes::ZERO,
             readable: 0,
             total_bursts: 0,
-            duplicate_bursts: 0,
-            window_rejects: 0,
         }
     }
 
@@ -67,7 +61,6 @@ impl TcpReceiver {
         self.total_bursts += 1;
         if idx < self.rcv_nxt || self.ooo.contains(&idx) {
             // Duplicate (spurious retransmit): ACK again, buffer nothing.
-            self.duplicate_bursts += 1;
             return self.ack_for(idx);
         }
         // Out-of-window new data while the buffer is full (a stalled
@@ -77,7 +70,6 @@ impl TcpReceiver {
         // guards the probe ACK's `acked_idx = rcv_nxt - 1`, which must
         // reference an already cum-ACKed burst.)
         if self.rwnd() < self.burst && self.rcv_nxt > 0 {
-            self.window_rejects += 1;
             return AckInfo {
                 cum_ack: self.rcv_nxt,
                 acked_idx: self.rcv_nxt - 1,
@@ -128,16 +120,6 @@ impl TcpReceiver {
         self.total_bursts
     }
 
-    /// Duplicate bursts (spurious retransmissions received).
-    pub fn duplicate_bursts(&self) -> u64 {
-        self.duplicate_bursts
-    }
-
-    /// New-data bursts discarded because the window was closed.
-    pub fn window_rejects(&self) -> u64 {
-        self.window_rejects
-    }
-
     /// Next expected in-order burst.
     pub fn rcv_nxt(&self) -> u64 {
         self.rcv_nxt
@@ -181,11 +163,18 @@ mod tests {
     fn duplicates_do_not_double_buffer() {
         let mut r = rx();
         r.on_burst(0);
-        let before = r.rwnd();
-        r.on_burst(0);
-        assert_eq!(r.rwnd(), before);
-        assert_eq!(r.duplicate_bursts(), 1);
-        assert_eq!(r.readable_bursts(), 1);
+        r.on_burst(2); // held out of order
+        let (rwnd, readable) = (r.rwnd(), r.readable_bursts());
+        // One duplicate below the cumulative edge, one of held data.
+        for dup in [0, 2] {
+            let ack = r.on_burst(dup);
+            assert_eq!(ack.cum_ack, 1, "a duplicate must not move the cumulative ACK");
+            assert_eq!(ack.acked_idx, dup);
+        }
+        assert_eq!(r.rwnd(), rwnd, "a duplicate must buffer nothing");
+        assert_eq!(r.readable_bursts(), readable);
+        assert_eq!(r.rcv_nxt(), 1);
+        assert_eq!(r.total_bursts(), 4);
     }
 
     #[test]
@@ -222,13 +211,15 @@ mod tests {
         let ack = r.on_burst(4);
         assert_eq!(ack.cum_ack, 4, "probe ACK repeats the cumulative edge");
         assert_eq!(ack.acked_idx, 3, "probe ACK must not SACK the rejected burst");
-        assert_eq!(r.window_rejects(), 1);
+        assert_eq!(r.rcv_nxt(), 4, "rejected data must not move the cumulative ACK");
+        assert!(r.rwnd().is_zero(), "rejected data must not be buffered");
         assert_eq!(r.readable_bursts(), 4, "rejected data is not readable");
         // A read reopens the window; the retransmit then lands.
         assert!(r.app_read());
         let ack = r.on_burst(4);
         assert_eq!(ack.cum_ack, 5);
-        assert_eq!(r.window_rejects(), 1);
+        assert_eq!(r.readable_bursts(), 4);
+        assert!(r.rwnd().is_zero());
     }
 
     #[test]

@@ -240,6 +240,7 @@ fn fig12_amd_kernel_ladder() {
     let g515 = gbps(&Testbeds::esnet_host(KernelVersion::L5_15), &lan, lan_opts());
     let g65 = gbps(&Testbeds::esnet_host(KernelVersion::L6_5), &lan, lan_opts());
     let g68 = gbps(&Testbeds::esnet_host(KernelVersion::L6_8), &lan, lan_opts());
+    assert!(g515 > 10.0, "5.15 LAN moved only {g515:.1} Gbps");
     let step1 = g65 / g515 - 1.0;
     let step2 = g68 / g65 - 1.0;
     assert!((0.07..0.18).contains(&step1), "5.15->6.5: +{:.0}% (paper: 12%)", step1 * 100.0);
