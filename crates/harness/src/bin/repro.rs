@@ -7,8 +7,8 @@
 //! repro table1 table2        # several artefacts
 //! repro all                  # everything (experiments run concurrently)
 //! repro ablations            # the design-choice ablations
-//! repro --trace out/ ext_telemetry  # + JSON-lines telemetry traces
 //! repro --metrics m/ fig05   # + OpenMetrics, interval series, heartbeat
+//! repro --trace out/ ext_telemetry  # --metrics out/ + per-tick traces, profiles
 //! REPRO_EFFORT=smoke repro fig05    # quick CI-sized run
 //! REPRO_EFFORT=full  repro all      # paper-faithful 60 s × 10 reps
 //! REPRO_CACHE_DIR=~/.cache/repro repro fig05  # content-addressed cache
@@ -16,10 +16,17 @@
 //! REPRO_CHAOS=42 repro fig05        # inject harness faults, verify recovery
 //! ```
 //!
-//! The environment (`REPRO_EFFORT`, `REPRO_JOBS`, `REPRO_TRACE_DIR`,
-//! `REPRO_CACHE_DIR`, `REPRO_CHAOS`, `REPRO_CHECKPOINT_EVERY`,
-//! `REPRO_METRICS`) is resolved exactly once here, into a [`RunCtx`],
-//! and threaded explicitly through every experiment.
+//! The environment (`REPRO_EFFORT`, `REPRO_JOBS`, `REPRO_CACHE_DIR`,
+//! `REPRO_CHAOS`, `REPRO_CHECKPOINT_EVERY`, `REPRO_METRICS`) is
+//! resolved exactly once here, into a [`RunCtx`], and threaded
+//! explicitly through every experiment.
+//!
+//! Every run artefact lands in one directory, written by one
+//! [`harness::MetricsHub`]: `--metrics <dir>` (or `REPRO_METRICS`)
+//! names it, and `--trace <dir>` is the same hub with per-tick
+//! telemetry and attribution forced onto every repetition. Naming two
+//! different directories (`--trace A` with `--metrics B` or
+//! `REPRO_METRICS=B`) is a usage error.
 //!
 //! Besides the human-readable progress lines, every experiment emits
 //! one machine-parseable `repro-summary experiment=<name> key=value …`
@@ -41,33 +48,34 @@ use std::sync::Arc;
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut ctx = RunCtx::from_env();
-    // `--trace <dir>`: per-repetition JSON-lines telemetry traces.
-    if let Some(pos) = args.iter().position(|a| a == "--trace") {
-        if pos + 1 >= args.len() {
-            eprintln!("--trace needs a directory argument");
+    // `--trace <dir>` / `--metrics <dir>`: the one run-output directory
+    // (OpenMetrics exposition, interval series, phase spans, live
+    // stderr heartbeat); `--trace` adds per-tick JSON-lines traces and
+    // cycle profiles per repetition.
+    let trace = take_dir_flag(&mut args, "--trace");
+    let metrics = take_dir_flag(&mut args, "--metrics");
+    let env_dir = ctx.metrics.as_ref().map(|hub| hub.dir().to_path_buf());
+    if let (Some(t), Some(m)) = (&trace, metrics.as_ref().or(env_dir.as_ref())) {
+        if t != m {
+            eprintln!(
+                "--trace {} and --metrics/REPRO_METRICS {} name different directories; \
+                 --trace <dir> is --metrics <dir> with per-tick traces",
+                t.display(),
+                m.display()
+            );
             std::process::exit(2);
         }
-        let dir = args.remove(pos + 1);
-        args.remove(pos);
-        eprintln!("writing telemetry traces to {dir}/");
-        ctx.trace_dir = Some(PathBuf::from(dir));
     }
-    // `--metrics <dir>`: OpenMetrics exposition, interval series and
-    // phase spans, plus the live stderr heartbeat.
-    if let Some(pos) = args.iter().position(|a| a == "--metrics") {
-        if pos + 1 >= args.len() {
-            eprintln!("--metrics needs a directory argument");
-            std::process::exit(2);
-        }
-        let dir = args.remove(pos + 1);
-        args.remove(pos);
-        match harness::MetricsHub::new(PathBuf::from(&dir)) {
+    if let Some(dir) = trace.clone().or(metrics) {
+        let flag = if trace.is_some() { "--trace" } else { "--metrics" };
+        match harness::MetricsHub::new(&dir) {
             Ok(hub) => {
-                eprintln!("writing run metrics to {dir}/");
+                eprintln!("writing run metrics to {}/", dir.display());
+                let hub = if trace.is_some() { hub.with_per_tick() } else { hub };
                 ctx.metrics = Some(Arc::new(hub));
             }
             Err(e) => {
-                eprintln!("--metrics '{dir}' is not a writable directory: {e}");
+                eprintln!("{flag} '{}' is not a writable directory: {e}", dir.display());
                 std::process::exit(2);
             }
         }
@@ -290,20 +298,33 @@ fn run_one(id: ExperimentId, ctx: &RunCtx) -> String {
     rendered
 }
 
+/// Remove `flag <dir>` from `args` and return the directory; exit 2
+/// when the flag has no argument.
+fn take_dir_flag(args: &mut Vec<String>, flag: &str) -> Option<PathBuf> {
+    let pos = args.iter().position(|a| a == flag)?;
+    if pos + 1 >= args.len() {
+        eprintln!("{flag} needs a directory argument");
+        std::process::exit(2);
+    }
+    let dir = args.remove(pos + 1);
+    args.remove(pos);
+    Some(PathBuf::from(dir))
+}
+
 fn usage() {
     eprintln!(
         "usage: repro [--trace <dir>] [--metrics <dir>] [list | all | ablations | fig04..fig13 | table1..table3 | ext_hw_gro | ext_bigtcp_zc | ext_faults | ext_telemetry | ext_bottleneck | ext_scale | ext_cc_matrix | ext_fleet]...\n\
-         flags:       --trace <dir> to write per-repetition JSON-lines telemetry traces\n\
-                      (plus .folded/.perf.txt cycle profiles per repetition)\n\
-                      --metrics <dir> to write OpenMetrics exposition, per-repetition\n\
+         flags:       --metrics <dir> to write OpenMetrics exposition, per-repetition\n\
                       interval series and phase spans (plus a live stderr heartbeat)\n\
+                      --trace <dir> same as --metrics <dir>, plus per-tick telemetry and\n\
+                      attribution on every repetition: .jsonl traces and .folded/.perf.txt\n\
+                      cycle profiles per repetition in the same directory\n\
          environment: REPRO_EFFORT=smoke|standard|full (default standard)\n\
                       REPRO_JOBS=<n> to cap concurrently simulating repetitions\n\
                       REPRO_CACHE_DIR=<dir> content-addressed report cache\n\
                       REPRO_CSV_DIR=<dir> to also dump CSV data files\n\
-                      REPRO_TRACE_DIR=<dir> same as --trace\n\
                       REPRO_CHAOS=<seed> inject harness faults (kills, cache\n\
-                      corruption, trace failures) and verify recovery\n\
+                      corruption, artefact-write failures) and verify recovery\n\
                       REPRO_CHECKPOINT_EVERY=<events> checkpoint cadence\n\
                       REPRO_METRICS=<dir> same as --metrics\n\
                       REPRO_MANIFEST=<file> write the degraded-run manifest here\n\

@@ -2,19 +2,20 @@
 //!
 //! Chaos mode attacks the *harness*, never the simulation: workers are
 //! killed (panicked) at pseudo-random event counts, freshly stored
-//! cache entries are corrupted or truncated on disk, and trace writes
-//! fail through the [`crate::trace::TraceIo`] shim. The supervision
-//! layer ([`crate::supervise`]) must absorb all of it — resume from the
-//! last checkpoint, recompute poisoned cache entries, degrade trace
-//! output to a warning — while the final reports stay bit-identical to
-//! a chaos-free run and every repetition is accounted for.
+//! cache entries are corrupted or truncated on disk, and the metrics
+//! hub's per-repetition artefact writes fail through the
+//! [`crate::trace::TraceIo`] shim. The supervision layer
+//! ([`crate::supervise`]) must absorb all of it — resume from the last
+//! checkpoint, recompute poisoned cache entries, degrade a lost
+//! artefact to a warning — while the final reports stay bit-identical
+//! to a chaos-free run and every repetition is accounted for.
 //!
 //! Every injection decision is a pure function of the chaos seed and
 //! the identity of the thing being attacked (run seed, resume round,
 //! entry path), so a chaos run is exactly as reproducible as a normal
 //! one: same seed, same faults, same recoveries.
 
-use crate::trace::TraceIo;
+use crate::trace::{RealIo, TraceIo};
 use simcore::derive_seed;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,7 +34,7 @@ const KILL_PCT_FIRST: u64 = 40;
 const KILL_PCT_RESUMED: u64 = 20;
 /// Percent chance a newly stored cache entry is poisoned.
 const CACHE_PCT: u64 = 50;
-/// Percent chance a trace/profile write fails.
+/// Percent chance a per-repetition artefact write fails.
 const TRACE_PCT: u64 = 30;
 
 /// How a poisoned cache entry is damaged on disk.
@@ -71,7 +72,7 @@ impl ChaosStats {
         self.cache_corruptions.load(Ordering::Relaxed)
     }
 
-    /// Trace/profile writes failed through the io shim.
+    /// Artefact writes failed through the io shim.
     pub fn trace_failures(&self) -> u64 {
         self.trace_failures.load(Ordering::Relaxed)
     }
@@ -181,7 +182,7 @@ impl ChaosPlan {
         }
     }
 
-    /// Should this trace/profile write fail?
+    /// Should this artefact write fail?
     pub fn trace_write_fails(&self, path: &Path) -> bool {
         let h = simcore::fnv1a_64(path.to_string_lossy().as_bytes());
         self.roll(SALT_TRACE, h, 0) % 100 < TRACE_PCT
@@ -221,16 +222,21 @@ impl ChaosIo {
 }
 
 impl TraceIo for ChaosIo {
-    fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)
-    }
-
     fn write(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
         if self.plan.trace_write_fails(path) {
             self.plan.stats.count_trace_failure();
             return Err(std::io::Error::other("chaos: injected trace-write failure"));
         }
         std::fs::write(path, data)
+    }
+}
+
+/// The filesystem per-repetition artefacts are written through:
+/// `plan`'s failure schedule when chaos is on, the real one otherwise.
+pub(crate) fn artefact_io(plan: Option<&Arc<ChaosPlan>>) -> Box<dyn TraceIo> {
+    match plan {
+        Some(plan) => Box::new(ChaosIo::new(plan.clone())),
+        None => Box::new(RealIo),
     }
 }
 

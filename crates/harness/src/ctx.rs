@@ -1,9 +1,8 @@
 //! The run context: everything the environment used to leak into
 //! arbitrary call sites, resolved once at harness entry.
 //!
-//! `Effort::from_env`, `REPRO_TRACE_DIR`, `REPRO_CACHE_DIR`,
-//! `REPRO_JOBS`, `REPRO_CHAOS` and `REPRO_CHECKPOINT_EVERY` are read
-//! exactly once — by [`RunCtx::from_env`] in the `repro` binary — and
+//! `Effort::from_env`, `REPRO_CACHE_DIR`, `REPRO_JOBS`, `REPRO_CHAOS`,
+//! `REPRO_CHECKPOINT_EVERY` and `REPRO_METRICS` are read exactly once — by [`RunCtx::from_env`] in the `repro` binary — and
 //! threaded explicitly from there. Tests build a [`RunCtx`] directly
 //! and never touch process-global environment variables, which would
 //! race across test threads under the parallel scheduler.
@@ -26,8 +25,6 @@ pub struct RunCtx {
     /// Concurrency bound for the process-wide scheduler gate (display
     /// only here; the gate itself is sized on first use).
     pub jobs: usize,
-    /// Telemetry-trace output directory (`--trace` / `REPRO_TRACE_DIR`).
-    pub trace_dir: Option<PathBuf>,
     /// Content-addressed report cache (`REPRO_CACHE_DIR`).
     pub cache: Option<Arc<RunCache>>,
     /// Harness-level fault injection (`REPRO_CHAOS=<seed>`).
@@ -38,21 +35,21 @@ pub struct RunCtx {
     /// Checkpoint cadence override (`REPRO_CHECKPOINT_EVERY`, events;
     /// 0 = unset, chaos picks its own default).
     pub checkpoint_every: u64,
-    /// Streaming metrics hub (`--metrics <dir>` / `REPRO_METRICS`):
-    /// HDR-histogram registry, OpenMetrics exposition, interval series,
-    /// phase spans, live heartbeat. Observer-neutral — attaching it
-    /// never changes simulation results or cache eligibility.
+    /// The run-output hub (`--metrics <dir>` / `REPRO_METRICS`, or
+    /// `--trace <dir>` for a per-tick one): HDR-histogram registry,
+    /// OpenMetrics exposition, per-repetition artefacts, phase spans,
+    /// live heartbeat. Observer-neutral unless per-tick — attaching a
+    /// plain hub never changes simulation results or cache eligibility.
     pub metrics: Option<Arc<MetricsHub>>,
 }
 
 impl RunCtx {
-    /// A context at the given effort, with no tracing, no cache, and no
-    /// chaos — what tests and library callers start from.
+    /// A context at the given effort, with no metrics hub, no cache, and
+    /// no chaos — what tests and library callers start from.
     pub fn new(effort: Effort) -> Self {
         RunCtx {
             effort,
             jobs: sched::jobs_from_env(),
-            trace_dir: None,
             cache: None,
             chaos: None,
             budget: None,
@@ -62,8 +59,8 @@ impl RunCtx {
     }
 
     /// Resolve the environment once: `REPRO_EFFORT`, `REPRO_JOBS`,
-    /// `REPRO_TRACE_DIR`, `REPRO_CACHE_DIR`, `REPRO_CHAOS`,
-    /// `REPRO_CHECKPOINT_EVERY`, `REPRO_METRICS`.
+    /// `REPRO_CACHE_DIR`, `REPRO_CHAOS`, `REPRO_CHECKPOINT_EVERY`,
+    /// `REPRO_METRICS`.
     pub fn from_env() -> Self {
         let checkpoint_every = std::env::var("REPRO_CHECKPOINT_EVERY")
             .ok()
@@ -92,7 +89,6 @@ impl RunCtx {
         RunCtx {
             effort: Effort::from_env(),
             jobs: sched::jobs_from_env(),
-            trace_dir: std::env::var_os("REPRO_TRACE_DIR").map(PathBuf::from),
             cache: RunCache::from_env().map(Arc::new),
             chaos: ChaosPlan::from_env().map(Arc::new),
             budget: None,
@@ -149,7 +145,6 @@ impl RunCtx {
             supervisor = supervisor.with_metrics(hub.clone());
         }
         let mut h = TestHarness::new(repetitions).with_supervisor(supervisor);
-        h.trace_dir = self.trace_dir.clone();
         h.cache = self.cache.clone();
         h
     }
@@ -169,11 +164,9 @@ mod tests {
     #[test]
     fn harness_inherits_ctx_settings() {
         let cache = Arc::new(RunCache::new("/tmp/nonexistent-cache-dir-for-test"));
-        let mut ctx = RunCtx::new(Effort::Smoke).with_cache(cache);
-        ctx.trace_dir = Some("/tmp/traces".into());
+        let ctx = RunCtx::new(Effort::Smoke).with_cache(cache);
         let h = ctx.harness();
         assert_eq!(h.repetitions, Effort::Smoke.repetitions());
-        assert_eq!(h.trace_dir.as_deref(), Some(std::path::Path::new("/tmp/traces")));
         assert!(h.cache.is_some());
         assert_eq!(ctx.harness_with_reps(1).repetitions, 1);
     }
@@ -182,7 +175,6 @@ mod tests {
     fn plain_ctx_has_no_observers() {
         let ctx = RunCtx::new(Effort::Smoke);
         let h = ctx.harness();
-        assert!(h.trace_dir.is_none());
         assert!(h.cache.is_none());
         assert!(h.supervisor.chaos().is_none());
         assert!(h.supervisor.budget().is_none());

@@ -175,14 +175,11 @@ fn run_profile(ctx: &RunCtx, profile: FleetProfile) -> Option<FleetResult> {
     };
     match sim.with_event_budget(budget).run() {
         Ok(res) => {
+            crate::metrics::note_late_drops(res.late_dropped);
             if let Some(hub) = &ctx.metrics {
                 hub.sample_queue_health(res.health);
-                hub.note_late_drops(res.late_dropped);
-                if let Err(e) = hub.write_interval_records(&res.name, 0, &res.intervals) {
-                    eprintln!("cannot write {label} interval series: {e}");
-                }
-            } else {
-                crate::metrics::note_late_drops(res.late_dropped);
+                let io = crate::chaos::artefact_io(ctx.chaos.as_ref());
+                hub.write_intervals(io.as_ref(), &res.name, 0, &res.intervals);
             }
             Some(res)
         }

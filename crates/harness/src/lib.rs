@@ -25,19 +25,19 @@
 //!   budget, checkpoint/resume, and the degraded-run ledger.
 //! * [`chaos`] — seeded harness-fault injection (`REPRO_CHAOS`):
 //!   worker kills, cache corruption, trace-write failures.
-//! * [`ctx`] — [`ctx::RunCtx`]: effort, tracing, cache, chaos and
+//! * [`ctx`] — [`ctx::RunCtx`]: effort, metrics hub, cache, chaos and
 //!   parallelism resolved once at entry and threaded explicitly.
-//! * [`metrics`] — the run-introspection hub (`--metrics <dir>` /
-//!   `REPRO_METRICS`): HDR-histogram registry, OpenMetrics exposition,
-//!   per-repetition interval series, phase spans, and the live
-//!   stderr heartbeat. Observer-neutral by construction (§6h).
+//! * [`metrics`] — the run-output hub (`--metrics <dir>` /
+//!   `REPRO_METRICS`; `--trace <dir>` is the per-tick variant), the one
+//!   writer of run artefacts: HDR-histogram registry, OpenMetrics
+//!   exposition, per-repetition interval series, traces and profiles,
+//!   phase spans, and the live stderr heartbeat. Observer-neutral
+//!   unless per-tick (§6h).
 //! * [`render`] — ASCII tables and grouped bar charts for terminal
 //!   reports.
-//! * [`trace`] — JSON-lines telemetry traces (`--trace <dir>`), one
-//!   file per surviving repetition, plus simulated-`perf` profile
-//!   files when attribution ran.
-//! * [`profile`] — folded-stack and `perf report` renderings of a
-//!   run's per-stage cycle profiles.
+//! * [`trace`] — renderers for a repetition's JSON-lines telemetry
+//!   trace and its folded-stack / `perf report` cycle profiles, plus
+//!   the `TraceIo` shim every artefact write goes through.
 //! * [`experiments`] — one module per table/figure of the paper, plus
 //!   the §V-C future-work extensions and the ablations called out in
 //!   DESIGN.md.
@@ -56,7 +56,6 @@ pub mod ctx;
 pub mod effort;
 pub mod experiments;
 pub mod metrics;
-pub mod profile;
 pub mod render;
 pub mod runner;
 pub mod scenario;

@@ -1,6 +1,6 @@
-//! Run-introspection hub: the metrics registry, live heartbeat, phase
-//! spans, and exposition writers behind `--metrics <dir>` /
-//! `REPRO_METRICS`.
+//! The run-output hub: the metrics registry, live heartbeat, phase
+//! spans, and the one writer of every run artefact, behind
+//! `--metrics <dir>` / `REPRO_METRICS` and `--trace <dir>`.
 //!
 //! One [`MetricsHub`] is created per `repro` invocation and threaded
 //! (as `Option<Arc<MetricsHub>>`) through [`crate::ctx::RunCtx`] into
@@ -9,26 +9,36 @@
 //! only *between* repetitions and at checkpoint barriers, never inside
 //! the event loop, and no simulation input (seeds, options, cache
 //! eligibility) depends on whether it exists — so metrics-on runs are
-//! bit-identical to metrics-off runs.
+//! bit-identical to metrics-off runs. The one exception is opt-in: a
+//! *per-tick* hub (`--trace <dir>`, [`MetricsHub::with_per_tick`])
+//! forces a 1 s telemetry tick and bottleneck attribution onto every
+//! repetition, which makes those runs bypass the cache.
 //!
-//! Outputs, all under the metrics directory:
+//! Outputs, all in the hub's one directory:
 //!
 //! * `repro.openmetrics` — OpenMetrics text exposition of the full
 //!   registry (counters, gauges, histogram summaries), written at the
 //!   end of the invocation;
-//! * `<label>_rep<i>.intervals.jsonl` — per-repetition fixed-width
-//!   interval series (goodput per stream, plus rtt/retransmit
-//!   distributions when the report carries telemetry), one JSON line
-//!   per simulated second, streamed through [`obs::IntervalAggregator`];
 //! * `spans.jsonl` — phase spans (`setup`/`steady`/`drain` in wall
-//!   time, `warmup`/`steady` in sim time, `checkpoint`, `cache_lookup`).
+//!   time, `warmup`/`steady` in sim time, `checkpoint`, `cache_lookup`);
+//! * per surviving repetition, written by `MetricsHub::write_rep`
+//!   through the [`TraceIo`] shim (so chaos mode covers every write):
+//!   * `<label>_rep<i>.intervals.jsonl` — always: a fixed-width interval
+//!     series (goodput per stream, plus rtt/retransmit distributions
+//!     when the report carries telemetry), one JSON line per simulated
+//!     second, streamed through [`obs::IntervalAggregator`];
+//!   * `<label>_rep<i>.jsonl`, `.folded` and `.perf.txt` — whenever the
+//!     report carries telemetry or attribution: the JSON-lines trace
+//!     and the simulated-`perf` profiles rendered by [`crate::trace`].
 //!
 //! The heartbeat is a throttled (≥ 1 s apart) single-line progress
 //! report on stderr: repetitions done/cached/failed, aggregate
 //! events/s, and an ETA extrapolated from mean repetition wall time
 //! over the scheduler gate's parallelism.
 
+use crate::scenario::Scenario;
 use crate::sched;
+use crate::trace::{self, TraceIo};
 use iperf3sim::Iperf3Report;
 use obs::{render_openmetrics, HdrHistogram, IntervalAggregator, IntervalRecord, Recorder, SpanRecord};
 use std::io;
@@ -38,9 +48,11 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Invocation-wide count of interval samples dropped for arriving
-/// below an aggregator watermark. Global (not per-hub) so the repro
-/// summary can warn about silent data loss even for code paths that
-/// aggregated without a metrics hub attached.
+/// below an aggregator watermark — the only place such drops are
+/// counted. Global (not per-hub) so the repro summary can warn about
+/// silent data loss even for code paths that aggregated without a
+/// metrics hub attached; [`fold_run_totals`] copies it into the
+/// registry once.
 static LATE_DROPPED: AtomicU64 = AtomicU64::new(0);
 
 /// Note `n` late-dropped interval samples in the invocation-wide
@@ -65,6 +77,9 @@ const HEARTBEAT_EVERY: Duration = Duration::from_secs(1);
 #[derive(Debug)]
 pub struct MetricsHub {
     dir: PathBuf,
+    /// Force per-tick telemetry and attribution onto every repetition
+    /// (`--trace`).
+    per_tick: bool,
     recorder: Recorder,
     spans: Mutex<Vec<SpanRecord>>,
     start: Instant,
@@ -88,6 +103,7 @@ impl MetricsHub {
         let now = Instant::now();
         Ok(MetricsHub {
             dir,
+            per_tick: false,
             recorder: Recorder::new(),
             spans: Mutex::new(Vec::new()),
             start: now,
@@ -99,6 +115,20 @@ impl MetricsHub {
             busy_nanos: AtomicU64::new(0),
             last_emit: Mutex::new(now - HEARTBEAT_EVERY),
         })
+    }
+
+    /// Builder: force a 1 s telemetry tick (unless the scenario chose
+    /// its own) and bottleneck attribution onto every repetition, so
+    /// each survivor also gets its JSON-lines trace and cycle profiles
+    /// (what `--trace <dir>` means).
+    pub fn with_per_tick(mut self) -> Self {
+        self.per_tick = true;
+        self
+    }
+
+    /// Does this hub force per-tick telemetry and attribution on?
+    pub(crate) fn per_tick(&self) -> bool {
+        self.per_tick
     }
 
     /// The metrics output directory.
@@ -256,57 +286,63 @@ impl MetricsHub {
         Ok(path)
     }
 
-    /// Fold one surviving repetition's report into a fixed-width (1 s)
-    /// interval series and write it as `<label>_rep<i>.intervals.jsonl`.
-    /// Always has the per-stream goodput distribution (reports carry
-    /// 1 s interval bins unconditionally); rtt/retransmit distributions
-    /// appear when the report carries telemetry samples.
-    pub fn write_interval_series(
+    /// Record one surviving repetition: its `warmup`/`steady` sim-time
+    /// spans, its interval series and — when the report carries
+    /// telemetry or attribution — its JSON-lines trace and cycle
+    /// profiles, every file written through `io`. A failed write is a
+    /// warning on stderr, never a lost repetition.
+    pub(crate) fn write_rep(
         &self,
-        label: &str,
+        io: &dyn TraceIo,
+        scenario: &Scenario,
         rep: usize,
+        seed: u64,
         report: &Iperf3Report,
-    ) -> io::Result<PathBuf> {
+    ) {
+        let label = &scenario.label;
+        let omit = scenario.opts.omit_secs as f64;
+        let scope = format!("{label}/rep{rep}");
+        if omit > 0.0 {
+            self.span(scope.clone(), "warmup", "sim_s", 0.0, omit);
+        }
+        self.span(scope, "steady", "sim_s", omit, scenario.opts.time_secs as f64);
         let agg = aggregate_report_intervals(report);
         // The batch fold above never seals mid-stream, so late() should
         // be structurally zero — but if that invariant ever breaks, the
         // drops must land in the ledger, not vanish.
-        self.note_late_drops(agg.late());
-        let series = agg.finish();
-        self.write_interval_records(label, rep, &series)
+        note_late_drops(agg.late());
+        self.write_intervals(io, label, rep, &agg.finish());
+        let stem = format!("{}_rep{rep}", trace::sanitize_label(label));
+        let sampled = [
+            ("jsonl", trace::render_jsonl(label, rep, seed, report)),
+            ("folded", trace::folded_stacks(report)),
+            ("perf.txt", trace::perf_report(report)),
+        ];
+        for (ext, body) in sampled {
+            if let Some(body) = body {
+                self.put(io, &format!("{stem}.{ext}"), &body);
+            }
+        }
     }
 
-    /// Write an already-aggregated interval series (e.g. a streaming
-    /// fleet run's) as `<label>_rep<i>.intervals.jsonl`.
-    pub fn write_interval_records(
-        &self,
-        label: &str,
-        rep: usize,
-        series: &[IntervalRecord],
-    ) -> io::Result<PathBuf> {
+    /// Write an interval series (a repetition's, or a streaming fleet
+    /// run's) as `<label>_rep<i>.intervals.jsonl` through `io`.
+    pub(crate) fn write_intervals(&self, io: &dyn TraceIo, label: &str, rep: usize, series: &[IntervalRecord]) {
         let mut body = String::with_capacity(series.len() * 128);
         for rec in series {
             body.push_str(&rec.to_json_line());
             body.push('\n');
         }
-        let name = format!("{}_rep{rep}.intervals.jsonl", crate::trace::sanitize_label(label));
-        let path = self.dir.join(name);
-        std::fs::write(&path, body)?;
-        Ok(path)
+        self.put(io, &format!("{}_rep{rep}.intervals.jsonl", trace::sanitize_label(label)), &body);
     }
 
-    /// Fold late-dropped interval samples into both the registry
-    /// counter (`late_dropped_total` in OpenMetrics) and the
-    /// invocation-wide total behind [`late_dropped_total`]. Call with
-    /// `n = 0` too: that registers the counter so the exposition always
-    /// carries it and validators can assert it is zero.
-    pub fn note_late_drops(&self, n: u64) {
-        self.recorder.describe(
-            "late_dropped",
-            "Interval samples dropped for arriving below an aggregator watermark",
-        );
-        self.recorder.counter_add("late_dropped", n);
-        note_late_drops(n);
+    /// Write `body` to `name` in the hub directory through `io`,
+    /// degrading a failure to a warning.
+    fn put(&self, io: &dyn TraceIo, name: &str, body: &str) {
+        let path = self.dir.join(name);
+        if let Err(e) = io.write(&path, body.as_bytes()) {
+            eprintln!("warning: could not write {}: {e}", path.display());
+        }
     }
 }
 
@@ -370,8 +406,10 @@ pub fn fold_cache_stats(recorder: &Recorder, stats: &crate::cache::CacheStats) {
     recorder.counter_add("cache_recovered_stale", stats.stale_recoveries());
 }
 
-/// Fold the global run ledger and (when present) chaos statistics into
-/// the registry — called once at the end of a `repro` invocation.
+/// Fold the global run ledger, the late-drop total and (when present)
+/// chaos statistics into the registry — called once at the end of a
+/// `repro` invocation. `late_dropped` is folded even at zero, so the
+/// exposition always carries it and validators can assert it is 0.
 pub fn fold_run_totals(
     recorder: &Recorder,
     ledger: &crate::supervise::RunLedger,
@@ -389,6 +427,11 @@ pub fn fold_run_totals(
     recorder.counter_add("ledger_failed_reps", failed as u64);
     recorder.describe("ledger_scenarios", "Scenarios recorded in the run ledger");
     recorder.counter_add("ledger_scenarios", records.len() as u64);
+    recorder.describe(
+        "late_dropped",
+        "Interval samples dropped for arriving below an aggregator watermark",
+    );
+    recorder.counter_add("late_dropped", late_dropped_total());
     if let Some(stats) = chaos {
         recorder.describe("chaos_worker_kills", "Chaos-injected worker kills");
         recorder.counter_add("chaos_worker_kills", stats.kills());
@@ -396,7 +439,7 @@ pub fn fold_run_totals(
         recorder.counter_add("chaos_resumes", stats.resumes());
         recorder.describe("chaos_cache_corruptions", "Chaos-poisoned cache entries");
         recorder.counter_add("chaos_cache_corruptions", stats.cache_corruptions());
-        recorder.describe("chaos_trace_failures", "Chaos-failed trace writes");
+        recorder.describe("chaos_trace_failures", "Chaos-failed run-artefact writes");
         recorder.counter_add("chaos_trace_failures", stats.trace_failures());
     }
 }

@@ -21,17 +21,14 @@
 //! only errors out when *no* repetition produced a report.
 
 use crate::cache::RunCache;
-use crate::chaos::ChaosIo;
 use crate::scenario::Scenario;
 use crate::sched;
 use crate::supervise::{
     json_escape, json_unescape, ErrorClass, RepError, RunLedger, ScenarioRecord, Supervisor,
 };
-use crate::trace::{RealIo, TraceIo};
 use iperf3sim::Iperf3Report;
 use simcore::{derive_seed, RunningStats, SimDuration, Summary};
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Outcome slot for one repetition: the report (with the seed that
@@ -194,16 +191,10 @@ pub struct TestHarness {
     /// Run repetitions on parallel threads (bounded by the process-wide
     /// scheduler gate).
     pub parallel: bool,
-    /// Write a JSON-lines telemetry trace plus simulated-`perf`
-    /// profile files per surviving repetition into this directory (the
-    /// `--trace <dir>` flag, threaded through
-    /// [`RunCtx`](crate::ctx::RunCtx)). Forces telemetry sampling and
-    /// bottleneck attribution on.
-    pub trace_dir: Option<PathBuf>,
     /// Content-addressed report cache, consulted per repetition before
     /// simulating and filled after. Repetitions that carry observers
-    /// (telemetry sampling or attribution, e.g. under tracing) bypass
-    /// it.
+    /// (telemetry sampling or attribution, e.g. under a per-tick
+    /// metrics hub) bypass it.
     pub cache: Option<Arc<RunCache>>,
     /// Crash isolation, deadlines, classed retries, chaos schedule —
     /// every repetition runs under it (see [`crate::supervise`]).
@@ -216,7 +207,6 @@ impl Default for TestHarness {
             repetitions: 5,
             base_seed: 1000,
             parallel: true,
-            trace_dir: None,
             cache: None,
             supervisor: Supervisor::default(),
         }
@@ -246,14 +236,6 @@ impl TestHarness {
     /// ordering for debugging; results are identical either way).
     pub fn sequential(mut self) -> Self {
         self.parallel = false;
-        self
-    }
-
-    /// Builder: write per-repetition JSON-lines telemetry traces and
-    /// simulated-`perf` profiles into `dir` (forces telemetry sampling
-    /// and attribution on for every run).
-    pub fn with_trace_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.trace_dir = Some(dir.into());
         self
     }
 
@@ -355,7 +337,7 @@ impl TestHarness {
     }
 
     /// Aggregate one scenario's repetition slots into a summary (or a
-    /// scenario-level error), writing traces for the survivors.
+    /// scenario-level error), writing the survivors' run artefacts.
     fn finish_scenario(
         &self,
         scenario: &Scenario,
@@ -390,59 +372,14 @@ impl TestHarness {
                 failures,
             });
         }
-        if let Some(dir) = &self.trace_dir {
-            // Under chaos the writes go through the fault-injecting
-            // shim: a lost trace degrades to a warning, never to a
-            // lost repetition.
-            let chaos_io = self.supervisor.chaos().map(|plan| ChaosIo::new(plan.clone()));
-            let io: &dyn TraceIo = match &chaos_io {
-                Some(io) => io,
-                None => &RealIo,
-            };
-            for (i, seed, report) in &reports {
-                if let Err(e) = crate::trace::write_rep_trace_with(
-                    io,
-                    dir,
-                    &scenario.label,
-                    *i,
-                    *seed,
-                    report,
-                ) {
-                    eprintln!(
-                        "warning: could not write trace for '{}' rep {i}: {e}",
-                        scenario.label
-                    );
-                }
-                if let Err(e) =
-                    crate::trace::write_rep_profiles_with(io, dir, &scenario.label, *i, report)
-                {
-                    eprintln!(
-                        "warning: could not write profiles for '{}' rep {i}: {e}",
-                        scenario.label
-                    );
-                }
-            }
-        }
         if let Some(hub) = self.supervisor.metrics() {
-            // Per-survivor interval series (streamed through the HDR
-            // aggregator) plus the iperf3 phase structure as sim-time
-            // spans: omitted warmup first, measured steady interval
-            // after. These land in the metrics dir, not the trace dir —
-            // traces keep their exact per-rep file contract.
-            let omit = scenario.opts.omit_secs as f64;
-            let steady = scenario.opts.time_secs as f64;
-            for (i, _seed, report) in &reports {
-                let scope = format!("{}/rep{i}", scenario.label);
-                if omit > 0.0 {
-                    hub.span(scope.clone(), "warmup", "sim_s", 0.0, omit);
-                }
-                hub.span(scope, "steady", "sim_s", omit, steady);
-                if let Err(e) = hub.write_interval_series(&scenario.label, *i, report) {
-                    eprintln!(
-                        "warning: could not write interval series for '{}' rep {i}: {e}",
-                        scenario.label
-                    );
-                }
+            // Every survivor's artefacts land in the hub's directory.
+            // Under chaos the writes go through the fault-injecting
+            // shim: a lost artefact degrades to a warning, never to a
+            // lost repetition.
+            let io = crate::chaos::artefact_io(self.supervisor.chaos());
+            for (i, seed, report) in &reports {
+                hub.write_rep(io.as_ref(), scenario, *i, *seed, report);
             }
         }
         let reports = reports.into_iter().map(|(_, _, r)| r).collect();
@@ -480,10 +417,11 @@ impl TestHarness {
     /// structured summary distinguish cached from simulated reps).
     fn attempt(&self, scenario: &Scenario, seed: u64) -> Result<(Iperf3Report, bool), RepError> {
         let mut opts = scenario.opts.clone().seed(seed);
-        // Tracing needs samples: default to a 1 s tick unless the
-        // scenario already chose one, and turn on attribution so the
-        // trace carries verdicts and the profile files have cycles.
-        if self.trace_dir.is_some() {
+        // A per-tick hub (`--trace`) needs samples: default to a 1 s
+        // tick unless the scenario already chose one, and turn on
+        // attribution so the trace carries verdicts and the profile
+        // files have cycles.
+        if self.supervisor.metrics().is_some_and(|hub| hub.per_tick()) {
             if opts.telemetry.is_none() {
                 opts = opts.telemetry(SimDuration::from_secs(1));
             }
@@ -732,29 +670,37 @@ mod tests {
     }
 
     #[test]
-    fn traces_written_when_trace_dir_set() {
+    fn per_tick_hub_writes_every_artefact_per_repetition() {
         let dir = std::env::temp_dir().join(format!("repro_trace_{}", std::process::id()));
-        let s = TestHarness::new(2).with_trace_dir(&dir).run(&scenario()).expect("run");
+        std::fs::remove_dir_all(&dir).ok();
+        let hub = crate::MetricsHub::new(&dir).expect("hub dir").with_per_tick();
+        let s = TestHarness::new(2)
+            .with_supervisor(Supervisor::default().with_metrics(Arc::new(hub)))
+            .run(&scenario())
+            .expect("run");
         assert_eq!(s.reports.len(), 2);
-        // Tracing forces telemetry sampling and attribution on.
+        // A per-tick hub forces telemetry sampling and attribution on.
         assert!(s.reports.iter().all(|r| r.telemetry.is_some()));
         assert!(s.reports.iter().all(|r| r.attribution.is_some()));
         let mut files: Vec<String> = std::fs::read_dir(&dir)
-            .expect("trace dir created")
+            .expect("hub dir created")
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
         files.sort();
-        assert_eq!(
-            files,
-            vec![
-                "default_rep0.folded",
-                "default_rep0.jsonl",
-                "default_rep0.perf.txt",
-                "default_rep1.folded",
-                "default_rep1.jsonl",
-                "default_rep1.perf.txt",
-            ]
-        );
+        let mut expected = Vec::new();
+        for rep in 0..2 {
+            for ext in ["folded", "intervals.jsonl", "jsonl", "perf.txt"] {
+                expected.push(format!("default_rep{rep}.{ext}"));
+            }
+        }
+        assert_eq!(files, expected);
+        let read = |name: &str| std::fs::read_to_string(dir.join(name)).expect("artefact");
+        assert!(read("default_rep1.jsonl").starts_with("{\"type\":\"meta\""));
+        assert!(read("default_rep1.jsonl").contains("\"seed\":"));
+        assert!(read("default_rep1.perf.txt").contains("# Overhead"));
+        let folded = read("default_rep1.folded");
+        assert!(!folded.trim().is_empty());
+        assert!(folded.lines().all(|l| l.split(';').count() == 3 && l.contains(' ')));
         std::fs::remove_dir_all(&dir).ok();
     }
 

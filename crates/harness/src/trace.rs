@@ -1,31 +1,41 @@
-//! JSON-lines telemetry traces (the `--trace <dir>` output).
+//! Renderers for one repetition's sampled run artefacts, and the
+//! filesystem shim the metrics hub writes them through.
 //!
-//! One file per surviving repetition, named
-//! `<label>_rep<i>.jsonl`. Each file starts with a `meta` line, then
-//! one `flow` line per flow sample (the `ss -tin` stream) and one
-//! `host` line per host sample (the `ethtool -S` + `mpstat` stream).
-//! When the run carried bottleneck attribution, one `verdict` line per
-//! classified interval and a closing `bottleneck` roll-up follow, and
-//! two profile files ride along per repetition:
-//! `<label>_rep<i>.folded` (flame-graph input) and
-//! `<label>_rep<i>.perf.txt` (a `perf report`-style table) — see
-//! [`crate::profile`]. Every JSONL line is a self-contained JSON
-//! object so the files pipe straight into `jq`/pandas without a
-//! streaming parser.
+//! When a report carries telemetry or attribution, the hub
+//! ([`crate::metrics::MetricsHub`]) writes three files per surviving
+//! repetition, all rendered here:
+//!
+//! * `<label>_rep<i>.jsonl` ([`render_jsonl`]) — a `meta` line, then
+//!   one `flow` line per flow sample (the `ss -tin` stream) and one
+//!   `host` line per host sample (the `ethtool -S` + `mpstat` stream);
+//!   with attribution, one `verdict` line per classified interval and
+//!   a closing `bottleneck` roll-up. Every line is a self-contained
+//!   JSON object, so the files pipe straight into `jq`/pandas.
+//! * `<label>_rep<i>.folded` ([`folded_stacks`]) — simulated `perf`
+//!   cycles as `host;core;stage <cycles>` lines, the input format of
+//!   `flamegraph.pl` / `inferno`.
+//! * `<label>_rep<i>.perf.txt` ([`perf_report`]) — the same cycles as
+//!   a `perf report --stdio --sort cpu,sym`-style table.
+//!
+//! The paper's "why is this flow slow?" workflow runs `perf` alongside
+//! iperf3 and reads where the cycles went; the attribution engine's
+//! [`StageProfile`] carries the same information for a simulated run.
 
 use iperf3sim::Iperf3Report;
+use linuxhost::Stage;
+use netsim::StageProfile;
 use simcore::SimTime;
-use std::path::{Path, PathBuf};
+use std::fmt::Write as _;
+use std::path::Path;
 
-/// The filesystem surface trace/profile writing goes through.
+/// The filesystem surface every per-repetition artefact write goes
+/// through.
 ///
 /// Production uses [`RealIo`]; chaos mode substitutes
 /// [`crate::chaos::ChaosIo`] to inject write failures, proving the
-/// harness degrades a lost trace to a warning instead of losing the
+/// harness degrades a lost artefact to a warning instead of losing the
 /// repetition that produced it.
 pub trait TraceIo: Send + Sync {
-    /// `std::fs::create_dir_all`.
-    fn create_dir_all(&self, dir: &Path) -> std::io::Result<()>;
     /// Write `data` to `path`, whole-file.
     fn write(&self, path: &Path, data: &[u8]) -> std::io::Result<()>;
 }
@@ -35,10 +45,6 @@ pub trait TraceIo: Send + Sync {
 pub struct RealIo;
 
 impl TraceIo for RealIo {
-    fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)
-    }
-
     fn write(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
         std::fs::write(path, data)
     }
@@ -145,49 +151,77 @@ pub fn render_jsonl(
     Some(out)
 }
 
-/// Write one repetition's trace into `dir` through `io` (the chaos
-/// shim or [`RealIo`]), creating the directory as needed. Returns the
-/// path written, or `None` when the report carries no telemetry.
-pub fn write_rep_trace_with(
-    io: &dyn TraceIo,
-    dir: &Path,
-    label: &str,
-    rep: usize,
-    seed: u64,
-    report: &Iperf3Report,
-) -> std::io::Result<Option<PathBuf>> {
-    let Some(body) = render_jsonl(label, rep, seed, report) else {
-        return Ok(None);
-    };
-    io.create_dir_all(dir)?;
-    let path = dir.join(format!("{}_rep{rep}.jsonl", sanitize_label(label)));
-    io.write(&path, body.as_bytes())?;
-    Ok(Some(path))
+/// One non-idle (host, core, stage) cell of a run's cycle profile.
+struct StageRow<'a> {
+    host: &'static str,
+    core: &'a str,
+    stage: &'static str,
+    cycles: u64,
 }
 
-/// Write one repetition's simulated-`perf` profiles into `dir` through
-/// `io`: `<label>_rep<i>.folded` (flame-graph input) and
-/// `<label>_rep<i>.perf.txt` (the `perf report` table). Returns the
-/// paths written, or `None` when the report carries no attribution.
-pub fn write_rep_profiles_with(
-    io: &dyn TraceIo,
-    dir: &Path,
-    label: &str,
-    rep: usize,
-    report: &Iperf3Report,
-) -> std::io::Result<Option<(PathBuf, PathBuf)>> {
-    let (Some(folded), Some(table)) =
-        (crate::profile::folded_stacks(report), crate::profile::perf_report(report))
-    else {
-        return Ok(None);
-    };
-    io.create_dir_all(dir)?;
-    let stem = sanitize_label(label);
-    let folded_path = dir.join(format!("{stem}_rep{rep}.folded"));
-    io.write(&folded_path, folded.as_bytes())?;
-    let perf_path = dir.join(format!("{stem}_rep{rep}.perf.txt"));
-    io.write(&perf_path, table.as_bytes())?;
-    Ok(Some((folded_path, perf_path)))
+/// The non-idle (host, core, stage) cells of both hosts' cycle
+/// profiles, sender first, in ledger order. `None` when the report
+/// carries no attribution. Cycle counts use each host's own cost-model
+/// clock, so a 2.8 GHz receiver and a 3.1 GHz sender fold honestly.
+fn stage_rows(report: &Iperf3Report) -> Option<Vec<StageRow<'_>>> {
+    let attr = report.attribution.as_ref()?;
+    let hosts: [(&'static str, &StageProfile); 2] =
+        [("sender", &attr.sender_profile), ("receiver", &attr.receiver_profile)];
+    let mut rows = Vec::new();
+    for (host, profile) in hosts {
+        for core in &profile.cores {
+            for stage in Stage::ALL {
+                let cycles = profile.cycles(core.stage_busy[stage.index()]);
+                if cycles > 0 {
+                    rows.push(StageRow { host, core: &core.role, stage: stage.name(), cycles });
+                }
+            }
+        }
+    }
+    Some(rows)
+}
+
+/// Folded-stack lines (`host;core;stage <cycles>`), one per non-idle
+/// (host, core, stage) triple. `None` when the report carries no
+/// attribution.
+pub fn folded_stacks(report: &Iperf3Report) -> Option<String> {
+    let mut out = String::with_capacity(1024);
+    for r in stage_rows(report)? {
+        let _ = writeln!(out, "{};{};{} {}", r.host, r.core, r.stage, r.cycles);
+    }
+    Some(out)
+}
+
+/// A `perf report --stdio`-style table over both hosts: one row per
+/// non-idle (host, core, stage) triple, sorted by overhead descending.
+/// Overhead is the share of all busy cycles in the run (both hosts
+/// combined), like `perf report` over a whole-system record. `None`
+/// when the report carries no attribution.
+pub fn perf_report(report: &Iperf3Report) -> Option<String> {
+    let mut rows = stage_rows(report)?;
+    rows.sort_by_key(|r| std::cmp::Reverse(r.cycles));
+    let total: u64 = rows.iter().map(|r| r.cycles).sum();
+    let mut out = String::with_capacity(1024);
+    let _ = writeln!(out, "# Overhead        Cycles  Host      Core    Stage");
+    let _ = writeln!(out, "# ........  ............  ........  ......  ...........");
+    for r in &rows {
+        let pct = if total > 0 { r.cycles as f64 / total as f64 * 100.0 } else { 0.0 };
+        let _ = writeln!(
+            out,
+            "   {pct:6.2}%  {:>12}  {:<8}  {:<6}  {}",
+            r.cycles, r.host, r.core, r.stage
+        );
+    }
+    if let Some(v) = report.attribution.as_ref().and_then(|a| a.verdict.as_ref()) {
+        let _ = writeln!(
+            out,
+            "#\n# bottleneck: {} ({:.0}% of {} interval(s))",
+            v.primary.name(),
+            v.primary_share() * 100.0,
+            v.intervals
+        );
+    }
+    Some(out)
 }
 
 #[cfg(test)]
@@ -230,26 +264,21 @@ mod tests {
     }
 
     #[test]
-    fn unsampled_report_renders_nothing() {
+    fn unobserved_report_renders_nothing() {
         let host = Testbeds::esnet_host(KernelVersion::L6_8);
         let path = Testbeds::esnet_path(EsnetPath::Lan);
         let report =
             iperf3sim::run(&host, &host, &path, &Iperf3Opts::new(2).omit(0)).expect("run");
         assert!(render_jsonl("x", 0, 1, &report).is_none());
-        let dir = std::env::temp_dir().join(format!("trace_none_{}", std::process::id()));
-        assert!(write_rep_trace_with(&RealIo, &dir, "x", 0, 1, &report).expect("io").is_none());
-        assert!(write_rep_profiles_with(&RealIo, &dir, "x", 0, &report).expect("io").is_none());
-        assert!(!dir.exists(), "no telemetry must create no directory");
+        assert!(folded_stacks(&report).is_none());
+        assert!(perf_report(&report).is_none());
     }
 
     #[test]
     fn attribution_only_report_renders_verdict_lines() {
         // Attribution without telemetry still produces a trace: meta,
         // per-interval verdicts, and the bottleneck roll-up.
-        let host = Testbeds::esnet_host(KernelVersion::L6_8);
-        let path = Testbeds::esnet_path(EsnetPath::Lan);
-        let report = iperf3sim::run(&host, &host, &path, &Iperf3Opts::new(2).omit(0).attribution())
-            .expect("run");
+        let report = attributed_report();
         let body = render_jsonl("attr", 0, 1, &report).expect("attribution present");
         let lines: Vec<&str> = body.lines().collect();
         assert!(lines[0].starts_with("{\"type\":\"meta\""));
@@ -278,36 +307,49 @@ mod tests {
         assert!(body.contains("\"type\":\"verdict\""));
     }
 
-    #[test]
-    fn profile_files_written_per_repetition() {
+    fn attributed_report() -> Iperf3Report {
         let host = Testbeds::esnet_host(KernelVersion::L6_8);
         let path = Testbeds::esnet_path(EsnetPath::Lan);
-        let report = iperf3sim::run(&host, &host, &path, &Iperf3Opts::new(2).omit(0).attribution())
-            .expect("run");
-        let dir = std::env::temp_dir().join(format!("profile_test_{}", std::process::id()));
-        let (folded, perf) = write_rep_profiles_with(&RealIo, &dir, "ESnet LAN", 1, &report)
-            .expect("io")
-            .expect("attribution present");
-        assert_eq!(folded.file_name().unwrap().to_str().unwrap(), "esnet_lan_rep1.folded");
-        assert_eq!(perf.file_name().unwrap().to_str().unwrap(), "esnet_lan_rep1.perf.txt");
-        let folded_body = std::fs::read_to_string(&folded).expect("read folded");
-        assert!(folded_body.lines().all(|l| l.contains(';') && l.rsplit(' ').next().is_some()));
-        assert!(!folded_body.trim().is_empty());
-        let perf_body = std::fs::read_to_string(&perf).expect("read perf");
-        assert!(perf_body.contains("# Overhead"));
-        std::fs::remove_dir_all(&dir).expect("cleanup");
+        iperf3sim::run(&host, &host, &path, &Iperf3Opts::new(2).omit(0).attribution())
+            .expect("run")
     }
 
     #[test]
-    fn trace_file_written_per_repetition() {
-        let report = sampled_report();
-        let dir = std::env::temp_dir().join(format!("trace_test_{}", std::process::id()));
-        let path = write_rep_trace_with(&RealIo, &dir, "ESnet LAN", 3, 1003, &report)
-            .expect("io")
-            .expect("telemetry present");
-        assert_eq!(path.file_name().unwrap().to_str().unwrap(), "esnet_lan_rep3.jsonl");
-        let body = std::fs::read_to_string(&path).expect("read back");
-        assert!(body.starts_with("{\"type\":\"meta\""));
-        std::fs::remove_dir_all(&dir).expect("cleanup");
+    fn folded_stacks_cover_both_hosts_and_sum_positive() {
+        let report = attributed_report();
+        let folded = folded_stacks(&report).expect("attribution present");
+        assert!(!folded.is_empty());
+        let mut total: u64 = 0;
+        let mut hosts_seen = std::collections::BTreeSet::new();
+        for line in folded.lines() {
+            let (stack, count) = line.rsplit_once(' ').expect("`stack count` shape");
+            let parts: Vec<&str> = stack.split(';').collect();
+            assert_eq!(parts.len(), 3, "host;core;stage: {line}");
+            hosts_seen.insert(parts[0].to_string());
+            total += count.parse::<u64>().expect("cycle count");
+        }
+        assert!(hosts_seen.contains("sender") && hosts_seen.contains("receiver"), "{hosts_seen:?}");
+        assert!(total > 0);
+        // A busy LAN run books the big stages on both sides.
+        assert!(folded.contains("tx_app"), "{folded}");
+        assert!(folded.contains("rx_softirq"), "{folded}");
+    }
+
+    #[test]
+    fn perf_report_sorted_by_overhead_and_names_bottleneck() {
+        let report = attributed_report();
+        let table = perf_report(&report).expect("attribution present");
+        assert!(table.contains("# Overhead"));
+        assert!(table.contains("# bottleneck: "), "{table}");
+        // Overhead percentages are sorted descending and sum to ~100.
+        let pcts: Vec<f64> = table
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .filter_map(|l| l.split_whitespace().next()?.strip_suffix('%')?.parse().ok())
+            .collect();
+        assert!(pcts.len() >= 4, "{table}");
+        assert!(pcts.windows(2).all(|w| w[0] >= w[1]), "{pcts:?}");
+        let sum: f64 = pcts.iter().sum();
+        assert!((sum - 100.0).abs() < 1.0, "sum {sum}: {table}");
     }
 }

@@ -1376,24 +1376,6 @@ impl Runner {
             }
             None => None,
         };
-        if std::env::var_os("NETSIM_DEBUG_FLOWS").is_some() {
-            for (i, flow) in self.flows.iter().enumerate() {
-                eprintln!(
-                    "flow {i}: cwnd={} inflight={} ss={} srtt={:?} buffered={} waiting={} retr={} tlp={} rto={} rcv_rwnd={} readable={}",
-                    flow.sender.cc().cwnd(),
-                    flow.sender.inflight(),
-                    flow.sender.cc().in_slow_start(),
-                    flow.sender.rtt.srtt(),
-                    flow.sender.app_buffered(),
-                    self.hot[i].app_waiting,
-                    flow.sender.retr_packets(),
-                    flow.sender.tlp_events(),
-                    flow.sender.rto_events(),
-                    flow.receiver.rwnd(),
-                    flow.receiver.readable_bursts(),
-                );
-            }
-        }
         let window = self.end_time.saturating_since(self.omit_time);
         let flows = self
             .flows

@@ -1,13 +1,11 @@
 //! Invariants of the `ss`/`ethtool`/`mpstat`-style telemetry sampler.
 //!
-//! Two properties the rest of the stack builds on:
-//!
-//! 1. **Ledger exactness** — summing every sample's `interval_bytes`
-//!    reproduces the flow's delivered-bytes ledger exactly, including
-//!    the partial interval after the last tick.
-//! 2. **Observer neutrality** — sampling is read-only: a run with
-//!    telemetry enabled produces bit-identical results (flows, drops,
-//!    CPU, conservation counters) to the same seed without it.
+//! The property the rest of the stack builds on is **ledger
+//! exactness**: summing every sample's `interval_bytes` reproduces the
+//! flow's delivered-bytes ledger exactly, including the partial
+//! interval after the last tick. Observer neutrality — sampling leaves
+//! the simulated traffic bit-identical — is pinned in
+//! `observer_neutrality.rs`.
 
 use linuxhost::{HostConfig, KernelVersion};
 use nethw::PathSpec;
@@ -106,32 +104,4 @@ fn samples_look_like_ss_output() {
         assert!(pair[1].bytes_retrans >= pair[0].bytes_retrans);
         assert!(pair[1].retr_packets >= pair[0].retr_packets);
     }
-}
-
-/// Enabling telemetry must not perturb the simulation: same seed, same
-/// traffic, bit for bit. (`events` legitimately differs — the tick
-/// events themselves are counted — so it is excluded.)
-#[test]
-fn sampling_is_observer_neutral() {
-    let base = run(WorkloadSpec::single_stream(6).with_seed(42));
-    let sampled =
-        run(WorkloadSpec::single_stream(6).with_seed(42).with_telemetry(SimDuration::from_secs(1)));
-    assert!(base.telemetry.is_none(), "telemetry off by default");
-    assert!(sampled.telemetry.is_some());
-
-    assert_eq!(base.flows.len(), sampled.flows.len());
-    for (a, b) in base.flows.iter().zip(&sampled.flows) {
-        assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.retr_packets, b.retr_packets);
-        assert_eq!(a.rto_events, b.rto_events);
-        assert_eq!(a.intervals.len(), b.intervals.len());
-    }
-    assert_eq!(base.wire_sent, sampled.wire_sent);
-    assert_eq!(base.switch_drops, sampled.switch_drops);
-    assert_eq!(base.ring_drops, sampled.ring_drops);
-    assert_eq!(base.random_drops, sampled.random_drops);
-    assert_eq!(base.fault_drops, sampled.fault_drops);
-    assert_eq!(base.cpu_intervals, sampled.cpu_intervals);
-    assert_eq!(base.sender_cpu.per_core, sampled.sender_cpu.per_core);
-    assert_eq!(base.receiver_cpu.per_core, sampled.receiver_cpu.per_core);
 }

@@ -222,11 +222,6 @@ impl TcpSender {
         self.bursts_written += 1;
     }
 
-    /// Bursts buffered but not yet transmitted.
-    pub fn app_buffered(&self) -> u64 {
-        self.app_buffered
-    }
-
     /// Whether a transmission slot is available right now.
     pub fn can_send(&self) -> bool {
         let window_ok = self.inflight() + self.burst <= self.effective_window();

@@ -39,7 +39,9 @@ struct Observed {
 
 /// Poisson arrivals, log-normal sizes, one paced and one unpaced WAN
 /// class: the fleet engine's slot churn, timer re-arms and streaming
-/// aggregation, over one million short flows.
+/// aggregation, over one million short flows. perfbench times the same
+/// profile (`perfbench/src/workloads.rs::fleet_profile`, plus its run
+/// seed); `fleet_1m_profile_matches_perfbench` keeps the two in step.
 fn fleet_1m_profile() -> FleetProfile {
     let mut p = FleetProfile::new(
         "fleet_1m",
@@ -193,5 +195,52 @@ fn event_counts_clamps_and_goodput_match_the_table() {
         "{}\n\nobserved table:\n{}",
         problems.join("\n"),
         as_table(&rows)
+    );
+}
+
+/// The body of `fn <name>` in `source`: the text between the opening
+/// brace of its signature and the matching closing brace.
+fn fn_body<'a>(source: &'a str, name: &str) -> &'a str {
+    let sig = source
+        .find(&format!("fn {name}("))
+        .unwrap_or_else(|| panic!("no `fn {name}(` in source"));
+    let open = sig + source[sig..].find('{').expect("fn body opens");
+    let mut depth = 0usize;
+    for (i, c) in source[open..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return &source[open + 1..open + i];
+                }
+            }
+            _ => {}
+        }
+    }
+    panic!("`fn {name}` body never closes");
+}
+
+/// A function body with whitespace and trailing commas removed, so
+/// two spellings of the same code compare equal whatever their layout.
+fn normalised(body: &str) -> String {
+    let mut out: String = body.chars().filter(|c| !c.is_whitespace()).collect();
+    for close in [")", "}", "]"] {
+        out = out.replace(&format!(",{close}"), close);
+    }
+    out
+}
+
+#[test]
+fn fleet_1m_profile_matches_perfbench() {
+    let perfbench = fn_body(include_str!("../perfbench/src/workloads.rs"), "fleet_profile");
+    let ours = fn_body(include_str!("bench_counts.rs"), "fleet_1m_profile");
+    // perfbench seeds each run; the pinned count runs the default seed.
+    let perfbench = normalised(perfbench).replace("p.seed=seed;", "");
+    assert_eq!(
+        normalised(ours),
+        perfbench,
+        "tests/bench_counts.rs::fleet_1m_profile and perfbench's fleet_profile disagree: \
+         perfbench would time a different workload from the one whose event count is pinned"
     );
 }

@@ -2,7 +2,7 @@
 //!
 //! The recovery contract under attack: a seeded chaos schedule
 //! (`REPRO_CHAOS`) kills workers mid-run, poisons freshly stored cache
-//! entries, and fails trace writes — and the harness must lose no
+//! entries, and fails run-artefact writes — and the harness must lose no
 //! repetition, duplicate no result, self-heal the cache, and leave
 //! every report bit-identical to a chaos-free run. Alongside the soak,
 //! this suite pins the typed failure taxonomy: watchdog trips carry
@@ -13,7 +13,7 @@
 use dtnperf::prelude::*;
 use dtnperf::simcore::{derive_seed, SimRng, WatchdogTrip};
 use harness::supervise::{ErrorBudget, ErrorClass, RetryPolicy, Supervisor};
-use harness::{ChaosPlan, FailedRep, RunLedger, ScenarioError, TestSummary};
+use harness::{ChaosPlan, FailedRep, MetricsHub, RunLedger, ScenarioError, TestSummary};
 use iperf3sim::RunError;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -95,13 +95,15 @@ fn chaos_soak_loses_nothing_and_matches_clean_runs() {
         .map(|r| r.expect("chaos cached run"))
         .collect();
 
-    // Harness 2: trace writes under attack. Traced runs carry
-    // observers (telemetry + attribution), so their bit-identity
-    // reference is a chaos-free *traced* run, not the plain one.
+    // Harness 2: artefact writes under attack. A per-tick metrics hub
+    // (what `--trace` builds) forces observers (telemetry +
+    // attribution) on, so the bit-identity reference is a chaos-free
+    // per-tick run, not the plain one.
+    let per_tick = |dir: &PathBuf| Arc::new(MetricsHub::new(dir).expect("hub dir").with_per_tick());
     let clean_trace_dir = scratch_dir("repro_chaos_soak_traces_clean");
     let clean_traced: Vec<TestSummary> = TestHarness::new(SOAK_REPS)
         .with_base_seed(SOAK_BASE_SEED)
-        .with_trace_dir(&clean_trace_dir)
+        .with_supervisor(Supervisor::default().with_metrics(per_tick(&clean_trace_dir)))
         .run_batch(&scenarios)
         .into_iter()
         .map(|r| r.expect("clean traced run"))
@@ -109,8 +111,7 @@ fn chaos_soak_loses_nothing_and_matches_clean_runs() {
     let trace_dir = scratch_dir("repro_chaos_soak_traces");
     let traced: Vec<TestSummary> = TestHarness::new(SOAK_REPS)
         .with_base_seed(SOAK_BASE_SEED)
-        .with_supervisor(supervisor)
-        .with_trace_dir(&trace_dir)
+        .with_supervisor(supervisor.with_metrics(per_tick(&trace_dir)))
         .run_batch(&scenarios)
         .into_iter()
         .map(|r| r.expect("chaos traced run"))
