@@ -19,7 +19,9 @@
 //! The environment (`REPRO_EFFORT`, `REPRO_JOBS`, `REPRO_CACHE_DIR`,
 //! `REPRO_CHAOS`, `REPRO_CHECKPOINT_EVERY`, `REPRO_METRICS`) is
 //! resolved exactly once here, into a [`RunCtx`], and threaded
-//! explicitly through every experiment.
+//! explicitly through every experiment. The output directory
+//! (`REPRO_METRICS` or a flag) is created only once the arguments are
+//! known to name a run.
 //!
 //! Every run artefact lands in one directory, written by one
 //! [`harness::MetricsHub`]: `--metrics <dir>` (or `REPRO_METRICS`)
@@ -54,7 +56,7 @@ fn main() {
     // cycle profiles per repetition.
     let trace = take_dir_flag(&mut args, "--trace");
     let metrics = take_dir_flag(&mut args, "--metrics");
-    let env_dir = ctx.metrics.as_ref().map(|hub| hub.dir().to_path_buf());
+    let env_dir = std::env::var_os("REPRO_METRICS").map(PathBuf::from);
     if let (Some(t), Some(m)) = (&trace, metrics.as_ref().or(env_dir.as_ref())) {
         if t != m {
             eprintln!(
@@ -64,20 +66,6 @@ fn main() {
                 m.display()
             );
             std::process::exit(2);
-        }
-    }
-    if let Some(dir) = trace.clone().or(metrics) {
-        let flag = if trace.is_some() { "--trace" } else { "--metrics" };
-        match harness::MetricsHub::new(&dir) {
-            Ok(hub) => {
-                eprintln!("writing run metrics to {}/", dir.display());
-                let hub = if trace.is_some() { hub.with_per_tick() } else { hub };
-                ctx.metrics = Some(Arc::new(hub));
-            }
-            Err(e) => {
-                eprintln!("{flag} '{}' is not a writable directory: {e}", dir.display());
-                std::process::exit(2);
-            }
         }
     }
     if args.is_empty() || args[0] == "help" || args[0] == "--help" {
@@ -92,6 +80,39 @@ fn main() {
         println!("  ablations");
         println!("  all");
         return;
+    }
+    for name in &args {
+        let known = name == "all"
+            || name == "ablations"
+            || ExperimentId::ALL.iter().any(|id| id.name() == name);
+        if !known {
+            eprintln!("unknown experiment '{name}' — try 'repro list'");
+            std::process::exit(2);
+        }
+    }
+    // The arguments name a run: only now create the output directory,
+    // so `list`, `help` and usage errors leave nothing on disk.
+    if let Some(dir) = trace.clone().or(metrics) {
+        let flag = if trace.is_some() { "--trace" } else { "--metrics" };
+        match harness::MetricsHub::new(&dir) {
+            Ok(hub) => {
+                eprintln!("writing run metrics to {}/", dir.display());
+                let hub = if trace.is_some() { hub.with_per_tick() } else { hub };
+                ctx.metrics = Some(Arc::new(hub));
+            }
+            Err(e) => {
+                eprintln!("{flag} '{}' is not a writable directory: {e}", dir.display());
+                std::process::exit(2);
+            }
+        }
+    } else if let Some(dir) = env_dir {
+        match harness::MetricsHub::new(&dir) {
+            Ok(hub) => ctx.metrics = Some(Arc::new(hub)),
+            Err(e) => eprintln!(
+                "REPRO_METRICS='{}' is not a writable directory ({e}); ignoring",
+                dir.display()
+            ),
+        }
     }
     if let Some(chaos) = &ctx.chaos {
         eprintln!("chaos mode on (REPRO_CHAOS={}): injecting harness faults", chaos.seed());
@@ -114,13 +135,12 @@ fn main() {
                 println!("{}", ablations::run_all_rendered(&ctx));
             }
             "ablations" => println!("{}", ablations::run_all_rendered(&ctx)),
-            name => match ExperimentId::ALL.iter().find(|id| id.name() == name) {
-                Some(&id) => println!("{}", run_one(id, &ctx)),
-                None => {
-                    eprintln!("unknown experiment '{name}' — try 'repro list'");
-                    std::process::exit(2);
+            // Checked above: every other name is an experiment's.
+            name => {
+                if let Some(&id) = ExperimentId::ALL.iter().find(|id| id.name() == name) {
+                    println!("{}", run_one(id, &ctx));
                 }
-            },
+            }
         }
     }
     if let Some(chaos) = &ctx.chaos {

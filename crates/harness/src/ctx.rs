@@ -1,11 +1,14 @@
 //! The run context: everything the environment used to leak into
 //! arbitrary call sites, resolved once at harness entry.
 //!
-//! `Effort::from_env`, `REPRO_CACHE_DIR`, `REPRO_JOBS`, `REPRO_CHAOS`,
-//! `REPRO_CHECKPOINT_EVERY` and `REPRO_METRICS` are read exactly once — by [`RunCtx::from_env`] in the `repro` binary — and
-//! threaded explicitly from there. Tests build a [`RunCtx`] directly
-//! and never touch process-global environment variables, which would
-//! race across test threads under the parallel scheduler.
+//! `Effort::from_env`, `REPRO_CACHE_DIR`, `REPRO_JOBS`, `REPRO_CHAOS`
+//! and `REPRO_CHECKPOINT_EVERY` are read exactly once — by
+//! [`RunCtx::from_env`] in the `repro` binary — and threaded explicitly
+//! from there. `REPRO_METRICS` names a directory the hub creates, so
+//! `repro` resolves it itself, after parsing its arguments. Tests
+//! build a [`RunCtx`] directly and never touch process-global
+//! environment variables, which would race across test threads under
+//! the parallel scheduler.
 
 use crate::cache::RunCache;
 use crate::chaos::ChaosPlan;
@@ -14,7 +17,6 @@ use crate::metrics::MetricsHub;
 use crate::runner::TestHarness;
 use crate::sched;
 use crate::supervise::{ErrorBudget, Supervisor};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Resolved run-wide configuration.
@@ -59,8 +61,8 @@ impl RunCtx {
     }
 
     /// Resolve the environment once: `REPRO_EFFORT`, `REPRO_JOBS`,
-    /// `REPRO_CACHE_DIR`, `REPRO_CHAOS`, `REPRO_CHECKPOINT_EVERY`,
-    /// `REPRO_METRICS`.
+    /// `REPRO_CACHE_DIR`, `REPRO_CHAOS`, `REPRO_CHECKPOINT_EVERY`. The
+    /// metrics hub stays unset: building one creates its directory.
     pub fn from_env() -> Self {
         let checkpoint_every = std::env::var("REPRO_CHECKPOINT_EVERY")
             .ok()
@@ -74,18 +76,6 @@ impl RunCtx {
                 }
             })
             .unwrap_or(0);
-        let metrics = std::env::var_os("REPRO_METRICS").and_then(|dir| {
-            match MetricsHub::new(PathBuf::from(&dir)) {
-                Ok(hub) => Some(Arc::new(hub)),
-                Err(e) => {
-                    eprintln!(
-                        "REPRO_METRICS='{}' is not a writable directory ({e}); ignoring",
-                        dir.to_string_lossy()
-                    );
-                    None
-                }
-            }
-        });
         RunCtx {
             effort: Effort::from_env(),
             jobs: sched::jobs_from_env(),
@@ -93,7 +83,7 @@ impl RunCtx {
             chaos: ChaosPlan::from_env().map(Arc::new),
             budget: None,
             checkpoint_every,
-            metrics,
+            metrics: None,
         }
     }
 

@@ -5,10 +5,14 @@
 //! finite number of bursts through a per-class FIFO bottleneck, and
 //! close ([`FlowEvent::Close`]) when the final burst is cumulatively
 //! acknowledged — the burst-granularity FIN. Per-flow state lives in a
-//! generation-guarded slot slab and is reclaimed on close, so resident
-//! memory is **O(active flows)** regardless of how many flows the run
-//! serves. Results fold through [`obs::IntervalAggregator`] as streaming
-//! FCT / goodput histograms — there is never a per-flow result vector.
+//! generation-guarded slot slab: every event is handled on its slot in
+//! place, a close bumps the slot's generation and frees it, and the
+//! next open resets it in place with its buffers kept. The slab grows
+//! only while every slot is busy, so resident memory is **O(active
+//! flows)** regardless of how many flows the run serves, and a flow's
+//! lifecycle allocates nothing once the slab has warmed up. Results
+//! fold through [`obs::IntervalAggregator`] as streaming FCT / goodput
+//! histograms — there is never a per-flow result vector.
 //!
 //! The per-flow loss timers (TLP/RTO) are *cancelable* wheel timers:
 //! every deadline change and every close cancels the stale timer
@@ -119,11 +123,18 @@ impl FlowFactor {
     ];
 }
 
-/// Per-flow resident state. Everything a live flow needs; dropped (and
-/// its timer slab slot freed) the moment the flow closes.
+/// Per-flow resident state: everything a live flow needs. Handlers
+/// work on it where it sits in the slab. At close it stays there with
+/// its generation bumped, and the next open resets it in place
+/// ([`TcpSender::reinit`], [`TcpReceiver::reinit`]), so a flow's whole
+/// life — open, every event, close — touches the heap only when its
+/// scoreboard outgrows what earlier tenants left behind.
 struct FlowSlot {
     sender: TcpSender,
     recv: TcpReceiver,
+    /// Bumped at close; events carry the generation they were issued
+    /// for and no-op against a later tenant.
+    gen: u32,
     /// Index into the profile's class list.
     class: usize,
     opened_at: SimTime,
@@ -144,6 +155,27 @@ struct FlowSlot {
     timer: Option<(TimerId, SimTime, TimerKind)>,
     /// A `Close` event has been pushed; ignore further completions.
     closing: bool,
+}
+
+impl FlowSlot {
+    /// A fresh generation-0 slot; `on_open` sets the per-flow fields.
+    fn new(sender: TcpSender, recv: TcpReceiver) -> Self {
+        FlowSlot {
+            sender,
+            recv,
+            gen: 0,
+            class: 0,
+            opened_at: SimTime::ZERO,
+            bursts: 0,
+            ideal: SimDuration::ZERO,
+            paced: false,
+            pace_gap: SimDuration::ZERO,
+            next_pace_at: SimTime::ZERO,
+            tx_armed: false,
+            timer: None,
+            closing: false,
+        }
+    }
 }
 
 /// Aggregated outcome of one fleet run. Bounded size: histograms and
@@ -286,19 +318,18 @@ impl FleetSim {
     }
 }
 
-/// All mutable loop state, separated from the config so handlers can
-/// split-borrow fields.
+/// All mutable loop state. Flow slots live apart from the [`Net`] part
+/// so every handler can borrow its slot in place and hand it to the
+/// network methods alongside.
 struct Loop<'p> {
     p: &'p FleetProfile,
     /// Canonical profile fingerprint (per-flow draw seed base).
     fingerprint: u64,
-    q: EventQueue<FlowEvent>,
-    slots: Vec<Option<FlowSlot>>,
-    /// Slot generations (parallel to `slots`), bumped on close.
-    gens: Vec<u32>,
+    /// The flow slab. A closed slot stays here, free, until an open
+    /// resets it in place; the slab only grows when every slot is busy.
+    slots: Vec<FlowSlot>,
     free: Vec<u32>,
-    /// Per-class bottleneck: the time its FIFO becomes idle.
-    busy_until: Vec<SimTime>,
+    net: Net<'p>,
     sampler: ArrivalSampler,
     /// Arrival clock in float seconds (kept separate from SimTime so
     /// ns rounding never perturbs the sampled sequence).
@@ -315,14 +346,30 @@ struct Loop<'p> {
     active: usize,
     peak_active: usize,
     total_bytes: u64,
-    drops: u64,
-    wire_bursts: u64,
     rto_events: u64,
     tlp_events: u64,
     retx_bursts: u64,
-    timers_cancelled: u64,
     /// Livelock and event-budget guard, observed once per popped event.
     watchdog: Watchdog,
+}
+
+/// What every flow shares: the event queue, the class bottlenecks and
+/// the wire counters. Its methods act on one borrowed [`FlowSlot`].
+struct Net<'p> {
+    p: &'p FleetProfile,
+    q: EventQueue<FlowEvent>,
+    /// Per-class bottleneck: the time its FIFO becomes idle.
+    busy_until: Vec<SimTime>,
+    drops: u64,
+    wire_bursts: u64,
+    timers_cancelled: u64,
+}
+
+/// The slot an event addresses, if its flow is still the one the event
+/// was issued for.
+#[inline]
+fn live(slots: &mut [FlowSlot], i: u32, gen: u32) -> Option<&mut FlowSlot> {
+    slots.get_mut(i as usize).filter(|s| s.gen == gen)
 }
 
 impl<'p> Loop<'p> {
@@ -342,11 +389,16 @@ impl<'p> Loop<'p> {
             seal_pending = true;
         }
         Loop {
-            q,
             slots: Vec::new(),
-            gens: Vec::new(),
             free: Vec::new(),
-            busy_until: vec![SimTime::ZERO; p.classes.len()],
+            net: Net {
+                p,
+                q,
+                busy_until: vec![SimTime::ZERO; p.classes.len()],
+                drops: 0,
+                wire_bursts: 0,
+                timers_cancelled: 0,
+            },
             sampler,
             arrival_secs: first,
             open_pending,
@@ -360,12 +412,9 @@ impl<'p> Loop<'p> {
             active: 0,
             peak_active: 0,
             total_bytes: 0,
-            drops: 0,
-            wire_bursts: 0,
             rto_events: 0,
             tlp_events: 0,
             retx_bursts: 0,
-            timers_cancelled: 0,
             watchdog: Watchdog::new(budget),
             p,
             fingerprint,
@@ -373,7 +422,7 @@ impl<'p> Loop<'p> {
     }
 
     fn run(mut self) -> Result<FleetResult, SimError> {
-        while let Some((now, ev)) = self.q.pop() {
+        while let Some((now, ev)) = self.net.q.pop() {
             if let Err(trip) = self.watchdog.observe(now) {
                 return Err(SimError::Stalled { at: now, trip });
             }
@@ -404,99 +453,88 @@ impl<'p> Loop<'p> {
         // twice the BDP, floor of 16 bursts.
         let buf = (bdp * 2).max(burst * 16);
         let cc = class.cc.build(mtu, Bytes::new(INIT_CWND_MULT * FLEET_MTU));
-        let recv = TcpReceiver::new(burst, buf);
-        let initial_rwnd = recv.rwnd();
-        let mut sender = TcpSender::new(cc, burst, mtu, buf, initial_rwnd);
+        // A free slot is reset in place, keeping its buffers; the slab
+        // grows only when every slot holds a live flow.
+        let i = match self.free.pop() {
+            Some(i) => {
+                let slot = &mut self.slots[i as usize];
+                slot.recv.reinit(burst, buf);
+                slot.sender.reinit(cc, burst, mtu, buf, slot.recv.rwnd());
+                i
+            }
+            None => {
+                let recv = TcpReceiver::new(burst, buf);
+                let sender = TcpSender::new(cc, burst, mtu, buf, recv.rwnd());
+                self.slots.push(FlowSlot::new(sender, recv));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        let slot = &mut self.slots[i as usize];
         // Seed the estimator with the handshake RTT (RFC 6298 §2.2: the
         // SYN/SYN-ACK exchange yields the first sample). Without it a
         // flow that loses its very first burst sits out the 1 s
         // no-sample initial RTO — a rung that would dominate every
         // fleet tail quantile.
-        sender.rtt.on_sample(class.rtt, now);
-        sender.set_flow_bursts(draw.bursts);
+        slot.sender.rtt.on_sample(class.rtt, now);
+        slot.sender.set_flow_bursts(draw.bursts);
         let pace_gap = class.bottleneck.serialize_time(burst);
-        let ideal = class.rtt
+        slot.class = draw.class;
+        slot.opened_at = now;
+        slot.bursts = draw.bursts;
+        slot.ideal = class.rtt
             + SimDuration::from_nanos(pace_gap.as_nanos().saturating_mul(draw.bursts));
-        let slot = FlowSlot {
-            sender,
-            recv,
-            class: draw.class,
-            opened_at: now,
-            bursts: draw.bursts,
-            ideal,
-            paced: class.pacing,
-            pace_gap,
-            next_pace_at: now,
-            tx_armed: false,
-            timer: None,
-            closing: false,
-        };
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = Some(slot);
-                i
-            }
-            None => {
-                self.slots.push(Some(slot));
-                self.gens.push(0);
-                (self.slots.len() - 1) as u32
-            }
-        };
+        slot.paced = class.pacing;
+        slot.pace_gap = pace_gap;
+        slot.next_pace_at = now;
+        slot.tx_armed = false;
+        slot.timer = None;
+        slot.closing = false;
         self.active += 1;
         self.peak_active = self.peak_active.max(self.active);
-        self.pump(now, i);
+        // First pump (also fills the app buffer).
+        self.net.drive(now, i, slot);
+        self.net.rearm_timer(now, i, slot);
 
         // Schedule the next arrival while inside the horizon.
         let next = self.sampler.next_arrival(self.arrival_secs);
         self.arrival_secs = next;
         if next <= self.p.duration.as_secs_f64() && self.flows_opened < self.p.max_flows {
-            self.q.push(SimTime::from_secs_f64(next), FlowEvent::Open);
+            self.net.q.push(SimTime::from_secs_f64(next), FlowEvent::Open);
             self.open_pending = true;
         }
     }
 
     fn on_tx(&mut self, now: SimTime, i: u32, gen: u32) {
-        if self.gens[i as usize] != gen {
-            return;
-        }
-        let Some(mut slot) = self.slots[i as usize].take() else { return };
+        let Some(slot) = live(&mut self.slots, i, gen) else { return };
         slot.tx_armed = false;
         match slot.sender.next_slot(now) {
             SendSlot::Blocked => {}
             SendSlot::New(idx) | SendSlot::Retransmit(idx) => {
-                self.transmit(now, i, gen, &mut slot, idx);
+                self.net.transmit(now, i, slot, idx);
                 slot.next_pace_at = now + slot.pace_gap;
             }
         }
-        self.arm_tx(now, i, gen, &mut slot);
-        self.rearm_timer(now, i, gen, &mut slot);
-        self.slots[i as usize] = Some(slot);
+        self.net.arm_tx(now, i, slot);
+        self.net.rearm_timer(now, i, slot);
     }
 
     fn on_deliver(&mut self, now: SimTime, i: u32, gen: u32, idx: u64) {
-        if self.gens[i as usize] != gen {
-            return;
-        }
-        let Some(mut slot) = self.slots[i as usize].take() else { return };
+        let Some(slot) = live(&mut self.slots, i, gen) else { return };
         let ack = slot.recv.on_burst(idx);
         // The application consumes immediately: the fleet measures
         // transfer time, not receiver-app scheduling.
         while slot.recv.app_read() {}
         let _ = slot.sender.on_ack(ack.cum_ack, ack.acked_idx, ack.rwnd, now);
-        self.drive(now, i, gen, &mut slot);
+        self.net.drive(now, i, slot);
         if slot.sender.is_complete() && !slot.closing {
             slot.closing = true;
-            self.q.push(now, FlowEvent::Close { slot: i, gen });
+            self.net.q.push(now, FlowEvent::Close { slot: i, gen });
         }
-        self.rearm_timer(now, i, gen, &mut slot);
-        self.slots[i as usize] = Some(slot);
+        self.net.rearm_timer(now, i, slot);
     }
 
     fn on_timer(&mut self, now: SimTime, i: u32, gen: u32) {
-        if self.gens[i as usize] != gen {
-            return;
-        }
-        let Some(mut slot) = self.slots[i as usize].take() else { return };
+        let Some(slot) = live(&mut self.slots, i, gen) else { return };
         slot.timer = None;
         // Re-derive what is actually due (the deadline may have moved
         // since arming; a moved deadline just rearms below).
@@ -506,34 +544,28 @@ impl<'p> Loop<'p> {
                     TimerKind::Tlp => slot.sender.on_tlp(now),
                     TimerKind::Rto => slot.sender.on_rto(now),
                 }
-                self.drive(now, i, gen, &mut slot);
+                self.net.drive(now, i, slot);
             }
         }
-        self.rearm_timer(now, i, gen, &mut slot);
-        self.slots[i as usize] = Some(slot);
+        self.net.rearm_timer(now, i, slot);
     }
 
     fn on_seal(&mut self, now: SimTime) {
         self.seal_pending = false;
         self.agg.seal_before(now.as_nanos());
         if self.active > 0 || self.open_pending {
-            self.q.push(now + self.p.interval_width, FlowEvent::Seal);
+            self.net.q.push(now + self.p.interval_width, FlowEvent::Seal);
             self.seal_pending = true;
         }
     }
 
     fn on_close(&mut self, now: SimTime, i: u32, gen: u32) {
-        debug_assert_eq!(self.gens[i as usize], gen, "close for a reused slot");
-        if self.gens[i as usize] != gen {
-            return;
-        }
-        let Some(mut slot) = self.slots[i as usize].take() else { return };
+        debug_assert_eq!(self.slots[i as usize].gen, gen, "close for a reused slot");
+        let Some(slot) = live(&mut self.slots, i, gen) else { return };
         if let Some((id, _, _)) = slot.timer.take() {
             // Teardown through the tombstone path: the slab slot must
             // come back (asserted against `health()` at end of run).
-            if self.q.cancel_timer(id) {
-                self.timers_cancelled += 1;
-            }
+            self.net.cancel_timer(id);
         }
         let fct = now.saturating_since(slot.opened_at);
         let fct_us = (fct.as_nanos() / 1_000).max(1);
@@ -548,7 +580,7 @@ impl<'p> Loop<'p> {
         self.agg.record(t, "slowdown_x100", slowdown_x100);
         self.fct.record(fct_us);
         self.slowdown.record(slowdown_x100);
-        let factor = classify_flow(&slot);
+        let factor = classify_flow(slot);
         self.factors.entry(factor.name()).or_default().record(fct_us);
         self.rto_events += slot.sender.rto_events();
         self.tlp_events += slot.sender.tlp_events();
@@ -556,109 +588,25 @@ impl<'p> Loop<'p> {
         self.total_bytes += bytes;
         self.flows_served += 1;
         self.active -= 1;
-        self.gens[i as usize] = self.gens[i as usize].wrapping_add(1);
+        // The slot stays where it is: the bumped generation turns every
+        // event still in flight for this flow into a no-op, and the next
+        // open resets it in place.
+        slot.gen = slot.gen.wrapping_add(1);
         self.free.push(i);
-    }
-
-    // ---- flow mechanics --------------------------------------------------
-
-    /// Fill the app buffer and transmit whatever the window and pacing
-    /// mode allow right now.
-    fn drive(&mut self, now: SimTime, i: u32, gen: u32, slot: &mut FlowSlot) {
-        while slot.sender.app_can_write() {
-            slot.sender.app_wrote();
-        }
-        if slot.paced {
-            self.arm_tx(now, i, gen, slot);
-        } else {
-            loop {
-                match slot.sender.next_slot(now) {
-                    SendSlot::Blocked => break,
-                    SendSlot::New(idx) | SendSlot::Retransmit(idx) => {
-                        self.transmit(now, i, gen, slot, idx)
-                    }
-                }
-            }
-        }
-    }
-
-    /// First pump after open (also fills the app buffer).
-    fn pump(&mut self, now: SimTime, i: u32) {
-        let gen = self.gens[i as usize];
-        let Some(mut slot) = self.slots[i as usize].take() else { return };
-        self.drive(now, i, gen, &mut slot);
-        self.rearm_timer(now, i, gen, &mut slot);
-        self.slots[i as usize] = Some(slot);
-    }
-
-    /// Schedule the next paced transmit if one is due and none pending.
-    fn arm_tx(&mut self, now: SimTime, i: u32, gen: u32, slot: &mut FlowSlot) {
-        if slot.paced && !slot.tx_armed && slot.sender.can_send() {
-            let at = slot.next_pace_at.max(now);
-            self.q.push(at, FlowEvent::Tx { slot: i, gen });
-            slot.tx_armed = true;
-        }
-    }
-
-    /// Push one burst through the class bottleneck: FIFO queueing
-    /// behind `busy_until`, tail drop past the buffer cap, delivery
-    /// (data + returning ACK) one RTT after serialization.
-    fn transmit(&mut self, now: SimTime, i: u32, gen: u32, slot: &mut FlowSlot, idx: u64) {
-        slot.sender.mark_transmitted(idx, now);
-        let class = &self.p.classes[slot.class];
-        let start = self.busy_until[slot.class].max(now);
-        let backlog = class.bottleneck.bytes_in(start.saturating_since(now));
-        if backlog + self.p.burst > class.buffer {
-            // Tail drop: the sender discovers it via SACK holes or its
-            // loss timers. `busy_until` does not advance — the burst
-            // never occupied the link.
-            self.drops += 1;
-            return;
-        }
-        let ser = class.bottleneck.serialize_time(self.p.burst);
-        self.busy_until[slot.class] = start + ser;
-        self.wire_bursts += 1;
-        self.q.push(start + ser + class.rtt, FlowEvent::Deliver { slot: i, gen, idx });
-    }
-
-    /// Keep exactly one wheel timer matching the sender's earliest
-    /// deadline. Deadline changes cancel the stale timer through the
-    /// tombstone path; identical deadlines are left armed (no churn).
-    fn rearm_timer(&mut self, now: SimTime, i: u32, gen: u32, slot: &mut FlowSlot) {
-        let desired = slot.sender.timer_deadline();
-        match (slot.timer, desired) {
-            (None, None) => {}
-            (Some((_, at, kind)), Some((want_at, want_kind)))
-                if at == want_at.max(now) && kind == want_kind => {}
-            (cur, want) => {
-                if let Some((id, _, _)) = cur {
-                    if self.q.cancel_timer(id) {
-                        self.timers_cancelled += 1;
-                    }
-                    slot.timer = None;
-                }
-                if let Some((at, kind)) = want {
-                    // A deadline already in the past fires "now": clamp
-                    // so the queue never sees a past push.
-                    let at = at.max(now);
-                    let id = self.q.schedule_timer(at, FlowEvent::Timer { slot: i, gen });
-                    slot.timer = Some((id, at, kind));
-                }
-            }
-        }
     }
 
     // ---- run finish ------------------------------------------------------
 
     fn finish(self) -> Result<FleetResult, SimError> {
-        let now = self.q.now();
+        let q = &self.net.q;
+        let now = q.now();
         if self.active != 0 {
             return Err(SimError::StateCorruption {
                 at: now,
                 what: format!("queue drained with {} flows still open", self.active),
             });
         }
-        let health = self.q.health();
+        let health = q.health();
         if health.slab_slots != health.free_slots {
             return Err(SimError::StateCorruption {
                 at: now,
@@ -682,7 +630,7 @@ impl<'p> Loop<'p> {
             peak_active: self.peak_active,
             peak_slots: self.slots.len(),
             events: self.watchdog.total_events(),
-            past_clamps: self.q.past_clamps(),
+            past_clamps: q.past_clamps(),
             total_bytes: self.total_bytes,
             finished_at: now,
             fct: self.fct,
@@ -690,14 +638,98 @@ impl<'p> Loop<'p> {
             factors: self.factors,
             intervals: self.agg.finish(),
             late_dropped,
-            drops: self.drops,
-            wire_bursts: self.wire_bursts,
+            drops: self.net.drops,
+            wire_bursts: self.net.wire_bursts,
             rto_events: self.rto_events,
             tlp_events: self.tlp_events,
             retx_bursts: self.retx_bursts,
-            timers_cancelled: self.timers_cancelled,
+            timers_cancelled: self.net.timers_cancelled,
             health,
         })
+    }
+}
+
+impl Net<'_> {
+    /// Fill the app buffer and transmit whatever the window and pacing
+    /// mode allow right now.
+    fn drive(&mut self, now: SimTime, i: u32, slot: &mut FlowSlot) {
+        while slot.sender.app_can_write() {
+            slot.sender.app_wrote();
+        }
+        if slot.paced {
+            self.arm_tx(now, i, slot);
+        } else {
+            loop {
+                match slot.sender.next_slot(now) {
+                    SendSlot::Blocked => break,
+                    SendSlot::New(idx) | SendSlot::Retransmit(idx) => {
+                        self.transmit(now, i, slot, idx)
+                    }
+                }
+            }
+        }
+    }
+
+    /// Schedule the next paced transmit if one is due and none pending.
+    fn arm_tx(&mut self, now: SimTime, i: u32, slot: &mut FlowSlot) {
+        if slot.paced && !slot.tx_armed && slot.sender.can_send() {
+            let at = slot.next_pace_at.max(now);
+            self.q.push(at, FlowEvent::Tx { slot: i, gen: slot.gen });
+            slot.tx_armed = true;
+        }
+    }
+
+    /// Push one burst through the class bottleneck: FIFO queueing
+    /// behind `busy_until`, tail drop past the buffer cap, delivery
+    /// (data + returning ACK) one RTT after serialization.
+    fn transmit(&mut self, now: SimTime, i: u32, slot: &mut FlowSlot, idx: u64) {
+        slot.sender.mark_transmitted(idx, now);
+        let class = &self.p.classes[slot.class];
+        let start = self.busy_until[slot.class].max(now);
+        let backlog = class.bottleneck.bytes_in(start.saturating_since(now));
+        if backlog + self.p.burst > class.buffer {
+            // Tail drop: the sender discovers it via SACK holes or its
+            // loss timers. `busy_until` does not advance — the burst
+            // never occupied the link.
+            self.drops += 1;
+            return;
+        }
+        let ser = class.bottleneck.serialize_time(self.p.burst);
+        self.busy_until[slot.class] = start + ser;
+        self.wire_bursts += 1;
+        self.q.push(start + ser + class.rtt, FlowEvent::Deliver { slot: i, gen: slot.gen, idx });
+    }
+
+    /// Keep exactly one wheel timer matching the sender's earliest
+    /// deadline. Deadline changes cancel the stale timer through the
+    /// tombstone path; identical deadlines are left armed (no churn).
+    fn rearm_timer(&mut self, now: SimTime, i: u32, slot: &mut FlowSlot) {
+        let desired = slot.sender.timer_deadline();
+        match (slot.timer, desired) {
+            (None, None) => {}
+            (Some((_, at, kind)), Some((want_at, want_kind)))
+                if at == want_at.max(now) && kind == want_kind => {}
+            (cur, want) => {
+                if let Some((id, _, _)) = cur {
+                    self.cancel_timer(id);
+                    slot.timer = None;
+                }
+                if let Some((at, kind)) = want {
+                    // A deadline already in the past fires "now": clamp
+                    // so the queue never sees a past push.
+                    let at = at.max(now);
+                    let id = self.q.schedule_timer(at, FlowEvent::Timer { slot: i, gen: slot.gen });
+                    slot.timer = Some((id, at, kind));
+                }
+            }
+        }
+    }
+
+    /// Cancel a pending loss timer through the wheel's tombstone path.
+    fn cancel_timer(&mut self, id: TimerId) {
+        if self.q.cancel_timer(id) {
+            self.timers_cancelled += 1;
+        }
     }
 }
 

@@ -90,12 +90,13 @@ impl IntervalAggregator {
             self.late = self.late.saturating_add(1);
             return;
         }
-        self.open
-            .entry(idx)
-            .or_default()
-            .entry(metric.to_string())
-            .or_default()
-            .record(value);
+        let metrics = self.open.entry(idx).or_default();
+        // Look the metric up by `&str` first: only a metric new to this
+        // interval pays for its owned key.
+        match metrics.get_mut(metric) {
+            Some(h) => h.record(value),
+            None => metrics.entry(metric.to_string()).or_default().record(value),
+        }
     }
 
     /// Seal every open interval that ends at or before time `t`,

@@ -560,19 +560,33 @@ impl<E> EventQueue<E> {
         self.adapt_width();
         self.horizon = min_time;
         self.ring_base = min_time.as_nanos();
-        let spill = std::mem::take(&mut self.overflow);
+        // Re-file in place: nodes still beyond the new ring stay in the
+        // spill list (in their ascending `seq` order), so a rebase
+        // neither allocates nor holds a second copy of the list.
+        let mut spill = std::mem::take(&mut self.overflow);
         debug_assert!(spill.windows(2).all(|w| w[0].seq < w[1].seq));
         self.overflow_min = None;
         self.overflow_live = 0;
-        for node in spill {
+        let ring_end = self.ring_end();
+        spill.retain(|&node| {
             if self.stale != 0 && !node_live(&self.slab, &node) {
                 self.stale -= 1;
+                false
             } else if node.time <= self.horizon {
                 self.near.push(node);
-            } else {
+                false
+            } else if node.time.as_nanos() < ring_end {
                 self.file_beyond_horizon(node);
+                false
+            } else {
+                if self.overflow_min.is_none_or(|m| node.key() < m) {
+                    self.overflow_min = Some(node.key());
+                }
+                self.overflow_live += 1;
+                true
             }
-        }
+        });
+        self.overflow = spill;
         // Every node that landed in near has the minimum's time, and
         // the spill list is in ascending `seq`: reversed, it is sorted.
         self.near.reverse();

@@ -91,6 +91,7 @@ impl Watchdog {
 
     /// Record one dispatched event at simulated time `now`; returns the
     /// trip condition if the loop is no longer making progress.
+    #[inline]
     pub fn observe(&mut self, now: SimTime) -> Result<(), WatchdogTrip> {
         self.total_events += 1;
         if now > self.last_time {

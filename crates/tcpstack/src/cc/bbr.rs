@@ -70,8 +70,10 @@ pub struct Bbr {
     version: BbrVersion,
     mss: Bytes,
     mode: Mode,
-    /// Recent delivery-rate maxima (bits/s), newest last.
-    bw_samples: Vec<f64>,
+    /// Recent delivery-rate maxima (bits/s): the first `bw_len`
+    /// entries, newest last.
+    bw_samples: [f64; BW_FILTER_LEN],
+    bw_len: usize,
     /// Propagation estimate and when it was last re-anchored. Expires
     /// after [`MIN_RTT_EXPIRY`] (the ProbeRTT stand-in): without
     /// expiry, a path change that raises the base RTT would leave the
@@ -114,7 +116,8 @@ impl Bbr {
             version,
             mss,
             mode: Mode::Startup,
-            bw_samples: Vec::with_capacity(BW_FILTER_LEN),
+            bw_samples: [0.0; BW_FILTER_LEN],
+            bw_len: 0,
             min_rtt: None,
             cwnd: init_cwnd.max(mss * super::MIN_CWND_SEGMENTS),
             init_cwnd: init_cwnd.max(mss * super::MIN_CWND_SEGMENTS),
@@ -141,14 +144,16 @@ impl Bbr {
 
     /// Bottleneck bandwidth estimate (bits/s).
     fn btlbw(&self) -> f64 {
-        self.bw_samples.iter().copied().fold(0.0, f64::max)
+        self.bw_samples[..self.bw_len].iter().copied().fold(0.0, f64::max)
     }
 
     fn push_bw(&mut self, bw: f64) {
-        if self.bw_samples.len() == BW_FILTER_LEN {
-            self.bw_samples.remove(0);
+        if self.bw_len == BW_FILTER_LEN {
+            self.bw_samples.copy_within(1.., 0);
+            self.bw_len -= 1;
         }
-        self.bw_samples.push(bw);
+        self.bw_samples[self.bw_len] = bw;
+        self.bw_len += 1;
     }
 
     fn bdp(&self) -> Bytes {
@@ -318,7 +323,7 @@ impl CongestionControl for Bbr {
                 // pre-cut window becomes the ceiling (probed back up
                 // only by loss-free probe phases) and the post-cut
                 // window the short-term floor.
-                for s in &mut self.bw_samples {
+                for s in &mut self.bw_samples[..self.bw_len] {
                     *s *= V3_BW_TRIM;
                 }
                 let pre = self.cwnd;
@@ -339,7 +344,7 @@ impl CongestionControl for Bbr {
         self.mode = Mode::Startup;
         self.full_bw = 0.0;
         self.full_bw_rounds = 0;
-        self.bw_samples.clear();
+        self.bw_len = 0;
         self.round_delivered = 0.0;
         self.round_start = now;
         self.inflight_hi = None;
@@ -370,10 +375,6 @@ impl CongestionControl for Bbr {
             BbrVersion::V1 => "bbr",
             BbrVersion::V3 => "bbr3",
         }
-    }
-
-    fn clone_box(&self) -> Box<dyn CongestionControl> {
-        Box::new(self.clone())
     }
 }
 

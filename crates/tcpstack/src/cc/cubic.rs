@@ -237,10 +237,6 @@ impl CongestionControl for Cubic {
     fn name(&self) -> &'static str {
         "cubic"
     }
-
-    fn clone_box(&self) -> Box<dyn CongestionControl> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -175,10 +175,6 @@ impl CongestionControl for Htcp {
     fn name(&self) -> &'static str {
         "htcp"
     }
-
-    fn clone_box(&self) -> Box<dyn CongestionControl> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

@@ -73,12 +73,12 @@ impl CcAlgorithm {
 
     /// Instantiate the algorithm. `mss` is the wire segment size,
     /// `init_cwnd` the initial window in bytes.
-    pub fn build(self, mss: Bytes, init_cwnd: Bytes) -> Box<dyn CongestionControl> {
+    pub fn build(self, mss: Bytes, init_cwnd: Bytes) -> Cc {
         match self {
-            CcAlgorithm::Cubic => Box::new(Cubic::new(mss, init_cwnd)),
-            CcAlgorithm::BbrV1 => Box::new(Bbr::v1(mss, init_cwnd)),
-            CcAlgorithm::BbrV3 => Box::new(Bbr::v3(mss, init_cwnd)),
-            CcAlgorithm::Htcp => Box::new(Htcp::new(mss, init_cwnd)),
+            CcAlgorithm::Cubic => Cc::Cubic(Cubic::new(mss, init_cwnd)),
+            CcAlgorithm::BbrV1 => Cc::Bbr(Bbr::v1(mss, init_cwnd)),
+            CcAlgorithm::BbrV3 => Cc::Bbr(Bbr::v3(mss, init_cwnd)),
+            CcAlgorithm::Htcp => Cc::Htcp(Htcp::new(mss, init_cwnd)),
         }
     }
 
@@ -155,16 +155,81 @@ pub trait CongestionControl: std::fmt::Debug + Send {
 
     /// Algorithm name.
     fn name(&self) -> &'static str;
-
-    /// Deep-copy the algorithm state behind the trait object, so the
-    /// whole sender (and therefore a running simulation) can be
-    /// snapshotted for checkpoint/resume.
-    fn clone_box(&self) -> Box<dyn CongestionControl>;
 }
 
-impl Clone for Box<dyn CongestionControl> {
-    fn clone(&self) -> Self {
-        self.clone_box()
+/// A built controller: one of the algorithms behind
+/// [`CongestionControl`], stored inline and dispatched by `match`.
+///
+/// A sender owns its controller by value, so building one allocates
+/// nothing and `Clone` is a plain deep copy (the checkpoint/resume
+/// snapshot of a running simulation).
+#[derive(Debug, Clone)]
+pub enum Cc {
+    /// CUBIC.
+    Cubic(Cubic),
+    /// BBRv1 or BBRv3 (the version lives in the state).
+    Bbr(Bbr),
+    /// H-TCP.
+    Htcp(Htcp),
+}
+
+/// Forward one call to whichever algorithm `$cc` holds.
+macro_rules! dispatch {
+    ($cc:expr, $c:ident => $call:expr) => {
+        match $cc {
+            Cc::Cubic($c) => $call,
+            Cc::Bbr($c) => $call,
+            Cc::Htcp($c) => $call,
+        }
+    };
+}
+
+impl CongestionControl for Cc {
+    #[inline]
+    fn on_ack(
+        &mut self,
+        acked: Bytes,
+        rtt: Option<SimDuration>,
+        now: SimTime,
+        inflight: Bytes,
+        cwnd_limited: bool,
+    ) {
+        dispatch!(self, c => c.on_ack(acked, rtt, now, inflight, cwnd_limited))
+    }
+
+    #[inline]
+    fn on_loss(&mut self, now: SimTime) {
+        dispatch!(self, c => c.on_loss(now))
+    }
+
+    #[inline]
+    fn on_rto(&mut self, now: SimTime) {
+        dispatch!(self, c => c.on_rto(now))
+    }
+
+    #[inline]
+    fn cwnd(&self) -> Bytes {
+        dispatch!(self, c => c.cwnd())
+    }
+
+    #[inline]
+    fn ssthresh(&self) -> Option<Bytes> {
+        dispatch!(self, c => c.ssthresh())
+    }
+
+    #[inline]
+    fn in_slow_start(&self) -> bool {
+        dispatch!(self, c => c.in_slow_start())
+    }
+
+    #[inline]
+    fn pacing_rate(&self, srtt: SimDuration) -> BitRate {
+        dispatch!(self, c => c.pacing_rate(srtt))
+    }
+
+    #[inline]
+    fn name(&self) -> &'static str {
+        dispatch!(self, c => c.name())
     }
 }
 

@@ -33,7 +33,7 @@ pub mod receiver;
 pub mod rtt;
 pub mod sender;
 
-pub use cc::{CcAlgorithm, CongestionControl};
+pub use cc::{Cc, CcAlgorithm, CongestionControl};
 pub use receiver::{AckInfo, TcpReceiver};
 pub use rtt::RttEstimator;
 pub use sender::{AckOutcome, SendSlot, TcpSender, TimerKind};

@@ -8,7 +8,6 @@
 //! separates a 6 MB stock ceiling from the paper's 2 GB tuned value.
 
 use simcore::Bytes;
-use std::collections::BTreeSet;
 
 /// The information carried by one ACK back to the sender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,8 +26,12 @@ pub struct TcpReceiver {
     burst: Bytes,
     /// Next expected in-order burst index.
     rcv_nxt: u64,
-    /// Bursts received above `rcv_nxt`.
-    ooo: BTreeSet<u64>,
+    /// Bursts received above `rcv_nxt`, as a bitmap ring: burst `idx`
+    /// is bit `idx % (64 · ooo.len())`. Every set bit lies in
+    /// `[rcv_nxt, rcv_nxt + 64 · ooo.len())`, and the word count is zero
+    /// or a power of two; the ring doubles when a burst lands past its
+    /// span and is never allocated while data arrives in order.
+    ooo: Vec<u64>,
     /// Receive-buffer ceiling (`tcp_rmem[2]`, bounded by what autotune
     /// will actually grant).
     rcv_buf: Bytes,
@@ -48,7 +51,7 @@ impl TcpReceiver {
         TcpReceiver {
             burst,
             rcv_nxt: 0,
-            ooo: BTreeSet::new(),
+            ooo: Vec::new(),
             rcv_buf,
             buffered: Bytes::ZERO,
             readable: 0,
@@ -56,10 +59,18 @@ impl TcpReceiver {
         }
     }
 
+    /// Reset to exactly the state [`TcpReceiver::new`] builds, keeping
+    /// the out-of-order ring's allocation for the next flow.
+    pub fn reinit(&mut self, burst: Bytes, rcv_buf: Bytes) {
+        let mut ooo = std::mem::take(&mut self.ooo);
+        ooo.fill(0);
+        *self = TcpReceiver { ooo, ..TcpReceiver::new(burst, rcv_buf) };
+    }
+
     /// A burst survived the NIC/softirq path. Returns the ACK to send.
     pub fn on_burst(&mut self, idx: u64) -> AckInfo {
         self.total_bursts += 1;
-        if idx < self.rcv_nxt || self.ooo.contains(&idx) {
+        if idx < self.rcv_nxt || self.ooo_holds(idx) {
             // Duplicate (spurious retransmit): ACK again, buffer nothing.
             return self.ack_for(idx);
         }
@@ -81,14 +92,65 @@ impl TcpReceiver {
             self.rcv_nxt += 1;
             self.readable += 1;
             // Pull any contiguous out-of-order data in.
-            while self.ooo.remove(&self.rcv_nxt) {
+            while self.ooo_take(self.rcv_nxt) {
                 self.rcv_nxt += 1;
                 self.readable += 1;
             }
         } else {
-            self.ooo.insert(idx);
+            self.ooo_insert(idx);
         }
         self.ack_for(idx)
+    }
+
+    /// Ring word and bit mask for burst `idx` (ring non-empty).
+    #[inline]
+    fn ooo_pos(&self, idx: u64) -> (usize, u64) {
+        let bit = idx & (self.ooo.len() as u64 * 64 - 1);
+        ((bit / 64) as usize, 1 << (bit % 64))
+    }
+
+    /// Is burst `idx` (at or above `rcv_nxt`) held out of order?
+    fn ooo_holds(&self, idx: u64) -> bool {
+        if idx - self.rcv_nxt >= self.ooo.len() as u64 * 64 {
+            return false;
+        }
+        let (w, m) = self.ooo_pos(idx);
+        self.ooo[w] & m != 0
+    }
+
+    /// Clear burst `idx`'s bit; returns whether it was set.
+    #[inline]
+    fn ooo_take(&mut self, idx: u64) -> bool {
+        if self.ooo.is_empty() {
+            return false;
+        }
+        let (w, m) = self.ooo_pos(idx);
+        let held = self.ooo[w] & m != 0;
+        self.ooo[w] &= !m;
+        held
+    }
+
+    /// Hold burst `idx` (above `rcv_nxt`), growing the ring to span it.
+    fn ooo_insert(&mut self, idx: u64) {
+        let off = idx - self.rcv_nxt;
+        let span = self.ooo.len() as u64 * 64;
+        if off >= span {
+            let words = ((off / 64 + 1) as usize).next_power_of_two().max(2 * self.ooo.len());
+            let mut grown = vec![0u64; words];
+            let new_mask = words as u64 * 64 - 1;
+            // Re-file every held burst: each lies in [rcv_nxt, rcv_nxt + span).
+            for k in 0..span {
+                let held = self.rcv_nxt + k;
+                let (w, m) = self.ooo_pos(held);
+                if self.ooo[w] & m != 0 {
+                    let bit = held & new_mask;
+                    grown[(bit / 64) as usize] |= 1 << (bit % 64);
+                }
+            }
+            self.ooo = grown;
+        }
+        let (w, m) = self.ooo_pos(idx);
+        self.ooo[w] |= m;
     }
 
     fn ack_for(&self, idx: u64) -> AckInfo {

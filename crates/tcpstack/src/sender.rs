@@ -7,7 +7,7 @@
 //! episode* — the congestion window is reduced once per episode, not
 //! once per lost burst. An expired RTO collapses to slow start.
 
-use crate::cc::CongestionControl;
+use crate::cc::{Cc, CongestionControl};
 use crate::rtt::RttEstimator;
 use simcore::{Bytes, SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -59,7 +59,7 @@ struct Outstanding {
 /// Sender state for one flow.
 #[derive(Clone)]
 pub struct TcpSender {
-    cc: Box<dyn CongestionControl>,
+    cc: Cc,
     /// RTT estimator (public: the simulator reads srtt/rto from it).
     pub rtt: RttEstimator,
     burst: Bytes,
@@ -132,7 +132,7 @@ impl TcpSender {
     /// `initial_rwnd` is the peer's first advertised window; `wmem_max`
     /// bounds the send buffer (`tcp_wmem[2]`).
     pub fn new(
-        cc: Box<dyn CongestionControl>,
+        cc: Cc,
         burst: Bytes,
         mtu: Bytes,
         wmem_max: Bytes,
@@ -146,7 +146,9 @@ impl TcpSender {
             mtu,
             snd_una: 0,
             snd_nxt: 0,
-            outstanding: VecDeque::with_capacity(64),
+            // Unsized until the first send: a recycled sender keeps
+            // whatever capacity its earlier flows grew (see `reinit`).
+            outstanding: VecDeque::new(),
             retx_queue: VecDeque::new(),
             inflight_bursts: 0,
             high_sacked: 0,
@@ -167,6 +169,22 @@ impl TcpSender {
             flow_bursts: None,
             bursts_written: 0,
         }
+    }
+
+    /// Reset to exactly the state [`TcpSender::new`] builds from these
+    /// arguments, keeping the scoreboard's and retransmit queue's
+    /// allocations, so a recycled flow slot starts a new flow without
+    /// touching the heap.
+    pub fn reinit(&mut self, cc: Cc, burst: Bytes, mtu: Bytes, wmem_max: Bytes, initial_rwnd: Bytes) {
+        let mut outstanding = std::mem::take(&mut self.outstanding);
+        let mut retx_queue = std::mem::take(&mut self.retx_queue);
+        outstanding.clear();
+        retx_queue.clear();
+        *self = TcpSender {
+            outstanding,
+            retx_queue,
+            ..TcpSender::new(cc, burst, mtu, wmem_max, initial_rwnd)
+        };
     }
 
     /// Make this a finite flow of exactly `bursts` application bursts.
@@ -531,7 +549,7 @@ impl TcpSender {
 
     /// Access the congestion controller.
     pub fn cc(&self) -> &dyn CongestionControl {
-        self.cc.as_ref()
+        &self.cc
     }
 
     /// Current pacing rate from the congestion controller.

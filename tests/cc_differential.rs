@@ -19,7 +19,7 @@
 use dtnperf::prelude::*;
 use dtnperf::simcore::SimRng;
 use dtnperf::tcpstack::cc::MIN_CWND_SEGMENTS;
-use dtnperf::tcpstack::CongestionControl;
+use dtnperf::tcpstack::{Cc, CongestionControl};
 
 const CASES: u64 = 16;
 const STEPS: usize = 400;
@@ -100,7 +100,7 @@ fn apply(cc: &mut dyn CongestionControl, steps: &[Step], label: &str) -> Vec<u64
     traj
 }
 
-fn build_all() -> Vec<(CcAlgorithm, Box<dyn CongestionControl>)> {
+fn build_all() -> Vec<(CcAlgorithm, Cc)> {
     CcAlgorithm::ALL
         .iter()
         .map(|&alg| (alg, alg.build(Bytes::new(MSS), Bytes::new(MSS * 10))))
@@ -114,7 +114,7 @@ fn invariants_hold_under_randomized_loss_schedules() {
     for case in 0..CASES {
         let steps = draw_schedule(0xD1FF, case, true);
         for (alg, mut cc) in build_all() {
-            apply(cc.as_mut(), &steps, &format!("{alg} case {case}"));
+            apply(&mut cc, &steps, &format!("{alg} case {case}"));
         }
     }
 }
@@ -126,8 +126,8 @@ fn trajectories_are_deterministic_across_reruns() {
         let steps = draw_schedule(0x5EED, case, true);
         for (alg, mut a) in build_all() {
             let mut b = alg.build(Bytes::new(MSS), Bytes::new(MSS * 10));
-            let ta = apply(a.as_mut(), &steps, &format!("{alg} A"));
-            let tb = apply(b.as_mut(), &steps, &format!("{alg} B"));
+            let ta = apply(&mut a, &steps, &format!("{alg} A"));
+            let tb = apply(&mut b, &steps, &format!("{alg} B"));
             assert_eq!(ta, tb, "{alg} case {case}: trajectories diverge");
         }
     }
@@ -145,7 +145,7 @@ fn pure_ack_trains_respond_monotonically()
         let steps = draw_schedule(0xACC5, case, false);
         for (alg, mut cc) in build_all() {
             let init = cc.cwnd().as_u64();
-            let traj = apply(cc.as_mut(), &steps, &format!("{alg} case {case}"));
+            let traj = apply(&mut cc, &steps, &format!("{alg} case {case}"));
             match alg {
                 CcAlgorithm::Cubic | CcAlgorithm::Htcp => {
                     for (i, pair) in traj.windows(2).enumerate() {
@@ -194,8 +194,8 @@ fn doubled_ack_volume_never_shrinks_the_window() {
         let alg = CcAlgorithm::Htcp;
         let mut a = alg.build(Bytes::new(MSS), Bytes::new(MSS * 10));
         let mut b = alg.build(Bytes::new(MSS), Bytes::new(MSS * 10));
-        let wa = *apply(a.as_mut(), &steps, "base").last().unwrap();
-        let wb = *apply(b.as_mut(), &doubled, "doubled").last().unwrap();
+        let wa = *apply(&mut a, &steps, "base").last().unwrap();
+        let wb = *apply(&mut b, &doubled, "doubled").last().unwrap();
         assert!(
             wb >= wa,
             "{alg} case {case}: doubling acked bytes shrank cwnd {wa} -> {wb}"
