@@ -104,3 +104,57 @@ fn observers_do_not_perturb_traffic() {
         }
     }
 }
+
+/// FNV-1a digests of the observer outputs with telemetry and
+/// attribution both on: `(case, [telemetry, attribution,
+/// cpu_intervals, sender_cpu, receiver_cpu])`. Every field is hashed
+/// from its `{:?}` rendering, so any change to a sampled value, a
+/// verdict, a stage profile or an f64 utilisation shows up here.
+const OBSERVER_DIGESTS: [(&str, [u64; 5]); 2] = [
+    (
+        "amlight_lan_user_checksum",
+        [
+            0x3528c60b43e54fbc,
+            0x8b7160182070cb4b,
+            0x0a1f157718155589,
+            0x06001e5938a599ee,
+            0x6137601efb14625e,
+        ],
+    ),
+    (
+        "esnet_lan_single_stream",
+        [
+            0xfb37692111645045,
+            0x1d4fb1e0610cb302,
+            0xf795d9346de3b1a2,
+            0x4d63b7953eff635d,
+            0x042cccdcce5cd803,
+        ],
+    ),
+];
+
+fn observer_digests(r: &RunResult) -> [u64; 5] {
+    let digest = |s: String| simcore::fnv1a_64(s.as_bytes());
+    [
+        digest(format!("{:?}", r.telemetry)),
+        digest(format!("{:?}", r.attribution)),
+        digest(format!("{:?}", r.cpu_intervals)),
+        digest(format!("{:?}", r.sender_cpu)),
+        digest(format!("{:?}", r.receiver_cpu)),
+    ]
+}
+
+#[test]
+fn observer_outputs_match_pinned_digests() {
+    let mut observed = Vec::new();
+    for case in cases() {
+        let workload =
+            case.workload.clone().with_telemetry(SimDuration::from_secs(1)).with_attribution();
+        observed.push((case.name, observer_digests(&run(&case, workload))));
+    }
+    assert_eq!(
+        observed.as_slice(),
+        OBSERVER_DIGESTS.as_slice(),
+        "observer outputs changed; observed {observed:#x?}"
+    );
+}
