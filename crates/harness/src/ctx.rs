@@ -1,10 +1,11 @@
 //! The run context: everything the environment used to leak into
 //! arbitrary call sites, resolved once at harness entry.
 //!
-//! `Effort::from_env`, `REPRO_CACHE_DIR`, `REPRO_JOBS`, `REPRO_CHAOS`
-//! and `REPRO_CHECKPOINT_EVERY` are read exactly once — by
+//! `Effort::from_env`, `REPRO_CACHE_DIR`, `REPRO_CHAOS` and
+//! `REPRO_CHECKPOINT_EVERY` are read exactly once — by
 //! [`RunCtx::from_env`] in the `repro` binary — and threaded explicitly
-//! from there. `REPRO_METRICS` names a directory the hub creates, so
+//! from there. `REPRO_JOBS` sizes the process-wide scheduler gate
+//! (`sched::global_gate`) on its first use. `REPRO_METRICS` names a directory the hub creates, so
 //! `repro` resolves it itself, after parsing its arguments. Tests
 //! build a [`RunCtx`] directly and never touch process-global
 //! environment variables, which would race across test threads under
@@ -15,7 +16,6 @@ use crate::chaos::ChaosPlan;
 use crate::effort::Effort;
 use crate::metrics::MetricsHub;
 use crate::runner::TestHarness;
-use crate::sched;
 use crate::supervise::{ErrorBudget, Supervisor};
 use std::sync::Arc;
 
@@ -24,9 +24,6 @@ use std::sync::Arc;
 pub struct RunCtx {
     /// Simulation effort (repetitions and durations).
     pub effort: Effort,
-    /// Concurrency bound for the process-wide scheduler gate (display
-    /// only here; the gate itself is sized on first use).
-    pub jobs: usize,
     /// Content-addressed report cache (`REPRO_CACHE_DIR`).
     pub cache: Option<Arc<RunCache>>,
     /// Harness-level fault injection (`REPRO_CHAOS=<seed>`).
@@ -51,7 +48,6 @@ impl RunCtx {
     pub fn new(effort: Effort) -> Self {
         RunCtx {
             effort,
-            jobs: sched::jobs_from_env(),
             cache: None,
             chaos: None,
             budget: None,
@@ -60,7 +56,7 @@ impl RunCtx {
         }
     }
 
-    /// Resolve the environment once: `REPRO_EFFORT`, `REPRO_JOBS`,
+    /// Resolve the environment once: `REPRO_EFFORT`,
     /// `REPRO_CACHE_DIR`, `REPRO_CHAOS`, `REPRO_CHECKPOINT_EVERY`. The
     /// metrics hub stays unset: building one creates its directory.
     pub fn from_env() -> Self {
@@ -78,7 +74,6 @@ impl RunCtx {
             .unwrap_or(0);
         RunCtx {
             effort: Effort::from_env(),
-            jobs: sched::jobs_from_env(),
             cache: RunCache::from_env().map(Arc::new),
             chaos: ChaosPlan::from_env().map(Arc::new),
             budget: None,

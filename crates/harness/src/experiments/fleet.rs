@@ -211,7 +211,8 @@ fn sane(res: &FleetResult) -> bool {
         && res.health.slab_slots == res.health.free_slots
 }
 
-/// Run the three profiles (concurrently when jobs allow — each run is
+/// Run the three profiles (each one a leaf job holding a scheduler-gate
+/// permit, so at most `REPRO_JOBS` simulations run at once; each run is
 /// single-threaded and seeded from its profile fingerprint, so results
 /// are bit-identical at any `REPRO_JOBS`) and render one row per
 /// profile plus the golden-shape verdict rows.
@@ -225,7 +226,8 @@ pub fn fleet(ctx: &RunCtx) -> TableData {
     );
     let profs = profiles(ctx.effort);
     let n = profs.len();
-    let results = sched::run_tasks(ctx.jobs > 1, n, |i| run_profile(ctx, profs[i].clone()));
+    let results =
+        sched::run_batch(sched::global_gate(), n, |i| run_profile(ctx, profs[i].clone()));
     for res in results.iter().flatten() {
         let ok = sane(res);
         if !ok {

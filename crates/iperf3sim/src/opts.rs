@@ -121,7 +121,7 @@ impl Iperf3Opts {
         self
     }
 
-    /// Builder: enable bottleneck attribution (per-stage cycle ledgers
+    /// Builder: enable bottleneck attribution (per-stage cycle profiles
     /// and per-interval limiting-factor verdicts).
     pub fn attribution(mut self) -> Self {
         self.attribution = true;

@@ -16,7 +16,7 @@
 //! * [`qdisc`] — fq pacing (explicit `--fq-rate` or TCP auto-pacing).
 //! * [`costmodel`] — CPU cycle costs per burst for each stage of the
 //!   stack, per kernel and architecture; the heart of the simulation.
-//! * [`mpstat`] — per-core-group utilisation accounting.
+//! * [`mpstat`] — `mpstat`-style per-core utilisation reports.
 //! * [`hostcfg`] — the combined host configuration (a "DTN build sheet").
 //! * [`virt`] — bare-metal vs PCI-passthrough VM (§III-H).
 //! * [`calib`] — every calibrated constant, each documented with the
@@ -48,7 +48,7 @@ pub use costmodel::{CostModel, Stage, TxMode, COST_MODEL_VERSION};
 pub use cpu::{CoreAllocation, CpuArch};
 pub use hostcfg::HostConfig;
 pub use kernel::KernelVersion;
-pub use mpstat::{CoreGroup, CpuAccounting, CpuReport};
+pub use mpstat::CpuReport;
 pub use offload::{AddrFamily, OffloadConfig};
 pub use qdisc::Pacer;
 pub use sysctl::{Qdisc, SysctlConfig};

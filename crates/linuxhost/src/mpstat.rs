@@ -1,4 +1,4 @@
-//! Per-core CPU accounting, reported like `mpstat`.
+//! Per-core CPU utilisation, reported like `mpstat`.
 //!
 //! The paper's harness runs `mpstat` alongside iperf3 and aggregates
 //! "TX/RX Cores": the utilisation of the cores used by the benchmark
@@ -7,78 +7,6 @@
 
 use simcore::{SimDuration, SimTime};
 use std::fmt;
-
-/// The role a core plays during a test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CoreGroup {
-    /// Runs the benchmark application (iperf3 thread).
-    App,
-    /// Handles NIC interrupts / softirq.
-    Irq,
-    /// Shared between app and IRQ work (bad affinity).
-    Shared,
-}
-
-/// Busy-time accounting over a set of cores.
-#[derive(Debug, Clone)]
-pub struct CpuAccounting {
-    groups: Vec<CoreGroup>,
-    busy: Vec<SimDuration>,
-}
-
-impl CpuAccounting {
-    /// New accounting: one entry per core with its group label.
-    pub fn new(groups: Vec<CoreGroup>) -> Self {
-        let n = groups.len();
-        CpuAccounting { groups, busy: vec![SimDuration::ZERO; n] }
-    }
-
-    /// Record `dur` of busy time on core `idx`.
-    pub fn add_busy(&mut self, idx: usize, dur: SimDuration) {
-        self.busy[idx] += dur;
-    }
-
-    /// Number of cores tracked.
-    pub fn num_cores(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Total busy time on one core.
-    pub fn busy(&self, idx: usize) -> SimDuration {
-        self.busy[idx]
-    }
-
-    /// Produce a report over the elapsed window `[start, end)`.
-    pub fn report(&self, start: SimTime, end: SimTime) -> CpuReport {
-        let elapsed = end.saturating_since(start);
-        let util = |idx: usize| {
-            if elapsed.is_zero() {
-                0.0
-            } else {
-                100.0 * self.busy[idx].as_secs_f64() / elapsed.as_secs_f64()
-            }
-        };
-        let mut app_pct = 0.0;
-        let mut irq_pct = 0.0;
-        let mut per_core = Vec::with_capacity(self.groups.len());
-        let mut peak = 0.0f64;
-        for (idx, group) in self.groups.iter().enumerate() {
-            let u = util(idx);
-            per_core.push(u);
-            peak = peak.max(u);
-            match group {
-                CoreGroup::App => app_pct += u,
-                CoreGroup::Irq => irq_pct += u,
-                CoreGroup::Shared => {
-                    // Attribute half to each for group totals.
-                    app_pct += u / 2.0;
-                    irq_pct += u / 2.0;
-                }
-            }
-        }
-        CpuReport { per_core, app_pct, irq_pct, peak_core_pct: peak }
-    }
-}
 
 /// An `mpstat`-style utilisation report.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,6 +22,38 @@ pub struct CpuReport {
 }
 
 impl CpuReport {
+    /// The report over the window `[start, end)`, from two per-core
+    /// busy-time vectors read at its two ends. Cores `0..n_app` run
+    /// the application and the rest handle IRQs.
+    pub fn between(
+        n_app: usize,
+        at_start: &[SimDuration],
+        at_end: &[SimDuration],
+        start: SimTime,
+        end: SimTime,
+    ) -> CpuReport {
+        let elapsed = end.saturating_since(start);
+        let mut app_pct = 0.0;
+        let mut irq_pct = 0.0;
+        let mut per_core = Vec::with_capacity(at_end.len());
+        let mut peak = 0.0f64;
+        for (idx, (now, mark)) in at_end.iter().zip(at_start).enumerate() {
+            let u = if elapsed.is_zero() {
+                0.0
+            } else {
+                100.0 * now.saturating_sub(*mark).as_secs_f64() / elapsed.as_secs_f64()
+            };
+            per_core.push(u);
+            peak = peak.max(u);
+            if idx < n_app {
+                app_pct += u;
+            } else {
+                irq_pct += u;
+            }
+        }
+        CpuReport { per_core, app_pct, irq_pct, peak_core_pct: peak }
+    }
+
     /// The paper's "TX/RX Cores" metric: app + IRQ cores together
     /// (may exceed 100 %).
     pub fn combined_pct(&self) -> f64 {
@@ -128,12 +88,18 @@ impl fmt::Display for CpuReport {
 mod tests {
     use super::*;
 
+    fn ms(v: &[u64]) -> Vec<SimDuration> {
+        v.iter().map(|&m| SimDuration::from_millis(m)).collect()
+    }
+
+    fn one_second(busy: &[u64]) -> CpuReport {
+        let zero = vec![SimDuration::ZERO; busy.len()];
+        CpuReport::between(1, &zero, &ms(busy), SimTime::ZERO, SimTime::from_secs_f64(1.0))
+    }
+
     #[test]
     fn utilisation_math() {
-        let mut acct = CpuAccounting::new(vec![CoreGroup::App, CoreGroup::Irq]);
-        acct.add_busy(0, SimDuration::from_millis(500));
-        acct.add_busy(1, SimDuration::from_millis(250));
-        let r = acct.report(SimTime::ZERO, SimTime::from_secs_f64(1.0));
+        let r = one_second(&[500, 250]);
         assert!((r.per_core[0] - 50.0).abs() < 1e-9);
         assert!((r.per_core[1] - 25.0).abs() < 1e-9);
         assert!((r.app_pct - 50.0).abs() < 1e-9);
@@ -144,38 +110,17 @@ mod tests {
 
     #[test]
     fn combined_can_exceed_100() {
-        let mut acct = CpuAccounting::new(vec![CoreGroup::App, CoreGroup::Irq]);
-        acct.add_busy(0, SimDuration::from_millis(990));
-        acct.add_busy(1, SimDuration::from_millis(800));
-        let r = acct.report(SimTime::ZERO, SimTime::from_secs_f64(1.0));
+        let r = one_second(&[990, 800]);
         assert!(r.combined_pct() > 150.0);
         assert!((r.peak_core_pct - 99.0).abs() < 1e-9);
     }
 
     #[test]
-    fn shared_cores_split_between_groups() {
-        let mut acct = CpuAccounting::new(vec![CoreGroup::Shared]);
-        acct.add_busy(0, SimDuration::from_millis(600));
-        let r = acct.report(SimTime::ZERO, SimTime::from_secs_f64(1.0));
-        assert!((r.app_pct - 30.0).abs() < 1e-9);
-        assert!((r.irq_pct - 30.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn zero_window_is_safe() {
-        let acct = CpuAccounting::new(vec![CoreGroup::App]);
-        let r = acct.report(SimTime::ZERO, SimTime::ZERO);
+        let r = CpuReport::between(1, &ms(&[0]), &ms(&[10]), SimTime::ZERO, SimTime::ZERO);
         assert_eq!(r.app_pct, 0.0);
+        assert_eq!(r.per_core, vec![0.0]);
         let z = CpuReport::zero(3);
         assert_eq!(z.per_core.len(), 3);
-    }
-
-    #[test]
-    fn accumulation_over_multiple_adds() {
-        let mut acct = CpuAccounting::new(vec![CoreGroup::App]);
-        for _ in 0..10 {
-            acct.add_busy(0, SimDuration::from_millis(10));
-        }
-        assert_eq!(acct.busy(0), SimDuration::from_millis(100));
     }
 }

@@ -6,10 +6,11 @@
 //! the copy", "zerocopy shifts the bottleneck to the receiver",
 //! "without flow control the switch buffer overflows"), read off
 //! `mpstat` and `perf` on the real hosts. This module is the
-//! simulator's machine-checkable version of that reading: when
-//! [`crate::WorkloadSpec::attribution`] is on, each host keeps a
-//! per-core, per-stage [`simcore::CycleLedger`], and on every interval
-//! tick the runner feeds an [`IntervalObs`] — stage-ledger deltas,
+//! simulator's machine-checkable version of that reading. Each host
+//! keeps a per-core, per-stage [`simcore::CycleLedger`] (its only CPU
+//! account, also behind the `mpstat` reports); when
+//! [`crate::WorkloadSpec::attribution`] is on, on every interval tick
+//! the runner feeds an [`IntervalObs`] — per-core busy deltas,
 //! drop/pause counter deltas, the sender's cwnd-limited signal and the
 //! delivered rate — through [`classify`] to produce one
 //! [`LimitingFactor`] verdict per interval. The whole run rolls up

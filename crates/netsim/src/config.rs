@@ -46,11 +46,11 @@ pub struct WorkloadSpec {
     /// §III-G). `None` (the default) disables sampling entirely: no
     /// tick event is scheduled and nothing allocates.
     pub telemetry: Option<SimDuration>,
-    /// Bottleneck attribution: per-stage cycle ledgers on both hosts
-    /// plus a per-interval limiting-factor verdict (the simulator's
-    /// `perf` + diagnosis pass). Off by default; enabling it never
-    /// changes traffic — an attributed run is bit-identical to an
-    /// unattributed one with the same seed.
+    /// Bottleneck attribution: a per-interval limiting-factor verdict
+    /// plus whole-run stage profiles read off both hosts' cycle ledgers
+    /// (the simulator's `perf` + diagnosis pass). Off by default;
+    /// enabling it never changes traffic — an attributed run is
+    /// bit-identical to an unattributed one with the same seed.
     pub attribution: bool,
 }
 
@@ -142,7 +142,7 @@ impl WorkloadSpec {
         self
     }
 
-    /// Builder: enable bottleneck attribution (stage ledgers +
+    /// Builder: enable bottleneck attribution (stage profiles +
     /// per-interval limiting-factor verdicts).
     pub fn with_attribution(mut self) -> Self {
         self.attribution = true;

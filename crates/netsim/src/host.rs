@@ -6,7 +6,7 @@
 //! app/IRQ collisions and cross-NUMA penalties — when `irqbalance` is
 //! left on (the §III-A variance).
 
-use linuxhost::{calib, CoreGroup, CostModel, CpuAccounting, CpuReport, HostConfig, Stage};
+use linuxhost::{calib, CostModel, CpuReport, HostConfig, Stage};
 use nethw::RxRing;
 use simcore::{Bytes, CycleLedger, SimDuration, SimRng, SimTime};
 
@@ -33,10 +33,7 @@ pub struct SimHost {
     /// The host's cost model.
     pub cost: CostModel,
     cores: Vec<CoreServer>,
-    groups: Vec<CoreGroup>,
-    accounting: CpuAccounting,
     fabric: CoreServer,
-    fabric_busy: SimDuration,
     nic_egress: CoreServer,
     nic_rate: simcore::BitRate,
     /// RX ring (receiver role).
@@ -44,27 +41,23 @@ pub struct SimHost {
     placements: Vec<FlowPlacement>,
     /// Application cores occupy indices `0..n_app` (IRQ cores follow).
     n_app: usize,
-    /// Per-core, per-stage busy ledger; `Some` only when the workload
-    /// enables bottleneck attribution. The fabric is booked as a
-    /// pseudo-core at index `cores.len()`. Charging is strictly
-    /// additive bookkeeping — it never alters service or completion
-    /// times — so instrumented runs stay bit-identical.
-    ledger: Option<CycleLedger>,
+    /// Per-core, per-stage busy ledger: the host's only CPU account,
+    /// read by `mpstat`-style reports and attribution alike. The
+    /// fabric is booked as a pseudo-core at index `cores.len()`.
+    /// Charging is strictly additive bookkeeping — it never alters
+    /// service or completion times.
+    ledger: CycleLedger,
 }
 
 impl SimHost {
     /// Build a host for `num_flows` flows, using `rng` for stochastic
-    /// placement when irqbalance is on. `attribution` allocates the
-    /// per-core, per-stage cycle ledger (off = zero cost: the option
-    /// stays `None` and every charge site is a single branch).
-    pub fn new(cfg: &HostConfig, num_flows: usize, attribution: bool, rng: &mut SimRng) -> Self {
+    /// placement when irqbalance is on.
+    pub fn new(cfg: &HostConfig, num_flows: usize, rng: &mut SimRng) -> Self {
         let cost = CostModel::new(cfg);
         let alloc = &cfg.cores;
         // Core index space: 0..n_app are app cores, n_app.. are IRQ cores.
         let n_app = alloc.app_cores.len();
         let n_irq = alloc.irq_cores.len();
-        let mut groups = vec![CoreGroup::App; n_app];
-        groups.extend(vec![CoreGroup::Irq; n_irq]);
 
         let mut placements = Vec::with_capacity(num_flows);
         for f in 0..num_flows {
@@ -98,17 +91,13 @@ impl SimHost {
         SimHost {
             cost,
             cores: vec![CoreServer::default(); n_app + n_irq],
-            accounting: CpuAccounting::new(groups.clone()),
-            groups,
             fabric: CoreServer::default(),
-            fabric_busy: SimDuration::ZERO,
             nic_egress: CoreServer::default(),
             nic_rate: cfg.nic.effective_rate(),
             ring: RxRing::new(cfg.effective_ring_entries(), mtu),
             placements,
             n_app,
-            ledger: attribution
-                .then(|| CycleLedger::new(n_app + n_irq + 1, Stage::COUNT)),
+            ledger: CycleLedger::new(n_app + n_irq + 1, Stage::COUNT),
         }
     }
 
@@ -116,10 +105,7 @@ impl SimHost {
         let start = self.cores[core].next_free.max(now);
         let done = start + svc;
         self.cores[core].next_free = done;
-        self.accounting.add_busy(core, svc);
-        if let Some(ledger) = &mut self.ledger {
-            ledger.charge(core, stage.index(), svc);
-        }
+        self.ledger.charge(core, stage.index(), svc);
         done
     }
 
@@ -140,10 +126,7 @@ impl SimHost {
     /// (lightweight work like ACK processing).
     pub fn charge_irq(&mut self, flow: usize, svc: SimDuration, stage: Stage) {
         let p = self.placements[flow];
-        self.accounting.add_busy(p.irq_core, svc);
-        if let Some(ledger) = &mut self.ledger {
-            ledger.charge(p.irq_core, stage.index(), svc);
-        }
+        self.ledger.charge(p.irq_core, stage.index(), svc);
     }
 
     /// Queue a burst on the host fabric (shared memory/DMA bandwidth),
@@ -152,10 +135,7 @@ impl SimHost {
         let start = self.fabric.next_free.max(now);
         let done = start + svc;
         self.fabric.next_free = done;
-        self.fabric_busy += svc;
-        if let Some(ledger) = &mut self.ledger {
-            ledger.charge(self.cores.len(), stage.index(), svc);
-        }
+        self.ledger.charge(self.cores.len(), stage.index(), svc);
         done
     }
 
@@ -174,36 +154,31 @@ impl SimHost {
         self.nic_rate
     }
 
-    /// CPU report over a window.
-    pub fn cpu_report(&self, start: SimTime, end: SimTime) -> CpuReport {
-        self.accounting.report(start, end)
+    /// Overwrite `out` with each CPU core's total busy time (the
+    /// fabric pseudo-core excluded): one end of a [`SimHost::cpu_report`]
+    /// window.
+    pub fn busy_into(&self, out: &mut Vec<SimDuration>) {
+        out.clear();
+        out.extend((0..self.cores.len()).map(|core| self.ledger.core_total(core)));
     }
 
-    /// Snapshot of per-core busy time (for omit-window subtraction).
-    pub fn busy_snapshot(&self) -> Vec<SimDuration> {
-        (0..self.accounting.num_cores()).map(|i| self.accounting.busy(i)).collect()
-    }
-
-    /// CPU report over `[start, end)` excluding busy time recorded
-    /// before `snapshot` was taken.
-    pub fn cpu_report_since(
+    /// `mpstat` over `[start, end)`, from [`SimHost::busy_into`] reads
+    /// taken at its two ends.
+    pub fn cpu_report(
         &self,
-        snapshot: &[SimDuration],
+        at_start: &[SimDuration],
+        at_end: &[SimDuration],
         start: SimTime,
         end: SimTime,
     ) -> CpuReport {
-        let mut acct = CpuAccounting::new(self.groups.clone());
-        for (i, snap) in snapshot.iter().enumerate() {
-            acct.add_busy(i, self.accounting.busy(i).saturating_sub(*snap));
-        }
-        acct.report(start, end)
+        CpuReport::between(self.n_app, at_start, at_end, start, end)
     }
 
-    /// The per-core, per-stage busy ledger, when attribution is on.
-    /// Core indices `0..app_core_count()` are app cores, then IRQ
-    /// cores, with the fabric pseudo-core last.
-    pub fn ledger(&self) -> Option<&CycleLedger> {
-        self.ledger.as_ref()
+    /// The per-core, per-stage busy ledger. Core indices
+    /// `0..app_core_count()` are app cores, then IRQ cores, with the
+    /// fabric pseudo-core last.
+    pub fn ledger(&self) -> &CycleLedger {
+        &self.ledger
     }
 
     /// Number of application cores (ledger index prefix).
@@ -237,7 +212,13 @@ mod tests {
     fn host(flows: usize) -> SimHost {
         let cfg = HostConfig::esnet_amd(KernelVersion::L6_8);
         let mut rng = SimRng::seed_from_u64(1);
-        SimHost::new(&cfg, flows, false, &mut rng)
+        SimHost::new(&cfg, flows, &mut rng)
+    }
+
+    fn busy(h: &SimHost) -> Vec<SimDuration> {
+        let mut out = Vec::new();
+        h.busy_into(&mut out);
+        out
     }
 
     #[test]
@@ -270,7 +251,7 @@ mod tests {
             KernelVersion::L5_15,
         );
         let mut rng = SimRng::seed_from_u64(7);
-        let h = SimHost::new(&cfg, 16, false, &mut rng);
+        let h = SimHost::new(&cfg, 16, &mut rng);
         let penalties: Vec<f64> = (0..16).map(|f| h.placements[f].placement_penalty).collect();
         assert!(penalties.iter().any(|&p| p > 1.0), "some flows must be penalised");
         let spread = penalties.iter().cloned().fold(f64::MIN, f64::max)
@@ -301,34 +282,38 @@ mod tests {
     #[test]
     fn cpu_report_reflects_service() {
         let mut h = host(1);
+        let start = busy(&h);
         h.serve_app(0, SimTime::ZERO, SimDuration::from_millis(500), Stage::TxApp);
         h.serve_irq(0, SimTime::ZERO, SimDuration::from_millis(250), Stage::TxSoftirq);
-        let r = h.cpu_report(SimTime::ZERO, SimTime::from_secs_f64(1.0));
+        let r = h.cpu_report(&start, &busy(&h), SimTime::ZERO, SimTime::from_secs_f64(1.0));
         assert!((r.app_pct - 50.0).abs() < 1e-6);
         assert!((r.irq_pct - 25.0).abs() < 1e-6);
     }
 
     #[test]
-    fn cpu_report_since_subtracts_warmup() {
+    fn cpu_report_subtracts_warmup() {
         let mut h = host(1);
         h.serve_app(0, SimTime::ZERO, SimDuration::from_millis(100), Stage::TxApp);
-        let snap = h.busy_snapshot();
+        let snap = busy(&h);
         h.serve_app(0, SimTime::from_secs_f64(1.0), SimDuration::from_millis(300), Stage::TxApp);
-        let r = h.cpu_report_since(&snap, SimTime::from_secs_f64(1.0), SimTime::from_secs_f64(2.0));
+        let r = h.cpu_report(
+            &snap,
+            &busy(&h),
+            SimTime::from_secs_f64(1.0),
+            SimTime::from_secs_f64(2.0),
+        );
         assert!((r.app_pct - 30.0).abs() < 1e-6, "got {}", r.app_pct);
     }
 
     #[test]
-    fn ledger_tracks_stage_and_agrees_with_accounting() {
-        let cfg = HostConfig::esnet_amd(KernelVersion::L6_8);
-        let mut rng = SimRng::seed_from_u64(1);
-        let mut h = SimHost::new(&cfg, 1, true, &mut rng);
+    fn ledger_tracks_stage_and_busy_excludes_fabric() {
+        let mut h = host(1);
         h.serve_app(0, SimTime::ZERO, SimDuration::from_micros(10), Stage::TxApp);
         h.serve_app(0, SimTime::ZERO, SimDuration::from_micros(4), Stage::Checksum);
         h.serve_irq(0, SimTime::ZERO, SimDuration::from_micros(6), Stage::TxSoftirq);
         h.charge_irq(0, SimDuration::from_micros(1), Stage::Ack);
         h.serve_fabric(SimTime::ZERO, SimDuration::from_micros(3), Stage::FabricTx);
-        let ledger = h.ledger().expect("attribution on");
+        let ledger = h.ledger();
         // Stage cells land where they were charged.
         assert_eq!(ledger.busy(0, Stage::TxApp.index()), SimDuration::from_micros(10));
         assert_eq!(ledger.busy(0, Stage::Checksum.index()), SimDuration::from_micros(4));
@@ -338,21 +323,18 @@ mod tests {
         // Fabric books on the pseudo-core past all CPU cores.
         let fabric = h.app_core_count() + h.irq_core_count();
         assert_eq!(ledger.busy(fabric, Stage::FabricTx.index()), SimDuration::from_micros(3));
-        // Ledger core totals agree exactly with the mpstat accounting
-        // for every real core (the fabric exists only in the ledger).
-        let acct = h.busy_snapshot();
-        for (core, busy) in acct.iter().enumerate() {
-            assert_eq!(ledger.core_total(core), *busy, "core {core}");
+        // The mpstat read-out is the ledger's per-core totals over the
+        // real cores only.
+        let busy = busy(&h);
+        assert_eq!(busy.len(), fabric);
+        for (core, total) in busy.iter().enumerate() {
+            assert_eq!(ledger.core_total(core), *total, "core {core}");
         }
+        assert_eq!(busy[0], SimDuration::from_micros(14));
+        assert_eq!(busy[irq_core], SimDuration::from_micros(7));
         assert_eq!(h.core_role(0), "app0");
         assert_eq!(h.core_role(irq_core), "irq0");
         assert_eq!(h.core_role(fabric), "fabric");
-    }
-
-    #[test]
-    fn ledger_absent_when_attribution_off() {
-        let h = host(1);
-        assert!(h.ledger().is_none());
     }
 
     #[test]

@@ -91,10 +91,11 @@ struct FlowState {
 /// every event, packed structure-of-arrays style into `Runner::hot`
 /// (parallel to `Runner::flows`). A [`FlowState`] spans several cache
 /// lines of mostly-cold protocol and config state; splitting the
-/// per-event flags and counters into this 40-byte record keeps the
-/// whole fleet's hot state resident (256 flows ≈ 10 KiB) instead of
-/// striding across the big structs. `hot[f]` always pairs with
-/// `flows[f]`; both clone together for checkpoints.
+/// per-event flags and counters into this 24-byte record keeps the
+/// whole fleet's hot state resident (256 flows ≈ 6 KiB) instead of
+/// striding across the big structs. Observer marks live in
+/// [`Snapshot`]s, not here. `hot[f]` always pairs with `flows[f]`;
+/// both clone together for checkpoints.
 #[derive(Debug, Clone, Copy, Default)]
 struct FlowHot {
     /// Sender app blocked on a full socket buffer (woken by an ACK).
@@ -111,10 +112,6 @@ struct FlowHot {
     driver_bytes: Bytes,
     /// Bursts fully read by the receiver application.
     delivered_bursts: u64,
-    /// `delivered_bursts` at the omit boundary.
-    delivered_at_omit: u64,
-    /// `delivered_bursts` at the last interval tick.
-    interval_mark: u64,
 }
 
 /// Gilbert–Elliott bursty-loss state while an episode is active.
@@ -131,57 +128,34 @@ struct GeState {
     until: SimTime,
 }
 
-/// Live bottleneck-attribution state: the "previous interval tick"
-/// marks that turn cumulative ledgers/counters into per-interval
-/// observations, plus the verdicts classified so far.
+/// Every cumulative counter an observer turns into a per-interval
+/// delta, read at one instant by [`Runner::fill_snapshot`].
 ///
-/// Strictly bookkeeping — classification reads flow/host state but
-/// never mutates it, so attribution keeps the same observer-neutrality
-/// guarantee as telemetry.
-#[derive(Clone)]
-struct AttribState {
-    /// Sender ledger per-core busy totals at the previous tick.
-    snd_mark: Vec<SimDuration>,
-    /// Receiver ledger per-core busy totals at the previous tick.
-    rcv_mark: Vec<SimDuration>,
-    /// Drop/pause/wire counter totals at the previous tick.
-    counter_mark: CounterSnapshot,
-    /// Total zerocopy sends at the previous tick.
-    zc_sends_mark: u64,
-    /// Total zerocopy copy-fallbacks at the previous tick.
-    zc_fallbacks_mark: u64,
-    /// Total ACKs processed at the previous tick.
-    acks_mark: u64,
-    /// Total cwnd-limited ACKs at the previous tick.
-    cwnd_limited_mark: u64,
-    /// Total delivered bursts at the previous tick.
-    delivered_mark: u64,
-    /// When the previous tick fired.
-    last_t: SimTime,
-    /// Classified intervals: `(interval end, verdict)`.
-    verdicts: Vec<(SimTime, LimitingFactor)>,
-}
-
-impl AttribState {
-    fn new(snd_cores: usize, rcv_cores: usize) -> Self {
-        AttribState {
-            snd_mark: vec![SimDuration::ZERO; snd_cores],
-            rcv_mark: vec![SimDuration::ZERO; rcv_cores],
-            counter_mark: CounterSnapshot::default(),
-            zc_sends_mark: 0,
-            zc_fallbacks_mark: 0,
-            acks_mark: 0,
-            cwnd_limited_mark: 0,
-            delivered_mark: 0,
-            last_t: SimTime::ZERO,
-            verdicts: Vec::new(),
-        }
-    }
-
-    /// The most recent verdict (attached to telemetry samples).
-    fn last_verdict(&self) -> Option<LimitingFactor> {
-        self.verdicts.last().map(|(_, v)| *v)
-    }
+/// Each observer keeps the snapshot of its previous mark and diffs a
+/// fresh one against it: the omit-window baseline (`Runner::omit`),
+/// the 1 s interval tick shared by `cpu_intervals`, per-flow interval
+/// goodput and attribution (`Runner::tick`), and the telemetry
+/// sampler's previous sample. Taking one is strictly read-only.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Snapshot {
+    /// When it was taken.
+    pub(crate) t: SimTime,
+    /// Sender per-core busy totals (CPU cores, ledger order).
+    pub(crate) snd_busy: Vec<SimDuration>,
+    /// Receiver per-core busy totals.
+    pub(crate) rcv_busy: Vec<SimDuration>,
+    /// Drop/pause/wire counter totals.
+    pub(crate) counters: CounterSnapshot,
+    /// Bursts each flow's receiving application has read.
+    pub(crate) delivered: Vec<u64>,
+    /// Zerocopy sends over all flows.
+    pub(crate) zc_sends: u64,
+    /// Zerocopy sends that fell back to copying, over all flows.
+    pub(crate) zc_fallbacks: u64,
+    /// ACKs processed by all senders.
+    pub(crate) acks: u64,
+    /// Of those, ACKs with `tcp_is_cwnd_limited()` true.
+    pub(crate) cwnd_limited_acks: u64,
 }
 
 /// A configured, runnable simulation.
@@ -339,30 +313,29 @@ struct Runner {
     watchdog: Watchdog,
     cross_on: bool,
     cross_until: SimTime,
-    /// Busy snapshots at the last interval tick (mpstat deltas).
-    snd_busy_mark: Vec<SimDuration>,
-    rcv_busy_mark: Vec<SimDuration>,
     cpu_intervals: Vec<(f64, f64)>,
-    last_tick: SimTime,
-    snd_cpu_at_omit: Vec<SimDuration>,
-    rcv_cpu_at_omit: Vec<SimDuration>,
     omit_time: SimTime,
     end_time: SimTime,
+    /// The counters at the omit boundary (the run's start until then):
+    /// the baseline of `FlowResult` bytes and the end-of-run CPU.
+    omit: Snapshot,
+    /// The counters at the last interval tick (or the omit boundary),
+    /// shared by `cpu_intervals`, per-flow intervals and attribution.
+    tick: Snapshot,
     /// Telemetry sampler; `None` (the default) costs one branch per
     /// dispatch of events that never get scheduled.
     sampler: Option<TelemetrySampler>,
-    /// Bottleneck-attribution state; `None` unless
+    /// Classified intervals `(interval end, verdict)`; `None` unless
     /// [`crate::WorkloadSpec::attribution`] is on.
-    attrib: Option<AttribState>,
+    verdicts: Option<Vec<(SimTime, LimitingFactor)>>,
 }
 
 impl Runner {
     fn new(cfg: SimConfig, burst: Bytes) -> Self {
         let mut rng = SimRng::seed_from_u64(cfg.workload.seed);
         let n = cfg.workload.num_flows;
-        let attribution = cfg.workload.attribution;
-        let snd_host = SimHost::new(&cfg.sender, n, attribution, &mut rng.fork());
-        let rcv_host = SimHost::new(&cfg.receiver, n, attribution, &mut rng.fork());
+        let snd_host = SimHost::new(&cfg.sender, n, &mut rng.fork());
+        let rcv_host = SimHost::new(&cfg.receiver, n, &mut rng.fork());
         let mut switch = SharedBufferSwitch::new(
             cfg.path.switch_buffer,
             &[cfg.path.usable_rate()],
@@ -430,15 +403,8 @@ impl Runner {
             secs.saturating_mul(50_000_000).saturating_mul(flows_factor).max(100_000_000)
         });
         let faults = cfg.workload.faults.events.clone();
-        let sampler = cfg.workload.telemetry.map(|tick| {
-            TelemetrySampler::new(tick, n, snd_host.busy_snapshot(), rcv_host.busy_snapshot())
-        });
-        let attrib = attribution.then(|| {
-            let snd_cores = snd_host.ledger().map_or(0, |l| l.num_cores());
-            let rcv_cores = rcv_host.ledger().map_or(0, |l| l.num_cores());
-            AttribState::new(snd_cores, rcv_cores)
-        });
-        Runner {
+        let verdicts = cfg.workload.attribution.then(Vec::new);
+        let mut runner = Runner {
             cfg,
             burst,
             q: EventQueue::with_capacity((n * 64).max(1024)),
@@ -464,17 +430,21 @@ impl Runner {
             watchdog: Watchdog::new(Some(budget)),
             cross_on: false,
             cross_until: SimTime::ZERO,
-            snd_busy_mark: Vec::new(),
-            rcv_busy_mark: Vec::new(),
             cpu_intervals: Vec::new(),
-            last_tick: SimTime::ZERO,
-            snd_cpu_at_omit: Vec::new(),
-            rcv_cpu_at_omit: Vec::new(),
             omit_time,
             end_time,
-            sampler,
-            attrib,
-        }
+            omit: Snapshot::default(),
+            tick: Snapshot::default(),
+            sampler: None,
+            verdicts,
+        };
+        // Every observer starts from the (all-zero) counters at t = 0.
+        let start = runner.snapshot(SimTime::ZERO);
+        runner.sampler =
+            runner.cfg.workload.telemetry.map(|tick| TelemetrySampler::new(tick, start.clone()));
+        runner.tick = start.clone();
+        runner.omit = start;
+        runner
     }
 
     /// Schedule the initial events. Split from [`Runner::run`] so the
@@ -555,7 +525,7 @@ impl Runner {
             Ev::RtoCheck(f) => self.on_rto_check(now, f)?,
             Ev::PacerResume(f) => self.on_pacer_resume(now, f)?,
             Ev::CrossToggle => self.on_cross_toggle(now),
-            Ev::IntervalTick => self.on_interval(now)?,
+            Ev::IntervalTick => self.on_interval(now),
             Ev::TelemetryTick => self.on_telemetry(now),
             Ev::OmitBoundary => self.on_omit(now),
             Ev::FaultBegin(i) => self.on_fault_begin(now, i),
@@ -1074,115 +1044,99 @@ impl Runner {
         }
     }
 
-    fn on_interval(&mut self, now: SimTime) -> Result<(), SimError> {
+    fn on_interval(&mut self, now: SimTime) {
+        let cur = self.snapshot(now);
+        self.classify_interval(&cur);
+        let prev = &self.tick;
         // mpstat-style sample: utilisation over the last interval.
-        if !self.snd_busy_mark.is_empty() {
-            let snd = self
-                .snd_host
-                .cpu_report_since(&self.snd_busy_mark, self.last_tick, now)
-                .combined_pct();
-            let rcv = self
-                .rcv_host
-                .cpu_report_since(&self.rcv_busy_mark, self.last_tick, now)
-                .combined_pct();
-            self.cpu_intervals.push((snd, rcv));
-        }
-        self.snd_busy_mark = self.snd_host.busy_snapshot();
-        self.rcv_busy_mark = self.rcv_host.busy_snapshot();
-        self.last_tick = now;
-        self.classify_interval(now)?;
-        for (flow, hot) in self.flows.iter_mut().zip(self.hot.iter_mut()) {
-            let delta = hot.delivered_bursts - hot.interval_mark;
-            hot.interval_mark = hot.delivered_bursts;
+        let snd = self.snd_host.cpu_report(&prev.snd_busy, &cur.snd_busy, prev.t, now);
+        let rcv = self.rcv_host.cpu_report(&prev.rcv_busy, &cur.rcv_busy, prev.t, now);
+        self.cpu_intervals.push((snd.combined_pct(), rcv.combined_pct()));
+        for (flow, (now_d, prev_d)) in
+            self.flows.iter_mut().zip(cur.delivered.iter().zip(&prev.delivered))
+        {
             flow.intervals.push(BitRate::average(
-                Bytes::new(delta * self.burst.as_u64()),
+                Bytes::new((now_d - prev_d) * self.burst.as_u64()),
                 SimDuration::from_secs(1),
             ));
         }
+        self.tick = cur;
         let next = now + SimDuration::from_secs(1);
         if next <= self.end_time {
             self.q.push(next, Ev::IntervalTick);
         }
-        Ok(())
     }
 
-    /// Current cumulative drop/pause/wire counters.
-    fn counters(&self) -> CounterSnapshot {
-        CounterSnapshot {
+    /// Overwrite `snap` with the counters as they stand at `now`.
+    fn fill_snapshot(&self, now: SimTime, snap: &mut Snapshot) {
+        snap.t = now;
+        self.snd_host.busy_into(&mut snap.snd_busy);
+        self.rcv_host.busy_into(&mut snap.rcv_busy);
+        snap.counters = CounterSnapshot {
             ring_drops: self.ring_drops,
             switch_drops: self.switch_drops,
             random_drops: self.random_drops,
             fault_drops: self.fault_drops,
             pause_frames: self.pause_parks,
             wire_sent: self.wire_sent,
-        }
-    }
-
-    /// Classify the interval ending at `now` and re-arm the marks.
-    /// No-op when attribution is off or the interval is empty; strictly
-    /// read-only on flow/host/RNG state.
-    fn classify_interval(&mut self, now: SimTime) -> Result<(), SimError> {
-        let Some(mut at) = self.attrib.take() else { return Ok(()) };
-        if now > at.last_t {
-            let obs = match self.interval_obs(&at, now) {
-                Ok(obs) => obs,
-                Err(e) => {
-                    self.attrib = Some(at);
-                    return Err(e);
-                }
-            };
-            at.verdicts.push((now, classify(&obs)));
-            self.rearm_attrib_marks(&mut at, now);
-        }
-        self.attrib = Some(at);
-        Ok(())
-    }
-
-    /// Build the classifier's observation for `(at.last_t, now]`.
-    fn interval_obs(&self, at: &AttribState, now: SimTime) -> Result<IntervalObs, SimError> {
-        let dt = now.saturating_since(at.last_t).as_secs_f64();
-        let missing_ledger = |side: &str| SimError::StateCorruption {
-            at: now,
-            what: format!("attribution enabled but {side} host has no cycle ledger"),
         };
-        let snd_ledger = self.snd_host.ledger().ok_or_else(|| missing_ledger("sender"))?;
-        let rcv_ledger = self.rcv_host.ledger().ok_or_else(|| missing_ledger("receiver"))?;
-        // Peak (not mean) busy fraction over a core-index range: one
+        snap.delivered.clear();
+        snap.delivered.extend(self.hot.iter().map(|h| h.delivered_bursts));
+        let zc = |count: fn(&ZerocopyAccounting) -> u64| -> u64 {
+            self.flows.iter().map(|fl| fl.zc.as_ref().map_or(0, count)).sum()
+        };
+        snap.zc_sends = zc(ZerocopyAccounting::zerocopy_sends);
+        snap.zc_fallbacks = zc(ZerocopyAccounting::fallback_sends);
+        snap.acks = self.flows.iter().map(|fl| fl.sender.acks_processed()).sum();
+        snap.cwnd_limited_acks = self.flows.iter().map(|fl| fl.sender.cwnd_limited_acks()).sum();
+    }
+
+    /// A fresh [`Snapshot`] at `now`.
+    fn snapshot(&self, now: SimTime) -> Snapshot {
+        let mut snap = Snapshot::default();
+        self.fill_snapshot(now, &mut snap);
+        snap
+    }
+
+    /// Classify the interval from the last tick to `cur`. No-op when
+    /// attribution is off or the interval is empty.
+    fn classify_interval(&mut self, cur: &Snapshot) {
+        let Some(mut verdicts) = self.verdicts.take() else { return };
+        if cur.t > self.tick.t {
+            verdicts.push((cur.t, classify(&self.interval_obs(&self.tick, cur))));
+        }
+        self.verdicts = Some(verdicts);
+    }
+
+    /// The classifier's observation for `(prev.t, cur.t]`.
+    fn interval_obs(&self, prev: &Snapshot, cur: &Snapshot) -> IntervalObs {
+        let dt = cur.t.saturating_since(prev.t).as_secs_f64();
+        // Peak (not mean) busy fraction over a group of cores: one
         // pegged core bottlenecks the pipeline no matter how idle its
         // siblings are.
-        let peak = |totals: &[SimDuration], marks: &[SimDuration], lo: usize, hi: usize| {
-            (lo..hi)
-                .map(|i| totals[i].saturating_sub(marks[i]).as_secs_f64() / dt)
+        let peak = |prev: &[SimDuration], cur: &[SimDuration]| {
+            cur.iter()
+                .zip(prev)
+                .map(|(c, p)| c.saturating_sub(*p).as_secs_f64() / dt)
                 .fold(0.0f64, f64::max)
         };
-        let snd_totals = snd_ledger.core_totals();
-        let rcv_totals = rcv_ledger.core_totals();
         let snd_app = self.snd_host.app_core_count();
-        let snd_cores = snd_app + self.snd_host.irq_core_count();
         let rcv_app = self.rcv_host.app_core_count();
-        let rcv_cores = rcv_app + self.rcv_host.irq_core_count();
-        let counters = self.counters();
-        let zc_sends: u64 =
-            self.flows.iter().map(|fl| fl.zc.as_ref().map_or(0, |z| z.zerocopy_sends())).sum();
-        let zc_fallbacks: u64 =
-            self.flows.iter().map(|fl| fl.zc.as_ref().map_or(0, |z| z.fallback_sends())).sum();
-        let acks: u64 = self.flows.iter().map(|fl| fl.sender.acks_processed()).sum();
-        let cwnd_limited: u64 =
-            self.flows.iter().map(|fl| fl.sender.cwnd_limited_acks()).sum();
-        let delivered: u64 = self.hot.iter().map(|h| h.delivered_bursts).sum();
-        let delivered_bits = (delivered - at.delivered_mark) as f64 * self.burst.bits() as f64;
-        Ok(IntervalObs {
-            switch_drops: counters.switch_drops - at.counter_mark.switch_drops,
-            ring_drops: counters.ring_drops - at.counter_mark.ring_drops,
-            pause_parks: counters.pause_frames - at.counter_mark.pause_frames,
-            zc_sends: zc_sends - at.zc_sends_mark,
-            zc_fallbacks: zc_fallbacks - at.zc_fallbacks_mark,
-            acks: acks - at.acks_mark,
-            cwnd_limited_acks: cwnd_limited - at.cwnd_limited_mark,
-            snd_app_busy: peak(&snd_totals, &at.snd_mark, 0, snd_app),
-            snd_irq_busy: peak(&snd_totals, &at.snd_mark, snd_app, snd_cores),
-            rcv_irq_busy: peak(&rcv_totals, &at.rcv_mark, rcv_app, rcv_cores),
-            rcv_app_busy: peak(&rcv_totals, &at.rcv_mark, 0, rcv_app),
+        let delivered = |s: &Snapshot| s.delivered.iter().sum::<u64>();
+        let delivered_bits = (delivered(cur) - delivered(prev)) as f64 * self.burst.bits() as f64;
+        let (c, p) = (cur.counters, prev.counters);
+        IntervalObs {
+            switch_drops: c.switch_drops - p.switch_drops,
+            ring_drops: c.ring_drops - p.ring_drops,
+            pause_parks: c.pause_frames - p.pause_frames,
+            zc_sends: cur.zc_sends - prev.zc_sends,
+            zc_fallbacks: cur.zc_fallbacks - prev.zc_fallbacks,
+            acks: cur.acks - prev.acks,
+            cwnd_limited_acks: cur.cwnd_limited_acks - prev.cwnd_limited_acks,
+            snd_app_busy: peak(&prev.snd_busy[..snd_app], &cur.snd_busy[..snd_app]),
+            snd_irq_busy: peak(&prev.snd_busy[snd_app..], &cur.snd_busy[snd_app..]),
+            rcv_irq_busy: peak(&prev.rcv_busy[rcv_app..], &cur.rcv_busy[rcv_app..]),
+            rcv_app_busy: peak(&prev.rcv_busy[..rcv_app], &cur.rcv_busy[..rcv_app]),
             delivered_gbps: delivered_bits / dt / 1e9,
             usable_gbps: self.cfg.path.usable_rate().as_gbps(),
             fq_total_gbps: self
@@ -1190,44 +1144,21 @@ impl Runner {
                 .workload
                 .fq_rate
                 .map(|r| r.as_gbps() * self.flows.len() as f64),
-        })
-    }
-
-    /// Reset the attribution marks to the current cumulative state.
-    fn rearm_attrib_marks(&self, at: &mut AttribState, now: SimTime) {
-        if let Some(l) = self.snd_host.ledger() {
-            at.snd_mark = l.core_totals();
         }
-        if let Some(l) = self.rcv_host.ledger() {
-            at.rcv_mark = l.core_totals();
-        }
-        at.counter_mark = self.counters();
-        at.zc_sends_mark =
-            self.flows.iter().map(|fl| fl.zc.as_ref().map_or(0, |z| z.zerocopy_sends())).sum();
-        at.zc_fallbacks_mark =
-            self.flows.iter().map(|fl| fl.zc.as_ref().map_or(0, |z| z.fallback_sends())).sum();
-        at.acks_mark = self.flows.iter().map(|fl| fl.sender.acks_processed()).sum();
-        at.cwnd_limited_mark =
-            self.flows.iter().map(|fl| fl.sender.cwnd_limited_acks()).sum();
-        at.delivered_mark = self.hot.iter().map(|h| h.delivered_bursts).sum();
-        at.last_t = now;
     }
 
     /// One host's whole-run stage decomposition out of its ledger.
-    fn stage_profile(host: &SimHost, end: SimTime) -> Result<StageProfile, SimError> {
-        let ledger = host.ledger().ok_or_else(|| SimError::StateCorruption {
-            at: end,
-            what: "attribution enabled but host has no cycle ledger".into(),
-        })?;
-        Ok(StageProfile {
+    fn stage_profile(host: &SimHost) -> StageProfile {
+        let ledger = host.ledger();
+        StageProfile {
             clock_hz: host.cost.clock_hz(),
             cores: (0..ledger.num_cores())
                 .map(|i| CoreProfile {
                     role: host.core_role(i),
-                    stage_busy: ledger.core_row(i).to_vec(),
+                    stage_busy: ledger.core_row(i),
                 })
                 .collect(),
-        })
+        }
     }
 
     /// Telemetry tick: sample every flow and the host counters, then
@@ -1235,7 +1166,7 @@ impl Runner {
     /// run reproduces the exact same traffic as an unsampled one.
     fn on_telemetry(&mut self, now: SimTime) {
         let Some(mut sampler) = self.sampler.take() else { return };
-        self.telemetry_sample(now, &mut sampler);
+        self.telemetry_sample(&mut sampler, self.snapshot(now));
         let next = now + sampler.tick();
         if next <= self.end_time {
             self.q.push(next, Ev::TelemetryTick);
@@ -1243,9 +1174,13 @@ impl Runner {
         self.sampler = Some(sampler);
     }
 
-    /// Take one full sample at `now` (tick or end-of-run flush).
-    fn telemetry_sample(&self, now: SimTime, sampler: &mut TelemetrySampler) {
-        for (f, flow) in self.flows.iter().enumerate() {
+    /// Record one full sample at `cur.t` (tick or end-of-run flush).
+    fn telemetry_sample(&self, sampler: &mut TelemetrySampler, cur: Snapshot) {
+        // IntervalTick sorts before TelemetryTick at equal timestamps
+        // (FIFO push order), so a 1 s telemetry cadence sees each
+        // interval's fresh verdict.
+        let limiting = self.verdicts.as_ref().and_then(|v| v.last()).map(|(_, f)| *f);
+        let infos = self.flows.iter().map(|flow| {
             let sender = &flow.sender;
             let cc = sender.cc();
             let ca_state = if sender.in_recovery() {
@@ -1255,7 +1190,7 @@ impl Runner {
             } else {
                 CaState::CongestionAvoidance
             };
-            let info = FlowInfo {
+            FlowInfo {
                 cwnd: cc.cwnd(),
                 ssthresh: cc.ssthresh(),
                 srtt: sender.rtt.srtt(),
@@ -1263,54 +1198,25 @@ impl Runner {
                 ca_state,
                 bytes_retrans: Bytes::new(sender.retx_bursts() * self.burst.as_u64()),
                 retr_packets: sender.retr_packets(),
-                // IntervalTick sorts before TelemetryTick at equal
-                // timestamps (FIFO push order), so a 1 s telemetry
-                // cadence sees each interval's fresh verdict.
-                limiting: self.attrib.as_ref().and_then(|a| a.last_verdict()),
-            };
-            sampler.sample_flow(now, f, self.burst, self.hot[f].delivered_bursts, info);
-        }
-        let counters = self.counters();
-        let since = sampler.last_sample();
-        let (snd_mark, rcv_mark) = sampler.busy_marks();
-        // The end-of-run flush can land exactly on the last tick; a
-        // zero-length interval has no meaningful busy%.
-        let (snd_pct, rcv_pct) = if now > since {
-            (
-                self.snd_host.cpu_report_since(snd_mark, since, now).per_core,
-                self.rcv_host.cpu_report_since(rcv_mark, since, now).per_core,
-            )
-        } else {
-            (vec![0.0; snd_mark.len()], vec![0.0; rcv_mark.len()])
-        };
-        sampler.sample_host(
-            now,
-            counters,
-            self.snd_host.busy_snapshot(),
-            self.rcv_host.busy_snapshot(),
-            snd_pct,
-            rcv_pct,
-        );
+                limiting,
+            }
+        });
+        // A zero-length interval (the end-of-run flush landing exactly
+        // on the last tick) reports 0 % busy.
+        let prev = sampler.prev();
+        let snd = self.snd_host.cpu_report(&prev.snd_busy, &cur.snd_busy, prev.t, cur.t);
+        let rcv = self.rcv_host.cpu_report(&prev.rcv_busy, &cur.rcv_busy, prev.t, cur.t);
+        sampler.record(cur, self.burst, infos, snd.per_core, rcv.per_core);
     }
 
     fn on_omit(&mut self, now: SimTime) {
-        for hot in &mut self.hot {
-            hot.delivered_at_omit = hot.delivered_bursts;
-            hot.interval_mark = hot.delivered_bursts;
-        }
-        self.snd_cpu_at_omit = self.snd_host.busy_snapshot();
-        self.rcv_cpu_at_omit = self.rcv_host.busy_snapshot();
-        self.snd_busy_mark = self.snd_host.busy_snapshot();
-        self.rcv_busy_mark = self.rcv_host.busy_snapshot();
-        self.last_tick = now;
-        // Attribution classifies measured intervals only: re-arm at the
-        // omit boundary (without classifying) so warm-up slow start
-        // never pollutes the verdict histogram — same contract as
-        // `cpu_intervals` and the per-flow interval series.
-        if let Some(mut at) = self.attrib.take() {
-            self.rearm_attrib_marks(&mut at, now);
-            self.attrib = Some(at);
-        }
+        let mut omit = std::mem::take(&mut self.omit);
+        self.fill_snapshot(now, &mut omit);
+        // `cpu_intervals`, per-flow intervals and attribution measure
+        // from the omit boundary on: warm-up slow start never pollutes
+        // them.
+        self.tick.clone_from(&omit);
+        self.omit = omit;
     }
 
     /// End-of-run burst conservation: every burst handed to the wire is
@@ -1347,44 +1253,37 @@ impl Runner {
 
     fn finish(mut self) -> Result<RunResult, SimError> {
         self.check_conservation()?;
+        let end = self.snapshot(self.end_time);
         // Final partial attribution interval (a duration that is not a
         // tick multiple leaves a tail after the last in-range tick) —
         // classified before the telemetry flush so the flush sample
         // carries the final verdict.
-        self.classify_interval(self.end_time)?;
+        self.classify_interval(&end);
         // Final partial-interval flush so per-interval byte counts sum
         // exactly to the delivered-bytes ledger — data that arrived
         // after the last tick (or after the last in-range tick on a
         // duration that is not a tick multiple) must land somewhere.
         let telemetry = self.sampler.take().map(|mut sampler| {
-            let delivered: Vec<u64> =
-                self.hot.iter().map(|h| h.delivered_bursts).collect();
-            if sampler.last_sample() < self.end_time || sampler.pending_delivery(&delivered) {
-                self.telemetry_sample(self.end_time, &mut sampler);
+            let prev = sampler.prev();
+            if prev.t < self.end_time || prev.delivered != end.delivered {
+                self.telemetry_sample(&mut sampler, end.clone());
             }
             sampler.finish()
         });
-        let attribution = match self.attrib.take() {
-            Some(at) => {
-                let verdict = BottleneckVerdict::from_intervals(&at.verdicts);
-                Some(Attribution {
-                    verdicts: at.verdicts,
-                    verdict,
-                    sender_profile: Self::stage_profile(&self.snd_host, self.end_time)?,
-                    receiver_profile: Self::stage_profile(&self.rcv_host, self.end_time)?,
-                })
-            }
-            None => None,
-        };
+        let attribution = self.verdicts.take().map(|verdicts| Attribution {
+            verdict: BottleneckVerdict::from_intervals(&verdicts),
+            verdicts,
+            sender_profile: Self::stage_profile(&self.snd_host),
+            receiver_profile: Self::stage_profile(&self.rcv_host),
+        });
         let window = self.end_time.saturating_since(self.omit_time);
         let flows = self
             .flows
             .iter()
+            .zip(end.delivered.iter().zip(&self.omit.delivered))
             .enumerate()
-            .map(|(id, flow)| {
-                let hot = &self.hot[id];
-                let bursts = hot.delivered_bursts - hot.delivered_at_omit;
-                let bytes = Bytes::new(bursts * self.burst.as_u64());
+            .map(|(id, (flow, (delivered, at_omit)))| {
+                let bytes = Bytes::new((delivered - at_omit) * self.burst.as_u64());
                 FlowResult {
                     id,
                     bytes,
@@ -1399,23 +1298,12 @@ impl Runner {
                 }
             })
             .collect();
-        let sender_cpu = if self.snd_cpu_at_omit.is_empty() {
-            self.snd_host.cpu_report(SimTime::ZERO, self.end_time)
-        } else {
-            self.snd_host
-                .cpu_report_since(&self.snd_cpu_at_omit, self.omit_time, self.end_time)
-        };
-        let receiver_cpu = if self.rcv_cpu_at_omit.is_empty() {
-            self.rcv_host.cpu_report(SimTime::ZERO, self.end_time)
-        } else {
-            self.rcv_host
-                .cpu_report_since(&self.rcv_cpu_at_omit, self.omit_time, self.end_time)
-        };
+        let omit = &self.omit;
         Ok(RunResult {
             flows,
             window,
-            sender_cpu,
-            receiver_cpu,
+            sender_cpu: self.snd_host.cpu_report(&omit.snd_busy, &end.snd_busy, omit.t, end.t),
+            receiver_cpu: self.rcv_host.cpu_report(&omit.rcv_busy, &end.rcv_busy, omit.t, end.t),
             cpu_intervals: self.cpu_intervals,
             switch_drops: self.switch_drops,
             ring_drops: self.ring_drops,

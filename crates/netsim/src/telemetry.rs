@@ -18,7 +18,8 @@
 //! runner.
 
 use crate::attribution::LimitingFactor;
-use simcore::{BitRate, Bytes, SimDuration, SimTime, TimeSeries};
+use crate::sim::Snapshot;
+use simcore::{BitRate, Bytes, SimDuration, TimeSeries};
 
 /// Sender congestion-avoidance state, as `ss -tin` would name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,42 +151,28 @@ pub(crate) struct CounterSnapshot {
 
 /// The live sampler owned by the runner while telemetry is enabled.
 ///
-/// Holds the accumulated traces plus the "previous tick" marks that
-/// turn cumulative simulator counters into `ethtool`-style deltas.
+/// Holds the accumulated traces plus the previous sample's
+/// [`Snapshot`], against which each new one becomes `ethtool`-style
+/// deltas.
 #[derive(Debug, Clone)]
 pub(crate) struct TelemetrySampler {
     tick: SimDuration,
     flows: Vec<FlowTrace>,
     host: HostTrace,
-    /// Per-flow delivered-burst count at the previous tick.
-    delivered_mark: Vec<u64>,
-    /// Host counter totals at the previous tick.
-    counter_mark: CounterSnapshot,
-    /// Per-core busy time at the previous tick (mpstat deltas).
-    snd_busy_mark: Vec<SimDuration>,
-    rcv_busy_mark: Vec<SimDuration>,
-    /// When the previous tick fired.
-    last_sample: SimTime,
+    /// The counters at the previous sample (the run's start before the
+    /// first one).
+    prev: Snapshot,
 }
 
 impl TelemetrySampler {
-    pub(crate) fn new(
-        tick: SimDuration,
-        num_flows: usize,
-        snd_busy: Vec<SimDuration>,
-        rcv_busy: Vec<SimDuration>,
-    ) -> Self {
+    pub(crate) fn new(tick: SimDuration, start: Snapshot) -> Self {
         TelemetrySampler {
             tick,
-            flows: (0..num_flows)
+            flows: (0..start.delivered.len())
                 .map(|id| FlowTrace { id, samples: TimeSeries::new() })
                 .collect(),
             host: HostTrace::default(),
-            delivered_mark: vec![0; num_flows],
-            counter_mark: CounterSnapshot::default(),
-            snd_busy_mark: snd_busy,
-            rcv_busy_mark: rcv_busy,
-            last_sample: SimTime::ZERO,
+            prev: start,
         }
     }
 
@@ -194,87 +181,59 @@ impl TelemetrySampler {
         self.tick
     }
 
-    /// When the previous sample was taken.
-    pub(crate) fn last_sample(&self) -> SimTime {
-        self.last_sample
+    /// The counters at the previous sample.
+    pub(crate) fn prev(&self) -> &Snapshot {
+        &self.prev
     }
 
-    /// Whether any flow delivered data since the previous sample (the
-    /// end-of-run flush only records when there is something to add).
-    pub(crate) fn pending_delivery(&self, delivered_bursts: &[u64]) -> bool {
-        delivered_bursts
-            .iter()
-            .zip(&self.delivered_mark)
-            .any(|(now, mark)| now > mark)
-    }
-
-    /// Record one flow's snapshot at `now`. `delivered_bursts` is the
-    /// flow's cumulative app-delivered burst count; the sampler turns
-    /// it into this interval's byte delta against its own mark.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn sample_flow(
+    /// Record one sample at `cur.t`: one [`TcpInfoSample`] per flow,
+    /// from `infos` in flow order, and one [`HostSample`] whose
+    /// counters are deltas against the previous sample. `snd_pct` and
+    /// `rcv_pct` are the per-core busy% since then. `cur` becomes the
+    /// previous sample.
+    pub(crate) fn record(
         &mut self,
-        now: SimTime,
-        flow: usize,
+        cur: Snapshot,
         burst: Bytes,
-        delivered_bursts: u64,
-        info: FlowInfo,
-    ) {
-        let delta = delivered_bursts - self.delivered_mark[flow];
-        self.delivered_mark[flow] = delivered_bursts;
-        self.flows[flow].samples.push(
-            now,
-            TcpInfoSample {
-                cwnd: info.cwnd,
-                ssthresh: info.ssthresh,
-                srtt: info.srtt,
-                pacing_rate: info.pacing_rate,
-                ca_state: info.ca_state,
-                bytes_retrans: info.bytes_retrans,
-                retr_packets: info.retr_packets,
-                delivered_bytes: Bytes::new(delivered_bursts * burst.as_u64()),
-                interval_bytes: Bytes::new(delta * burst.as_u64()),
-                limiting: info.limiting,
-            },
-        );
-    }
-
-    /// Record the host counter/CPU snapshot at `now`. `counters` are
-    /// cumulative totals; `snd_busy`/`rcv_busy` are per-core busy-time
-    /// snapshots; `snd_pct`/`rcv_pct` the per-core busy% over the
-    /// interval since the previous sample.
-    pub(crate) fn sample_host(
-        &mut self,
-        now: SimTime,
-        counters: CounterSnapshot,
-        snd_busy: Vec<SimDuration>,
-        rcv_busy: Vec<SimDuration>,
+        infos: impl Iterator<Item = FlowInfo>,
         snd_pct: Vec<f64>,
         rcv_pct: Vec<f64>,
     ) {
-        let mark = self.counter_mark;
+        let now = cur.t;
+        for ((trace, info), (&delivered, &mark)) in
+            self.flows.iter_mut().zip(infos).zip(cur.delivered.iter().zip(&self.prev.delivered))
+        {
+            trace.samples.push(
+                now,
+                TcpInfoSample {
+                    cwnd: info.cwnd,
+                    ssthresh: info.ssthresh,
+                    srtt: info.srtt,
+                    pacing_rate: info.pacing_rate,
+                    ca_state: info.ca_state,
+                    bytes_retrans: info.bytes_retrans,
+                    retr_packets: info.retr_packets,
+                    delivered_bytes: Bytes::new(delivered * burst.as_u64()),
+                    interval_bytes: Bytes::new((delivered - mark) * burst.as_u64()),
+                    limiting: info.limiting,
+                },
+            );
+        }
+        let (c, mark) = (cur.counters, self.prev.counters);
         self.host.samples.push(
             now,
             HostSample {
-                ring_drops: counters.ring_drops - mark.ring_drops,
-                switch_drops: counters.switch_drops - mark.switch_drops,
-                random_drops: counters.random_drops - mark.random_drops,
-                fault_drops: counters.fault_drops - mark.fault_drops,
-                pause_frames: counters.pause_frames - mark.pause_frames,
-                wire_sent: counters.wire_sent - mark.wire_sent,
+                ring_drops: c.ring_drops - mark.ring_drops,
+                switch_drops: c.switch_drops - mark.switch_drops,
+                random_drops: c.random_drops - mark.random_drops,
+                fault_drops: c.fault_drops - mark.fault_drops,
+                pause_frames: c.pause_frames - mark.pause_frames,
+                wire_sent: c.wire_sent - mark.wire_sent,
                 sender_core_busy: snd_pct,
                 receiver_core_busy: rcv_pct,
             },
         );
-        self.counter_mark = counters;
-        self.snd_busy_mark = snd_busy;
-        self.rcv_busy_mark = rcv_busy;
-        self.last_sample = now;
-    }
-
-    /// The previous per-core busy-time snapshots (for delta reports).
-    pub(crate) fn busy_marks(&self) -> (&[SimDuration], &[SimDuration]) {
-        (&self.snd_busy_mark, &self.rcv_busy_mark)
+        self.prev = cur;
     }
 
     /// Freeze into the public [`Telemetry`] result.
@@ -300,6 +259,7 @@ pub(crate) struct FlowInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::SimTime;
 
     fn at(secs: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(secs)
@@ -318,14 +278,21 @@ mod tests {
         }
     }
 
+    fn snap(secs: u64, delivered: Vec<u64>, counters: CounterSnapshot) -> Snapshot {
+        Snapshot { t: at(secs), delivered, counters, ..Default::default() }
+    }
+
     #[test]
     fn flow_interval_deltas_sum_to_ledger() {
         let burst = Bytes::new(1000);
-        let mut s = TelemetrySampler::new(SimDuration::from_secs(1), 1, vec![], vec![]);
-        s.sample_flow(at(1), 0, burst, 10, info(1));
-        s.sample_flow(at(2), 0, burst, 25, info(2));
-        s.sample_flow(at(3), 0, burst, 25, info(3)); // idle interval
-        s.sample_flow(at(4), 0, burst, 40, info(4));
+        let start = snap(0, vec![0], CounterSnapshot::default());
+        let mut s = TelemetrySampler::new(SimDuration::from_secs(1), start);
+        // The third interval is idle.
+        for (secs, delivered) in [(1, 10), (2, 25), (3, 25), (4, 40)] {
+            let cur = snap(secs, vec![delivered], CounterSnapshot::default());
+            s.record(cur, burst, std::iter::once(info(secs)), vec![], vec![]);
+        }
+        assert_eq!(s.prev().t, at(4));
         let t = s.finish();
         let trace = &t.flows[0];
         assert_eq!(trace.total_interval_bytes(), Bytes::new(40_000));
@@ -336,11 +303,12 @@ mod tests {
 
     #[test]
     fn host_counters_are_deltas() {
-        let mut s = TelemetrySampler::new(SimDuration::from_secs(1), 0, vec![], vec![]);
+        let start = snap(0, vec![], CounterSnapshot::default());
+        let mut s = TelemetrySampler::new(SimDuration::from_secs(1), start);
         let c1 = CounterSnapshot { switch_drops: 5, wire_sent: 100, ..Default::default() };
-        s.sample_host(at(1), c1, vec![], vec![], vec![50.0], vec![60.0]);
+        s.record(snap(1, vec![], c1), Bytes::new(1), std::iter::empty(), vec![50.0], vec![60.0]);
         let c2 = CounterSnapshot { switch_drops: 9, wire_sent: 250, ..Default::default() };
-        s.sample_host(at(2), c2, vec![], vec![], vec![55.0], vec![65.0]);
+        s.record(snap(2, vec![], c2), Bytes::new(1), std::iter::empty(), vec![55.0], vec![65.0]);
         let t = s.finish();
         let vals = t.host.samples.values();
         assert_eq!(vals[0].switch_drops, 5);
@@ -348,15 +316,6 @@ mod tests {
         assert_eq!(vals[0].wire_sent, 100);
         assert_eq!(vals[1].wire_sent, 150);
         assert_eq!(vals[1].sender_core_busy, vec![55.0]);
-    }
-
-    #[test]
-    fn pending_delivery_detects_tail() {
-        let mut s = TelemetrySampler::new(SimDuration::from_secs(1), 2, vec![], vec![]);
-        assert!(!s.pending_delivery(&[0, 0]));
-        assert!(s.pending_delivery(&[0, 3]));
-        s.sample_flow(at(1), 1, Bytes::new(100), 3, info(1));
-        assert!(!s.pending_delivery(&[0, 3]));
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl CycleLedger {
             .fold(SimDuration::ZERO, |acc, d| acc + *d)
     }
 
-    /// Per-core totals, one entry per core (for interval marks).
-    pub fn core_totals(&self) -> Vec<SimDuration> {
-        (0..self.num_cores).map(|c| self.core_total(c)).collect()
-    }
-
     /// One core's per-stage busy row, cloned.
     pub fn core_row(&self, core: usize) -> Vec<SimDuration> {
         let base = core * self.num_stages;
@@ -78,15 +73,8 @@ mod tests {
         assert_eq!(l.busy(0, 0), SimDuration::from_micros(10));
         assert_eq!(l.busy(1, 0), SimDuration::ZERO);
         assert_eq!(l.core_total(0), SimDuration::from_micros(15));
+        assert_eq!(l.core_total(1), SimDuration::ZERO);
         assert_eq!(l.core_total(2), SimDuration::from_micros(7));
-        assert_eq!(
-            l.core_totals(),
-            vec![
-                SimDuration::from_micros(15),
-                SimDuration::ZERO,
-                SimDuration::from_micros(7)
-            ]
-        );
     }
 
     #[test]
