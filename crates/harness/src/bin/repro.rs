@@ -28,16 +28,19 @@
 //! names it, and `--trace <dir>` is the same hub with per-tick
 //! telemetry and attribution forced onto every repetition. Naming two
 //! different directories (`--trace A` with `--metrics B` or
-//! `REPRO_METRICS=B`) is a usage error.
+//! `REPRO_METRICS=B`), or a flag's directory that already has entries,
+//! is a usage error.
 //!
 //! Besides the human-readable progress lines, every experiment emits
 //! one machine-parseable `repro-summary experiment=<name> key=value …`
 //! record on stderr; CI matches on those fields, never on the prose.
 //!
-//! Exit codes: `0` clean, `1` failed scenarios (reported as zeros),
-//! `2` usage error, `3` degraded — every artefact rendered, but some
-//! repetitions were lost (see the missing-repetition manifest on
-//! stderr, or `REPRO_MANIFEST=<file>`).
+//! Each experiment runs with a fresh [`RunLedger`]; the exit code
+//! comes from all of them merged: `0` clean, `1` failed scenarios
+//! (reported as zeros, or a wrong result), `2` usage error, `3`
+//! degraded — every artefact rendered, but some repetitions were lost
+//! (see the missing-repetition manifest on stderr, or
+//! `REPRO_MANIFEST=<file>`).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -101,7 +104,7 @@ fn main() {
                 ctx.metrics = Some(Arc::new(hub));
             }
             Err(e) => {
-                eprintln!("{flag} '{}' is not a writable directory: {e}", dir.display());
+                eprintln!("{flag} '{}' cannot hold this run: {e}", dir.display());
                 std::process::exit(2);
             }
         }
@@ -109,7 +112,7 @@ fn main() {
         match harness::MetricsHub::new(&dir) {
             Ok(hub) => ctx.metrics = Some(Arc::new(hub)),
             Err(e) => eprintln!(
-                "REPRO_METRICS='{}' is not a writable directory ({e}); ignoring",
+                "REPRO_METRICS='{}' cannot hold this run ({e}); ignoring",
                 dir.display()
             ),
         }
@@ -117,7 +120,6 @@ fn main() {
     if let Some(chaos) = &ctx.chaos {
         eprintln!("chaos mode on (REPRO_CHAOS={}): injecting harness faults", chaos.seed());
     }
-    RunLedger::global().reset();
     for arg in &args {
         match arg.as_str() {
             "all" => {
@@ -125,12 +127,14 @@ fn main() {
                 // process-wide gate bounds how many repetitions
                 // actually simulate at once, so this is
                 // work-conserving, not oversubscribed. Output is
-                // collected per experiment and printed in paper order.
+                // collected per experiment and printed (and its ledger
+                // merged) in paper order.
                 let n = ExperimentId::ALL.len();
                 let outputs =
                     harness::sched::run_tasks(true, n, |i| run_one(ExperimentId::ALL[i], &ctx));
-                for out in outputs {
+                for (out, ledger) in outputs {
                     println!("{out}");
+                    ctx.ledger.merge(&ledger);
                 }
                 println!("{}", ablations::run_all_rendered(&ctx));
             }
@@ -138,7 +142,9 @@ fn main() {
             // Checked above: every other name is an experiment's.
             name => {
                 if let Some(&id) = ExperimentId::ALL.iter().find(|id| id.name() == name) {
-                    println!("{}", run_one(id, &ctx));
+                    let (out, ledger) = run_one(id, &ctx);
+                    println!("{out}");
+                    ctx.ledger.merge(&ledger);
                 }
             }
         }
@@ -146,12 +152,15 @@ fn main() {
     if let Some(chaos) = &ctx.chaos {
         eprintln!("{}", chaos.stats.summary());
     }
+    // Every experiment's ledger, merged in the order they ran (the
+    // ablations record straight into it).
+    let ledger = &ctx.ledger;
     if let Some(hub) = &ctx.metrics {
         // Fold the end-of-run totals (ledger, chaos) into the registry
         // and write the exposition + span files.
         harness::metrics::fold_run_totals(
             hub.recorder(),
-            RunLedger::global(),
+            ledger,
             ctx.chaos.as_ref().map(|c| &c.stats),
         );
         hub.final_heartbeat();
@@ -162,11 +171,9 @@ fn main() {
     }
     // Degraded-run accounting: the ledger has one record per scenario;
     // missing repetitions produce the manifest and exit code 3. A
-    // failed *scenario* (all repetitions lost, reported as zeros) is
-    // the stronger signal and keeps exit code 1.
-    let ledger = RunLedger::global();
-    let degraded = ledger.degraded();
-    if degraded {
+    // failed *scenario* (all repetitions lost and reported as zeros, or
+    // a wrong result) is the stronger signal and keeps exit code 1.
+    if ledger.degraded() {
         let manifest = ledger.manifest_json();
         match std::env::var_os("REPRO_MANIFEST") {
             Some(path) => {
@@ -182,26 +189,33 @@ fn main() {
             None => eprintln!("degraded run, missing-repetition manifest: {manifest}"),
         }
     }
-    // Scenarios that failed (watchdog, conservation, invalid config)
-    // were reported as zeros inline; reflect them in the exit code so
-    // CI and scripts notice.
-    let failed = harness::experiments::common::failed_scenario_count();
-    if failed > 0 {
-        eprintln!("{failed} scenario(s) failed and were reported as zeros — see warnings above");
-        std::process::exit(1);
-    }
-    if degraded {
-        eprintln!("some repetitions were lost; results above aggregate the survivors");
-        std::process::exit(3);
+    // Scenarios that failed (watchdog, conservation, invalid config,
+    // wrong result) were reported inline; reflect them in the exit code
+    // so CI and scripts notice.
+    match ledger.exit_code() {
+        0 => {}
+        1 => {
+            let failed = ledger.failed_scenarios();
+            eprintln!("{} scenario(s) failed — see warnings above:", failed.len());
+            for line in failed {
+                eprintln!("  {line}");
+            }
+            std::process::exit(1);
+        }
+        code => {
+            eprintln!("some repetitions were lost; results above aggregate the survivors");
+            std::process::exit(code);
+        }
     }
 }
 
-/// Run one experiment and return its rendered output; progress,
-/// wall-clock and cache hit/miss counts go to stderr. Each experiment
-/// gets a private handle onto the shared cache directory (so its
-/// hit/miss counters stay per-experiment even when `all` runs
-/// experiments concurrently) and a fresh retry budget sized by effort.
-fn run_one(id: ExperimentId, ctx: &RunCtx) -> String {
+/// Run one experiment and return its rendered output and its ledger;
+/// progress, wall-clock and cache hit/miss counts go to stderr. Each
+/// experiment gets a private handle onto the shared cache directory (so
+/// its hit/miss counters stay per-experiment even when `all` runs
+/// experiments concurrently), a fresh retry budget sized by effort and
+/// a fresh run ledger.
+fn run_one(id: ExperimentId, ctx: &RunCtx) -> (String, Arc<RunLedger>) {
     let mut ctx = ctx.clone();
     let cache = ctx.cache.as_ref().map(|c| {
         Arc::new(RunCache::new(c.dir().to_path_buf()).with_cost_model_version(c.cost_model_version()))
@@ -209,9 +223,8 @@ fn run_one(id: ExperimentId, ctx: &RunCtx) -> String {
     ctx.cache = cache.clone();
     let budget = Arc::new(ErrorBudget::new(ctx.effort.error_budget()));
     ctx.budget = Some(budget.clone());
+    ctx.ledger = Arc::default();
     eprintln!("running {} at {:?} effort...", id.name(), ctx.effort);
-    let failed_before = harness::experiments::common::failed_scenario_count();
-    let late_before = harness::metrics::late_dropped_total();
     let start = std::time::Instant::now();
     let artifact = id.run(&ctx);
     let rendered = artifact.render_ascii();
@@ -287,19 +300,11 @@ fn run_one(id: ExperimentId, ctx: &RunCtx) -> String {
         budget.spent(),
         budget.initial()
     ));
-    // Failed-scenario count as a delta of the process-global counter.
-    // Exact for single-experiment invocations (what CI greps); under a
-    // concurrent `all` run an overlapping experiment's failures can
-    // land in the delta, so it is an upper bound there — the process
-    // exit code remains the authoritative global verdict.
-    summary.push_str(&format!(
-        " failed={}",
-        harness::experiments::common::failed_scenario_count().saturating_sub(failed_before)
-    ));
+    summary.push_str(&format!(" failed={}", ctx.ledger.failed_scenarios().len()));
     // Late-dropped interval samples are an aggregation bug (a watermark
     // advanced past live samples); surface them loudly but keep the
     // exit code to the scenario/ledger verdicts.
-    let late = harness::metrics::late_dropped_total().saturating_sub(late_before);
+    let late = ctx.ledger.late_dropped();
     if late > 0 {
         summary.push_str(&format!(" late_dropped={late}"));
         eprintln!(
@@ -315,7 +320,7 @@ fn run_one(id: ExperimentId, ctx: &RunCtx) -> String {
         }
         harness::metrics::fold_budget(hub.recorder(), &budget);
     }
-    rendered
+    (rendered, ctx.ledger)
 }
 
 /// Remove `flag <dir>` from `args` and return the directory; exit 2
@@ -339,6 +344,7 @@ fn usage() {
                       --trace <dir> same as --metrics <dir>, plus per-tick telemetry and\n\
                       attribution on every repetition: .jsonl traces and .folded/.perf.txt\n\
                       cycle profiles per repetition in the same directory\n\
+                      (either flag's directory must be empty or not yet exist)\n\
          environment: REPRO_EFFORT=smoke|standard|full (default standard)\n\
                       REPRO_JOBS=<n> to cap concurrently simulating repetitions\n\
                       REPRO_CACHE_DIR=<dir> content-addressed report cache\n\

@@ -9,14 +9,16 @@
 //! `repro` resolves it itself, after parsing its arguments. Tests
 //! build a [`RunCtx`] directly and never touch process-global
 //! environment variables, which would race across test threads under
-//! the parallel scheduler.
+//! the parallel scheduler. The context also owns the run's outcome
+//! account, a [`RunLedger`]: no counter of failed scenarios or dropped
+//! samples lives outside it.
 
 use crate::cache::RunCache;
 use crate::chaos::ChaosPlan;
 use crate::effort::Effort;
 use crate::metrics::MetricsHub;
 use crate::runner::TestHarness;
-use crate::supervise::{ErrorBudget, Supervisor};
+use crate::supervise::{ErrorBudget, RunLedger, Supervisor};
 use std::sync::Arc;
 
 /// Resolved run-wide configuration.
@@ -40,6 +42,10 @@ pub struct RunCtx {
     /// live heartbeat. Observer-neutral unless per-tick — attaching a
     /// plain hub never changes simulation results or cache eligibility.
     pub metrics: Option<Arc<MetricsHub>>,
+    /// The run ledger every harness this context builds records into,
+    /// and where experiments record wrong results and late-dropped
+    /// samples (`repro` replaces it per experiment).
+    pub ledger: Arc<RunLedger>,
 }
 
 impl RunCtx {
@@ -53,6 +59,7 @@ impl RunCtx {
             budget: None,
             checkpoint_every: 0,
             metrics: None,
+            ledger: Arc::default(),
         }
     }
 
@@ -79,6 +86,7 @@ impl RunCtx {
             budget: None,
             checkpoint_every,
             metrics: None,
+            ledger: Arc::default(),
         }
     }
 
@@ -114,7 +122,8 @@ impl RunCtx {
     /// A harness with an explicit repetition count (single-run
     /// diagnosis experiments use 1). The supervisor is assembled from
     /// the context: effort-matched retry policy and deadline, the
-    /// shared budget, the chaos schedule, and the checkpoint cadence.
+    /// shared budget, the chaos schedule, and the checkpoint cadence;
+    /// the harness records into the context's ledger.
     pub fn harness_with_reps(&self, repetitions: usize) -> TestHarness {
         let mut supervisor = Supervisor::for_effort(self.effort);
         if self.checkpoint_every > 0 {
@@ -131,6 +140,7 @@ impl RunCtx {
         }
         let mut h = TestHarness::new(repetitions).with_supervisor(supervisor);
         h.cache = self.cache.clone();
+        h.ledger = self.ledger.clone();
         h
     }
 }
@@ -177,6 +187,40 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_contexts_keep_their_own_ledgers() {
+        use crate::experiments::common::run_or_empty;
+        use crate::testbeds::{EsnetPath, Testbeds};
+        use iperf3sim::Iperf3Opts;
+        use linuxhost::KernelVersion;
+        let scenario = |parallel| {
+            crate::Scenario::symmetric(
+                "lan",
+                Testbeds::esnet_host(KernelVersion::L6_8),
+                Testbeds::esnet_path(EsnetPath::Lan),
+                Iperf3Opts::new(1).omit(0).parallel(parallel),
+            )
+        };
+        let (failing, clean) = (RunCtx::new(Effort::Smoke), RunCtx::new(Effort::Smoke));
+        // Both experiments are in flight at once: each waits for the
+        // other before running its scenario (-P 0 is a config error).
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for (ctx, parallel) in [(&failing, 0), (&clean, 1)] {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    run_or_empty(&ctx.harness_with_reps(2), &scenario(parallel));
+                });
+            }
+        });
+        assert_eq!(failing.ledger.failed_scenarios(), ["lan: no repetition completed"]);
+        assert_eq!(failing.ledger.exit_code(), 1);
+        assert_eq!((clean.ledger.failed_scenarios().len(), clean.ledger.exit_code()), (0, 0));
+        assert_eq!(failing.ledger.snapshot().len(), 1);
+        assert_eq!(clean.ledger.snapshot().len(), 1);
+    }
+
+    #[test]
     fn harness_supervisor_matches_effort_and_wiring() {
         let budget = Arc::new(ErrorBudget::new(5));
         let chaos = Arc::new(ChaosPlan::new(99));
@@ -189,6 +233,7 @@ mod tests {
         assert_eq!(sup.policy().deadline, Effort::Full.rep_deadline());
         assert!(Arc::ptr_eq(sup.budget().expect("budget wired"), &budget));
         assert!(Arc::ptr_eq(sup.chaos().expect("chaos wired"), &chaos));
+        assert!(Arc::ptr_eq(&h.ledger, &ctx.ledger));
         // Chaos without an explicit cadence turns checkpointing on.
         assert_eq!(sup.checkpoint_every, DEFAULT_CHECKPOINT_EVERY);
         // An explicit cadence wins.

@@ -114,7 +114,7 @@ pub fn diagnosis(ctx: &RunCtx) -> TableData {
         };
         let agrees = name == expected;
         if !agrees {
-            common::record_scenario_failure(
+            ctx.ledger.record_failure(
                 &scenario.label,
                 format!("verdict '{name}' contradicts the narrative's '{expected}'"),
             );
@@ -138,8 +138,8 @@ mod tests {
 
     #[test]
     fn narratives_agree_at_smoke_effort() {
-        let before = common::failed_scenario_count();
-        let table = diagnosis(&RunCtx::new(Effort::Smoke));
+        let ctx = RunCtx::new(Effort::Smoke);
+        let table = diagnosis(&ctx);
         assert_eq!(table.rows.len(), 4);
         for row in &table.rows {
             assert_eq!(row[6], "yes", "{row:?}");
@@ -152,6 +152,6 @@ mod tests {
         let optmem = &table.rows[2];
         let fallback: f64 = optmem[2].parse().expect("fallback cell");
         assert!(fallback > 0.25, "{optmem:?}");
-        assert_eq!(common::failed_scenario_count(), before);
+        assert_eq!(ctx.ledger.failed_scenarios(), Vec::<String>::new());
     }
 }

@@ -18,15 +18,12 @@
 //!
 //! A failed ordering renders `MISMATCH` and counts as a failed
 //! scenario, so `repro ext_cc_matrix` exits non-zero on a ranking
-//! regression. The sweep's variant set can be narrowed with
-//! `REPRO_CC_ONLY=<name>[,<name>…]`; unknown names surface as the
-//! typed [`ScenarioError::Invalid`] (never a silent fallback).
+//! regression.
 
 use crate::ctx::RunCtx;
 use crate::experiments::common;
 use crate::metrics::aggregate_report_intervals;
 use crate::render::TableData;
-use crate::runner::ScenarioError;
 use crate::scenario::Scenario;
 use crate::testbeds::Testbeds;
 use iperf3sim::Iperf3Opts;
@@ -91,34 +88,6 @@ fn matrix_path(rtt_ms: u64, shallow: bool) -> PathSpec {
     .with_switch_buffer(depth)
 }
 
-/// The variants to sweep: all of them, unless `REPRO_CC_ONLY` narrows
-/// the set. Unknown names in the filter are a typed
-/// [`ScenarioError::Invalid`], returned so the caller can record the
-/// failure — never silently skipped or defaulted.
-fn variants_from_env() -> Result<Vec<CcAlgorithm>, ScenarioError> {
-    let Ok(filter) = std::env::var("REPRO_CC_ONLY") else {
-        return Ok(CcAlgorithm::ALL.to_vec());
-    };
-    let mut out = Vec::new();
-    let mut problems = Vec::new();
-    for name in filter.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        match name.parse::<CcAlgorithm>() {
-            Ok(cc) => out.push(cc),
-            Err(e) => problems.push(e.to_string()),
-        }
-    }
-    if !problems.is_empty() {
-        return Err(ScenarioError::Invalid { label: "REPRO_CC_ONLY".into(), problems });
-    }
-    if out.is_empty() {
-        return Err(ScenarioError::Invalid {
-            label: "REPRO_CC_ONLY".into(),
-            problems: vec!["filter selects no variants".into()],
-        });
-    }
-    Ok(out)
-}
-
 /// Steady-state per-interval goodput (Mbps): fold the first report
 /// through the obs interval aggregator and take the median interval
 /// p50 over the second half of the series (the first half carries
@@ -141,28 +110,24 @@ struct Ordering {
     holds: bool,
 }
 
-/// Evaluate the golden orderings against the measured grid.
-fn orderings(cells: &HashMap<CellKey, CellResult>, variants: &[CcAlgorithm]) -> Vec<Ordering> {
+/// Evaluate the golden orderings against the measured grid (every
+/// cell of the sweep).
+fn orderings(cells: &HashMap<CellKey, CellResult>) -> Vec<Ordering> {
     let get = |cc: CcAlgorithm, rtt_ms: u64, lossy: bool, shallow: bool| {
-        cells.get(&CellKey { cc, rtt_ms, lossy, shallow }).copied()
+        cells[&CellKey { cc, rtt_ms, lossy, shallow }]
     };
     let mut out = Vec::new();
 
     // Clean 1 ms deep-buffered LAN: every variant within 25 % of the
     // best (no algorithm should matter when nothing is scarce).
-    let lan: Vec<(CcAlgorithm, f64)> = variants
-        .iter()
-        .filter_map(|&cc| get(cc, 1, false, false).map(|r| (cc, r.gbps)))
-        .collect();
-    if lan.len() == variants.len() {
-        let best = lan.iter().fold(0.0_f64, |a, (_, g)| a.max(*g));
-        let worst = lan.iter().fold(f64::INFINITY, |a, (_, g)| a.min(*g));
-        out.push(Ordering {
-            name: "converge@1ms-clean-deep",
-            detail: format!("min {worst:.2} / max {best:.2} Gbps"),
-            holds: best > 0.0 && worst >= best * 0.75,
-        });
-    }
+    let lan = CcAlgorithm::ALL.map(|cc| get(cc, 1, false, false).gbps);
+    let best = lan.iter().fold(0.0_f64, |a, g| a.max(*g));
+    let worst = lan.iter().fold(f64::INFINITY, |a, g| a.min(*g));
+    out.push(Ordering {
+        name: "converge@1ms-clean-deep",
+        detail: format!("min {worst:.2} / max {best:.2} Gbps"),
+        holds: best > 0.0 && worst >= best * 0.75,
+    });
 
     // H-TCP ≥ CUBIC ramp-up at 200 ms RTT (the arXiv:1610.03534
     // high-BDP ranking). Measured on the clean deep cell: in a short
@@ -171,48 +136,42 @@ fn orderings(cells: &HashMap<CellKey, CellResult>, variants: &[CcAlgorithm]) -> 
     // (The lossy 200 ms cells are excluded on purpose: with a
     // Gilbert–Elliott burst nearly every round trip both loss-based
     // controllers pin at the floor and the comparison is noise.)
-    if let (Some(h), Some(c)) =
-        (get(CcAlgorithm::Htcp, 200, false, false), get(CcAlgorithm::Cubic, 200, false, false))
-    {
-        out.push(Ordering {
-            name: "htcp>=cubic@200ms-ramp",
-            detail: format!("htcp {:.2} vs cubic {:.2} Gbps", h.gbps, c.gbps),
-            holds: h.gbps >= c.gbps * 0.9,
-        });
-    }
+    let h = get(CcAlgorithm::Htcp, 200, false, false);
+    let c = get(CcAlgorithm::Cubic, 200, false, false);
+    out.push(Ordering {
+        name: "htcp>=cubic@200ms-ramp",
+        detail: format!("htcp {:.2} vs cubic {:.2} Gbps", h.gbps, c.gbps),
+        holds: h.gbps >= c.gbps * 0.9,
+    });
 
     // BBR vs CUBIC crossover: loss-based CUBIC caves to bursty loss at
     // high RTT, model-based BBR does not.
-    if let (Some(b), Some(c)) =
-        (get(CcAlgorithm::BbrV1, 100, true, false), get(CcAlgorithm::Cubic, 100, true, false))
-    {
-        out.push(Ordering {
-            name: "bbr>=cubic@100ms-ge",
-            detail: format!("bbr {:.2} vs cubic {:.2} Gbps", b.gbps, c.gbps),
-            holds: b.gbps >= c.gbps,
-        });
-    }
+    let b = get(CcAlgorithm::BbrV1, 100, true, false);
+    let c = get(CcAlgorithm::Cubic, 100, true, false);
+    out.push(Ordering {
+        name: "bbr>=cubic@100ms-ge",
+        detail: format!("bbr {:.2} vs cubic {:.2} Gbps", b.gbps, c.gbps),
+        holds: b.gbps >= c.gbps,
+    });
 
     // §IV-F: BBRv1 "retransmitted more (especially BBRv1)" — summed
     // over the lossy cells, bounded BBRv3 must not out-retransmit
     // loss-blind v1 (10 % slack).
-    let lossy_retr = |cc: CcAlgorithm| -> Option<f64> {
+    let lossy_retr = |cc: CcAlgorithm| -> f64 {
         let mut sum = 0.0;
         for rtt in RTT_AXIS_MS {
             for shallow in [false, true] {
-                sum += get(cc, rtt, true, shallow)?.retr;
+                sum += get(cc, rtt, true, shallow).retr;
             }
         }
-        Some(sum)
+        sum
     };
-    if let (Some(v1), Some(v3)) = (lossy_retr(CcAlgorithm::BbrV1), lossy_retr(CcAlgorithm::BbrV3))
-    {
-        out.push(Ordering {
-            name: "bbr3-retr<=bbr1@ge",
-            detail: format!("bbr3 {v3:.0} vs bbr {v1:.0} retr"),
-            holds: v3 <= v1 * 1.1 + 8.0,
-        });
-    }
+    let (v1, v3) = (lossy_retr(CcAlgorithm::BbrV1), lossy_retr(CcAlgorithm::BbrV3));
+    out.push(Ordering {
+        name: "bbr3-retr<=bbr1@ge",
+        detail: format!("bbr3 {v3:.0} vs bbr {v1:.0} retr"),
+        holds: v3 <= v1 * 1.1 + 8.0,
+    });
     out
 }
 
@@ -222,13 +181,6 @@ pub fn matrix(ctx: &RunCtx) -> TableData {
         "ext_cc_matrix — CC variant × RTT × Gilbert–Elliott loss × buffer depth, 10 G ESnet fabric",
         vec!["cc", "rtt", "loss", "buffer", "Gbps", "retr", "steady p50 Mbps", "verdict"],
     );
-    let variants = match variants_from_env() {
-        Ok(v) => v,
-        Err(e) => {
-            common::record_scenario_failure("ext_cc_matrix", &e);
-            return table;
-        }
-    };
     let effort = ctx.effort;
     let secs = effort.wan_secs();
     let host = Testbeds::esnet_host(KernelVersion::L6_8);
@@ -239,7 +191,7 @@ pub fn matrix(ctx: &RunCtx) -> TableData {
     for rtt_ms in RTT_AXIS_MS {
         for lossy in [false, true] {
             for shallow in [false, true] {
-                for &cc in &variants {
+                for cc in CcAlgorithm::ALL {
                     let key = CellKey { cc, rtt_ms, lossy, shallow };
                     let opts = Iperf3Opts::new(secs)
                         .omit(effort.omit_secs(true))
@@ -276,7 +228,7 @@ pub fn matrix(ctx: &RunCtx) -> TableData {
         // Per-cell sanity: goodput must exist and respect the physics.
         let sane = gbps > 0.0 && gbps <= MATRIX_RATE_GBPS * 1.05;
         if !sane {
-            common::record_scenario_failure(
+            ctx.ledger.record_failure(
                 &key.label(),
                 format!("goodput {gbps:.2} Gbps outside (0, {MATRIX_RATE_GBPS}]"),
             );
@@ -295,9 +247,9 @@ pub fn matrix(ctx: &RunCtx) -> TableData {
     }
 
     // Cross-cell golden orderings, one verdict row each.
-    for o in orderings(&cells, &variants) {
+    for o in orderings(&cells) {
         if !o.holds {
-            common::record_scenario_failure(
+            ctx.ledger.record_failure(
                 o.name,
                 format!("ordering violated: {}", o.detail),
             );
@@ -322,23 +274,9 @@ mod tests {
     use crate::effort::Effort;
 
     #[test]
-    fn unknown_cc_filter_is_a_typed_scenario_error() {
-        // Parse-level check (no env mutation: the parser is what the
-        // env path feeds).
-        let err = "bbr2".parse::<CcAlgorithm>().unwrap_err();
-        let sc_err = ScenarioError::Invalid {
-            label: "REPRO_CC_ONLY".into(),
-            problems: vec![err.to_string()],
-        };
-        let msg = sc_err.to_string();
-        assert!(msg.contains("REPRO_CC_ONLY"), "{msg}");
-        assert!(msg.contains("unknown congestion-control"), "{msg}");
-    }
-
-    #[test]
     fn matrix_covers_all_variants_and_orderings_at_smoke() {
-        let before = common::failed_scenario_count();
-        let table = matrix(&RunCtx::new(Effort::Smoke));
+        let ctx = RunCtx::new(Effort::Smoke);
+        let table = matrix(&ctx);
         // 4 variants × 4 RTTs × 2 loss × 2 buffers, plus ordering rows.
         let cell_rows: Vec<_> = table.rows.iter().filter(|r| r[0] != "ordering").collect();
         assert_eq!(cell_rows.len(), 64);
@@ -350,6 +288,6 @@ mod tests {
         for row in &table.rows {
             assert_eq!(row[7], "ok", "{row:?}");
         }
-        assert_eq!(common::failed_scenario_count(), before);
+        assert_eq!(ctx.ledger.failed_scenarios(), Vec::<String>::new());
     }
 }

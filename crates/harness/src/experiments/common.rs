@@ -5,36 +5,16 @@ use crate::render::{FigureData, Series};
 use crate::runner::{TestHarness, TestSummary};
 use crate::scenario::Scenario;
 use simcore::{RunningStats, Summary};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Scenarios that failed outright and were reported as zeros, since
-/// process start. The `repro` binary uses this for its exit code.
-static FAILED_SCENARIOS: AtomicUsize = AtomicUsize::new(0);
-
-/// How many scenarios have degraded to zeros so far.
-pub fn failed_scenario_count() -> usize {
-    FAILED_SCENARIOS.load(Ordering::Relaxed)
-}
 
 /// Run one scenario; a failed scenario degrades to an all-zero
 /// [`TestSummary`] (with a warning on stderr) so one broken cell does
-/// not tear down a whole figure or table. Degradations are counted in
-/// [`failed_scenario_count`].
+/// not tear down a whole figure or table. The harness's ledger already
+/// holds the scenario's record, which is what counts it as failed.
 pub fn run_or_empty(harness: &TestHarness, sc: &Scenario) -> TestSummary {
     harness.run(sc).unwrap_or_else(|e| {
-        FAILED_SCENARIOS.fetch_add(1, Ordering::Relaxed);
         eprintln!("warning: {e}; reporting zeros for '{}'", sc.label);
         TestSummary::empty(sc.label.as_str())
     })
-}
-
-/// Record a scenario whose *result* was wrong (e.g. a bottleneck
-/// verdict that contradicts the narrative it reproduces) even though
-/// the run itself survived. Counts toward [`failed_scenario_count`],
-/// so the `repro` binary exits non-zero.
-pub fn record_scenario_failure(label: &str, why: impl std::fmt::Display) {
-    FAILED_SCENARIOS.fetch_add(1, Ordering::Relaxed);
-    eprintln!("warning: scenario '{label}': {why}");
 }
 
 /// Run a whole batch of scenarios through one harness; each failed
@@ -49,7 +29,6 @@ pub fn run_batch_or_empty(harness: &TestHarness, scenarios: &[Scenario]) -> Vec<
         .zip(scenarios)
         .map(|(result, sc)| {
             result.unwrap_or_else(|e| {
-                FAILED_SCENARIOS.fetch_add(1, Ordering::Relaxed);
                 eprintln!("warning: {e}; reporting zeros for '{}'", sc.label);
                 TestSummary::empty(sc.label.as_str())
             })

@@ -33,7 +33,6 @@
 
 use crate::ctx::RunCtx;
 use crate::effort::Effort;
-use crate::experiments::common;
 use crate::render::TableData;
 use crate::sched;
 use netsim::{
@@ -169,13 +168,13 @@ fn run_profile(ctx: &RunCtx, profile: FleetProfile) -> Option<FleetResult> {
     let sim = match FleetSim::new(profile) {
         Ok(sim) => sim,
         Err(e) => {
-            common::record_scenario_failure(&label, &e);
+            ctx.ledger.record_failure(&label, &e);
             return None;
         }
     };
     match sim.with_event_budget(budget).run() {
         Ok(res) => {
-            crate::metrics::note_late_drops(res.late_dropped);
+            ctx.ledger.add_late_dropped(res.late_dropped);
             if let Some(hub) = &ctx.metrics {
                 hub.sample_queue_health(res.health);
                 let io = crate::chaos::artefact_io(ctx.chaos.as_ref());
@@ -184,7 +183,7 @@ fn run_profile(ctx: &RunCtx, profile: FleetProfile) -> Option<FleetResult> {
             Some(res)
         }
         Err(e) => {
-            common::record_scenario_failure(&label, &e);
+            ctx.ledger.record_failure(&label, &e);
             None
         }
     }
@@ -231,7 +230,7 @@ pub fn fleet(ctx: &RunCtx) -> TableData {
     for res in results.iter().flatten() {
         let ok = sane(res);
         if !ok {
-            common::record_scenario_failure(
+            ctx.ledger.record_failure(
                 &res.name,
                 format!(
                     "fleet invariants violated: served {}/{}, late {}, clamps {}, slab {}/{}",
@@ -270,7 +269,7 @@ pub fn fleet(ctx: &RunCtx) -> TableData {
     };
     let mut verdict = |name: &'static str, detail: String, holds: bool| {
         if !holds {
-            common::record_scenario_failure(name, format!("ordering violated: {detail}"));
+            ctx.ledger.record_failure(name, format!("ordering violated: {detail}"));
         }
         table.push_row(vec![
             "ordering".into(),
@@ -339,8 +338,8 @@ mod tests {
 
     #[test]
     fn fleet_serves_all_profiles_with_golden_shapes_at_smoke() {
-        let before = common::failed_scenario_count();
-        let table = fleet(&RunCtx::new(Effort::Smoke));
+        let ctx = RunCtx::new(Effort::Smoke);
+        let table = fleet(&ctx);
         let profile_rows: Vec<_> = table.rows.iter().filter(|r| r[0] != "ordering").collect();
         assert_eq!(profile_rows.len(), 3, "{:?}", table.rows);
         let ordering_rows: Vec<_> = table.rows.iter().filter(|r| r[0] == "ordering").collect();
@@ -348,6 +347,7 @@ mod tests {
         for row in &table.rows {
             assert_eq!(row[9], "ok", "{row:?}");
         }
-        assert_eq!(common::failed_scenario_count(), before);
+        assert_eq!(ctx.ledger.failed_scenarios(), Vec::<String>::new());
+        assert_eq!(ctx.ledger.late_dropped(), 0);
     }
 }

@@ -210,9 +210,4 @@ impl ExperimentId {
             ExperimentId::ExtFleet => Artifact::Table(fleet::fleet(ctx)),
         }
     }
-
-    /// Run and render as terminal text.
-    pub fn run_rendered(self, ctx: &RunCtx) -> String {
-        self.run(ctx).render_ascii()
-    }
 }

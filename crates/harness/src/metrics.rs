@@ -47,29 +47,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Invocation-wide count of interval samples dropped for arriving
-/// below an aggregator watermark — the only place such drops are
-/// counted. Global (not per-hub) so the repro summary can warn about
-/// silent data loss even for code paths that aggregated without a
-/// metrics hub attached; [`fold_run_totals`] copies it into the
-/// registry once.
-static LATE_DROPPED: AtomicU64 = AtomicU64::new(0);
-
-/// Note `n` late-dropped interval samples in the invocation-wide
-/// counter (see [`late_dropped_total`]).
-pub fn note_late_drops(n: u64) {
-    if n > 0 {
-        LATE_DROPPED.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Total interval samples silently dropped as late this invocation.
-/// Nonzero means an aggregation bug (a watermark advanced past live
-/// samples) — the repro summary surfaces it as a warning.
-pub fn late_dropped_total() -> u64 {
-    LATE_DROPPED.load(Ordering::Relaxed)
-}
-
 /// Minimum spacing between heartbeat lines.
 const HEARTBEAT_EVERY: Duration = Duration::from_secs(1);
 
@@ -96,10 +73,20 @@ pub struct MetricsHub {
 }
 
 impl MetricsHub {
-    /// Create the hub, making sure the output directory exists.
+    /// Create the hub, making sure the output directory exists. A
+    /// directory that already has entries is refused: one directory
+    /// holds one run, and a second run into it would rewrite the
+    /// exposition and spans while the first run's per-repetition files
+    /// stayed.
     pub fn new(dir: impl Into<PathBuf>) -> io::Result<MetricsHub> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
+        if std::fs::read_dir(&dir)?.next().is_some() {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "directory is not empty (a run needs an empty output directory)",
+            ));
+        }
         let now = Instant::now();
         Ok(MetricsHub {
             dir,
@@ -290,7 +277,8 @@ impl MetricsHub {
     /// spans, its interval series and — when the report carries
     /// telemetry or attribution — its JSON-lines trace and cycle
     /// profiles, every file written through `io`. A failed write is a
-    /// warning on stderr, never a lost repetition.
+    /// warning on stderr, never a lost repetition. Returns the interval
+    /// samples dropped as late, for the run ledger.
     pub(crate) fn write_rep(
         &self,
         io: &dyn TraceIo,
@@ -298,7 +286,7 @@ impl MetricsHub {
         rep: usize,
         seed: u64,
         report: &Iperf3Report,
-    ) {
+    ) -> u64 {
         let label = &scenario.label;
         let omit = scenario.opts.omit_secs as f64;
         let scope = format!("{label}/rep{rep}");
@@ -310,7 +298,7 @@ impl MetricsHub {
         // The batch fold above never seals mid-stream, so late() should
         // be structurally zero — but if that invariant ever breaks, the
         // drops must land in the ledger, not vanish.
-        note_late_drops(agg.late());
+        let late = agg.late();
         self.write_intervals(io, label, rep, &agg.finish());
         let stem = format!("{}_rep{rep}", trace::sanitize_label(label));
         let sampled = [
@@ -323,6 +311,7 @@ impl MetricsHub {
                 self.put(io, &format!("{stem}.{ext}"), &body);
             }
         }
+        late
     }
 
     /// Write an interval series (a repetition's, or a streaming fleet
@@ -406,10 +395,11 @@ pub fn fold_cache_stats(recorder: &Recorder, stats: &crate::cache::CacheStats) {
     recorder.counter_add("cache_recovered_stale", stats.stale_recoveries());
 }
 
-/// Fold the global run ledger, the late-drop total and (when present)
-/// chaos statistics into the registry — called once at the end of a
-/// `repro` invocation. `late_dropped` is folded even at zero, so the
-/// exposition always carries it and validators can assert it is 0.
+/// Fold the run ledger (its repetition totals and late-drop count) and
+/// (when present) chaos statistics into the registry — called once at
+/// the end of a `repro` invocation with every experiment's ledger
+/// merged. `late_dropped` is folded even at zero, so the exposition
+/// always carries it and validators can assert it is 0.
 pub fn fold_run_totals(
     recorder: &Recorder,
     ledger: &crate::supervise::RunLedger,
@@ -431,7 +421,7 @@ pub fn fold_run_totals(
         "late_dropped",
         "Interval samples dropped for arriving below an aggregator watermark",
     );
-    recorder.counter_add("late_dropped", late_dropped_total());
+    recorder.counter_add("late_dropped", ledger.late_dropped());
     if let Some(stats) = chaos {
         recorder.describe("chaos_worker_kills", "Chaos-injected worker kills");
         recorder.counter_add("chaos_worker_kills", stats.kills());

@@ -199,6 +199,9 @@ pub struct TestHarness {
     /// Crash isolation, deadlines, classed retries, chaos schedule —
     /// every repetition runs under it (see [`crate::supervise`]).
     pub supervisor: Supervisor,
+    /// Where every scenario this harness runs is accounted: the run
+    /// context's ledger, or a fresh one of the harness's own.
+    pub ledger: Arc<RunLedger>,
 }
 
 impl Default for TestHarness {
@@ -209,6 +212,7 @@ impl Default for TestHarness {
             parallel: true,
             cache: None,
             supervisor: Supervisor::default(),
+            ledger: Arc::default(),
         }
     }
 }
@@ -349,10 +353,10 @@ impl TestHarness {
             .map(|i| derive_seed(fingerprint, self.base_seed, i as u64))
             .collect();
         let (reports, failures) = Self::collect_slots(slots, &seeds);
-        // Every scenario reports into the global ledger — success,
-        // degraded, or total loss — so `repro` can account for every
-        // repetition in the end-of-run manifest.
-        RunLedger::global().record(ScenarioRecord {
+        // Every scenario reports into the ledger — success, degraded,
+        // or total loss — so `repro` can account for every repetition
+        // in the end-of-run manifest.
+        self.ledger.record(ScenarioRecord {
             label: scenario.label.clone(),
             expected,
             completed: reports.len(),
@@ -379,7 +383,8 @@ impl TestHarness {
             // lost repetition.
             let io = crate::chaos::artefact_io(self.supervisor.chaos());
             for (i, seed, report) in &reports {
-                hub.write_rep(io.as_ref(), scenario, *i, *seed, report);
+                let late = hub.write_rep(io.as_ref(), scenario, *i, *seed, report);
+                self.ledger.add_late_dropped(late);
             }
         }
         let reports = reports.into_iter().map(|(_, _, r)| r).collect();
@@ -431,7 +436,7 @@ impl TestHarness {
         // crash-isolated, stepped under a wall-clock deadline, and —
         // when chaos is on — killed and resumed per the schedule.
         let simulate = || {
-            self.supervisor.drive(seed, || {
+            let result = self.supervisor.drive(seed, || {
                 iperf3sim::start_session(
                     &scenario.client,
                     &scenario.server,
@@ -440,7 +445,17 @@ impl TestHarness {
                     &scenario.faults,
                     scenario.event_budget,
                 )
-            })
+            })?;
+            // Run-level warnings (e.g. past-scheduled events clamped by
+            // the release-mode queue) don't fail the run, but the
+            // report is suspect and the reader should know.
+            for warning in result.warnings() {
+                eprintln!("warning: {warning}");
+            }
+            Ok::<_, RepError>(Iperf3Report::from_run(
+                opts.command_line(&scenario.server.name),
+                &result,
+            ))
         };
         // Observer-free runs are pure functions of (scenario, seed):
         // consult the content-addressed cache before simulating, fill
@@ -629,20 +644,15 @@ mod tests {
     fn invalid_scenario_never_retries() {
         // A deterministic config rejection must burn exactly one
         // attempt per repetition — the identical rerun the old harness
-        // paid for is gone. Verified through the run ledger (filtered
-        // by label: the ledger is process-global and tests run in
-        // parallel).
+        // paid for is gone. Verified through the harness's run ledger.
         let mut sc = scenario();
-        sc.label = "invalid_never_retries".into();
         sc.opts.parallel = 0;
-        let err = TestHarness::new(2).run(&sc).unwrap_err();
+        let harness = TestHarness::new(2);
+        let err = harness.run(&sc).unwrap_err();
         assert!(matches!(err, ScenarioError::Invalid { .. }), "{err}");
-        let records = RunLedger::global().snapshot();
-        let rec = records
-            .iter()
-            .rev()
-            .find(|r| r.label == "invalid_never_retries")
-            .expect("scenario recorded in ledger");
+        let records = harness.ledger.snapshot();
+        assert_eq!(records.len(), 1, "{records:?}");
+        let rec = &records[0];
         assert_eq!((rec.expected, rec.completed), (2, 0));
         assert_eq!(rec.failed.len(), 2);
         assert!(rec

@@ -9,7 +9,7 @@
 //!
 //! * every repetition executes under [`Supervisor::drive`], inside
 //!   `catch_unwind`, stepped in bounded event chunks with a wall-clock
-//!   deadline and periodic [checkpoints](iperf3sim::SessionCheckpoint)
+//!   deadline and periodic [checkpoints](netsim::SimCheckpoint)
 //!   — a crashed worker resumes from its last snapshot instead of
 //!   taking the whole harness down;
 //! * failures carry an [`ErrorClass`], and the retry policy consults
@@ -18,15 +18,15 @@
 //!   exponential backoff up to the effort's attempt cap;
 //! * retries draw from a per-experiment [`ErrorBudget`] so one
 //!   pathological scenario cannot starve the rest of the run;
-//! * every scenario reports into the global [`RunLedger`], from which
-//!   `repro` builds the degraded-run manifest (exit code 3) when
-//!   repetitions went missing.
+//! * every scenario reports into its experiment's [`RunLedger`], from
+//!   which `repro` derives its exit code and builds the degraded-run
+//!   manifest (exit code 3) when repetitions went missing.
 
 use crate::chaos::ChaosPlan;
 use crate::effort::Effort;
 use crate::runner::FailedRep;
-use iperf3sim::{Iperf3Report, RunError, SessionCheckpoint, SimSession};
-use netsim::SimError;
+use iperf3sim::RunError;
+use netsim::{RunResult, RunningSim, SimCheckpoint, SimError};
 use simcore::{CheckpointPolicy, Checkpointer, WatchdogTrip};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -140,6 +140,12 @@ impl RepError {
     /// Classify and render a run error.
     pub fn from_run(e: &RunError) -> Self {
         RepError { class: ErrorClass::classify(e), error: e.to_string() }
+    }
+
+    /// Classify and render a simulation error, exactly as it reads
+    /// once lifted into a [`RunError`].
+    fn from_sim(e: SimError) -> Self {
+        RepError::from_run(&e.into())
     }
 }
 
@@ -321,8 +327,9 @@ impl Supervisor {
 
     /// Execute one repetition attempt under full supervision.
     ///
-    /// `start` builds the session (it runs *inside* the crash-isolation
-    /// boundary, so a panicking config path is survivable too);
+    /// `start` builds the simulation (it runs *inside* the
+    /// crash-isolation boundary, so a panicking config path is
+    /// survivable too);
     /// `run_seed` keys the chaos schedule. The session is stepped in
     /// [`STEP_CHUNK`]-event slices; between slices the supervisor
     /// enforces the wall-clock deadline, takes checkpoints on the
@@ -331,15 +338,15 @@ impl Supervisor {
     /// is restarted from the latest checkpoint, or from scratch if none
     /// was taken yet; because checkpoints snapshot the full engine
     /// state between events, the resumed run replays the exact event
-    /// sequence and the report is bit-identical to an undisturbed run.
-    pub fn drive<F>(&self, run_seed: u64, start: F) -> Result<Iperf3Report, RepError>
+    /// sequence and the result is bit-identical to an undisturbed run.
+    pub fn drive<F>(&self, run_seed: u64, start: F) -> Result<RunResult, RepError>
     where
-        F: Fn() -> Result<SimSession, RunError>,
+        F: Fn() -> Result<RunningSim, RunError>,
     {
         let deadline = Instant::now() + self.policy.deadline;
         // The resume slot lives *outside* the unwind boundary: whatever
         // the worker had checkpointed before dying survives the panic.
-        let slot: Mutex<Option<SessionCheckpoint>> = Mutex::new(None);
+        let slot: Mutex<Option<SimCheckpoint>> = Mutex::new(None);
         let mut round: u32 = 0;
         loop {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -371,21 +378,21 @@ impl Supervisor {
     /// One unwind-isolated round of [`Supervisor::drive`].
     fn run_round<F>(
         &self,
-        slot: &Mutex<Option<SessionCheckpoint>>,
+        slot: &Mutex<Option<SimCheckpoint>>,
         start: &F,
         run_seed: u64,
         round: u32,
         deadline: Instant,
-    ) -> Result<Iperf3Report, RepError>
+    ) -> Result<RunResult, RepError>
     where
-        F: Fn() -> Result<SimSession, RunError>,
+        F: Fn() -> Result<RunningSim, RunError>,
     {
         // Resume from the latest snapshot if one exists (clone, don't
         // take: if this round dies before its first checkpoint, the
         // next one must still have something to resume from).
         let resumed = slot.lock().expect("checkpoint slot").clone();
         let mut session = match resumed {
-            Some(ck) => SimSession::resume(ck),
+            Some(ck) => RunningSim::resume(ck),
             None => start().map_err(|e| RepError::from_run(&e))?,
         };
         let entry = session.events_done();
@@ -403,7 +410,7 @@ impl Supervisor {
         // Skip cadence boundaries already behind a resumed session.
         ckpt.due(entry);
         loop {
-            let done = session.step_events(STEP_CHUNK).map_err(|e| RepError::from_run(&e))?;
+            let done = session.step_events(STEP_CHUNK).map_err(RepError::from_sim)?;
             if done {
                 break;
             }
@@ -464,7 +471,7 @@ impl Supervisor {
             shard.record(session.events_done());
             crate::metrics::fold_events_hist(hub.recorder(), &shard);
         }
-        session.finish().map_err(|e| RepError::from_run(&e))
+        session.finish().map_err(RepError::from_sim)
     }
 }
 
@@ -489,41 +496,99 @@ impl ScenarioRecord {
     }
 }
 
-/// Process-global accounting of every scenario the harness ran:
-/// expected vs completed repetitions, and the classed failures. `repro`
-/// snapshots it at the end of a run to decide between a clean exit and
-/// the degraded manifest (exit code 3).
+/// One experiment's run accounting: every scenario its harnesses ran
+/// (expected vs completed repetitions, and the classed failures), the
+/// scenarios whose *result* was wrong although the run survived, and
+/// the interval samples dropped as late. [`RunCtx`](crate::RunCtx)
+/// owns one and hands it to every harness it builds; `repro` gives each
+/// experiment a fresh one and derives its exit code and the
+/// degraded-run manifest from them.
 #[derive(Debug, Default)]
 pub struct RunLedger {
-    records: Mutex<Vec<ScenarioRecord>>,
+    entries: Mutex<LedgerEntries>,
 }
 
-static LEDGER: RunLedger = RunLedger { records: Mutex::new(Vec::new()) };
+#[derive(Debug, Default, Clone)]
+struct LedgerEntries {
+    records: Vec<ScenarioRecord>,
+    /// `(label, reason)` per wrong result: a golden-shape `MISMATCH`, a
+    /// fleet invariant violation, a narrative mismatch.
+    result_failures: Vec<(String, String)>,
+    late_dropped: u64,
+}
 
 impl RunLedger {
-    /// The process-wide ledger.
-    pub fn global() -> &'static RunLedger {
-        &LEDGER
+    fn entries(&self) -> std::sync::MutexGuard<'_, LedgerEntries> {
+        self.entries.lock().expect("run ledger lock poisoned by a panicking recorder")
     }
 
     /// Record one finished scenario.
     pub fn record(&self, record: ScenarioRecord) {
-        self.records.lock().expect("run ledger").push(record);
+        self.entries().records.push(record);
     }
 
-    /// Copy of everything recorded so far.
+    /// Record a scenario whose *result* was wrong (e.g. a bottleneck
+    /// verdict that contradicts the narrative it reproduces) even
+    /// though the run itself survived, with a warning on stderr. It
+    /// counts as a failed scenario.
+    pub fn record_failure(&self, label: &str, why: impl std::fmt::Display) {
+        eprintln!("warning: scenario '{label}': {why}");
+        self.entries().result_failures.push((label.to_string(), why.to_string()));
+    }
+
+    /// Count interval samples dropped for arriving below an aggregator
+    /// watermark. Nonzero means an aggregation bug (a watermark
+    /// advanced past live samples).
+    pub fn add_late_dropped(&self, n: u64) {
+        self.entries().late_dropped += n;
+    }
+
+    /// Append everything `other` recorded (how `repro` totals its
+    /// experiments' ledgers).
+    pub fn merge(&self, other: &RunLedger) {
+        let theirs = other.entries().clone();
+        let mut ours = self.entries();
+        ours.records.extend(theirs.records);
+        ours.result_failures.extend(theirs.result_failures);
+        ours.late_dropped += theirs.late_dropped;
+    }
+
+    /// Copy of every scenario recorded so far.
     pub fn snapshot(&self) -> Vec<ScenarioRecord> {
-        self.records.lock().expect("run ledger").clone()
+        self.entries().records.clone()
     }
 
-    /// Clear the ledger (start of a `repro` invocation, tests).
-    pub fn reset(&self) {
-        self.records.lock().expect("run ledger").clear();
+    /// The failed scenarios, one line each: those with no completed
+    /// repetition (reported as zeros), then those whose result was
+    /// wrong, with the reason.
+    pub fn failed_scenarios(&self) -> Vec<String> {
+        let entries = self.entries();
+        let lost = entries.records.iter().filter(|r| r.completed == 0);
+        lost.map(|r| format!("{}: no repetition completed", r.label))
+            .chain(entries.result_failures.iter().map(|(label, why)| format!("{label}: {why}")))
+            .collect()
+    }
+
+    /// Interval samples dropped as late.
+    pub fn late_dropped(&self) -> u64 {
+        self.entries().late_dropped
     }
 
     /// Any repetitions missing?
     pub fn degraded(&self) -> bool {
-        self.records.lock().expect("run ledger").iter().any(|r| !r.complete())
+        self.entries().records.iter().any(|r| !r.complete())
+    }
+
+    /// `repro`'s exit code: 1 when a scenario failed (the stronger
+    /// signal), else 3 when repetitions were lost, else 0.
+    pub fn exit_code(&self) -> i32 {
+        if !self.failed_scenarios().is_empty() {
+            1
+        } else if self.degraded() {
+            3
+        } else {
+            0
+        }
     }
 
     /// The missing-repetition manifest: totals plus one entry per
@@ -727,6 +792,57 @@ mod tests {
             .with_checkpoint_every(7)
             .with_chaos(Arc::new(ChaosPlan::new(1)));
         assert_eq!(sup.checkpoint_every, 7);
+    }
+
+    #[test]
+    fn exit_code_derives_from_the_ledger() {
+        let clean = || ScenarioRecord {
+            label: "clean".into(),
+            expected: 2,
+            completed: 2,
+            failed: Vec::new(),
+        };
+        let lost = FailedRep {
+            seed: 7,
+            error: "worker died".into(),
+            class: ErrorClass::WorkerDeath,
+            attempts: 2,
+        };
+        let ledger = RunLedger::default();
+        ledger.record(clean());
+        assert_eq!(ledger.exit_code(), 0);
+        // Lost repetitions with survivors: degraded.
+        let degraded = RunLedger::default();
+        degraded.record(clean());
+        degraded.record(ScenarioRecord {
+            label: "lossy".into(),
+            expected: 2,
+            completed: 1,
+            failed: vec![lost.clone()],
+        });
+        assert_eq!((degraded.failed_scenarios().len(), degraded.exit_code()), (0, 3));
+        // No survivor at all: a failed scenario, which wins over 3.
+        let total_loss = RunLedger::default();
+        total_loss.record(ScenarioRecord {
+            label: "dead".into(),
+            expected: 2,
+            completed: 0,
+            failed: vec![lost.clone(), lost],
+        });
+        assert_eq!(total_loss.failed_scenarios(), ["dead: no repetition completed"]);
+        assert_eq!(total_loss.exit_code(), 1);
+        // A wrong result fails a run whose repetitions all survived...
+        let mismatch = RunLedger::default();
+        mismatch.record(clean());
+        mismatch.record_failure("ordering", "MISMATCH");
+        assert_eq!(mismatch.failed_scenarios(), ["ordering: MISMATCH"]);
+        assert_eq!(mismatch.exit_code(), 1);
+        // ...and merging keeps every count and the stronger verdict.
+        degraded.merge(&mismatch);
+        degraded.add_late_dropped(2);
+        assert_eq!(degraded.snapshot().len(), 3);
+        assert_eq!((degraded.failed_scenarios().len(), degraded.exit_code()), (1, 1));
+        assert_eq!(degraded.late_dropped(), 2);
     }
 
     #[test]

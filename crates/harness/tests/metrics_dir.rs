@@ -1,6 +1,7 @@
 //! `repro` creates its run-output directory only for a run: listing
 //! the experiments, printing help or failing on a usage error must
-//! leave nothing on disk, whichever way the directory was named.
+//! leave nothing on disk, whichever way the directory was named. And a
+//! directory holds one run: one that already has entries is refused.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -40,6 +41,28 @@ fn no_output_directory_without_a_run() {
         assert_eq!(repro(&env_dir, args), want, "exit code of repro {args:?}");
         assert!(!env_dir.exists(), "repro {args:?} created REPRO_METRICS's directory");
         assert!(!trace_dir.exists(), "repro {args:?} created the --trace directory");
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn populated_output_directory_is_refused_untouched() {
+    let root = scratch("populated");
+    let dir = root.join("out");
+    std::fs::create_dir_all(&dir).expect("output dir");
+    std::fs::write(dir.join("spans.jsonl"), "an earlier run\n").expect("earlier file");
+    let d = dir.to_str().expect("utf-8 temp path");
+    for flag in ["--trace", "--metrics"] {
+        // REPRO_METRICS names the same directory, so only the
+        // populated directory can refuse the run.
+        assert_eq!(repro(&dir, &[flag, d, "fig05"]), 2, "exit code of repro {flag}");
+        let entries: Vec<_> = std::fs::read_dir(&dir)
+            .expect("output dir kept")
+            .map(|e| e.expect("dir entry").file_name())
+            .collect();
+        assert_eq!(entries, ["spans.jsonl"], "repro {flag} wrote into the directory");
+        let kept = std::fs::read_to_string(dir.join("spans.jsonl")).expect("earlier file");
+        assert_eq!(kept, "an earlier run\n", "repro {flag} rewrote an earlier file");
     }
     std::fs::remove_dir_all(&root).ok();
 }

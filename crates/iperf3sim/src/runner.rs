@@ -69,17 +69,25 @@ pub fn run_with_faults(
     faults: &FaultPlan,
     event_budget: Option<u64>,
 ) -> Result<Iperf3Report, RunError> {
-    // One code path: the straight-through run is a session driven to
-    // completion without intermediate steps or checkpoints, which the
-    // checkpoint/resume suite verifies is bit-identical.
-    start_session(client, server, path, opts, faults, event_budget)?.finish()
+    // One code path: the straight-through run is a started simulation
+    // driven to completion without intermediate steps or checkpoints,
+    // which the checkpoint/resume suite verifies is bit-identical.
+    let result = start_session(client, server, path, opts, faults, event_budget)?.finish()?;
+    // Run-level warnings (e.g. past-scheduled events clamped by the
+    // release-mode queue) don't fail the run, but must not vanish:
+    // the report is suspect and the reader should know.
+    for warning in result.warnings() {
+        eprintln!("warning: {warning}");
+    }
+    Ok(Iperf3Report::from_run(opts.command_line(&server.name), &result))
 }
 
 /// Validate flags and configuration, then start (but do not run) the
-/// simulated test, returning a [`SimSession`] the caller can drive in
+/// simulated test, returning a [`RunningSim`] the caller can drive in
 /// bounded steps, checkpoint, and resume. Used by the harness
 /// supervisor for crash isolation and chaos testing;
-/// [`run_with_faults`] is this plus an immediate [`SimSession::finish`].
+/// [`run_with_faults`] is this plus an immediate [`RunningSim::finish`]
+/// rendered by [`Iperf3Report::from_run`].
 pub fn start_session(
     client: &HostConfig,
     server: &HostConfig,
@@ -87,7 +95,7 @@ pub fn start_session(
     opts: &Iperf3Opts,
     faults: &FaultPlan,
     event_budget: Option<u64>,
-) -> Result<SimSession, RunError> {
+) -> Result<RunningSim, RunError> {
     let mut errors = opts.validate();
 
     // Pre-3.16 builds run all streams on one thread: emulate by pinning
@@ -118,7 +126,6 @@ pub fn start_session(
         telemetry: opts.telemetry,
         attribution: opts.attribution,
     };
-    let command = opts.command_line(&server.name);
     let cfg = SimConfig {
         sender: client,
         receiver: server,
@@ -129,80 +136,7 @@ pub fn start_session(
     if !errors.is_empty() {
         return Err(RunError::Invalid(errors));
     }
-    Ok(SimSession { sim: Simulation::new(cfg)?.start(), command })
-}
-
-/// A started iperf3 test over the simulator, driven incrementally.
-///
-/// Stepping in chunks (instead of one blocking run) is what lets the
-/// harness supervisor snapshot state between events, enforce wall-clock
-/// deadlines, and — under `REPRO_CHAOS` — kill and resume workers while
-/// still producing bit-identical reports.
-pub struct SimSession {
-    sim: RunningSim,
-    command: String,
-}
-
-/// A deep snapshot of a [`SimSession`], resumable with
-/// [`SimSession::resume`].
-#[derive(Clone)]
-pub struct SessionCheckpoint {
-    sim: netsim::SimCheckpoint,
-    command: String,
-}
-
-impl SessionCheckpoint {
-    /// Dispatched-event count at the moment of the snapshot.
-    pub fn events_done(&self) -> u64 {
-        self.sim.events_done()
-    }
-}
-
-impl SimSession {
-    /// Total simulation events dispatched so far.
-    pub fn events_done(&self) -> u64 {
-        self.sim.events_done()
-    }
-
-    /// Dispatch up to `max` further events; `Ok(true)` once the run is
-    /// ready for [`SimSession::finish`].
-    pub fn step_events(&mut self, max: u64) -> Result<bool, RunError> {
-        Ok(self.sim.step_events(max)?)
-    }
-
-    /// Engine-health snapshot of the session's event queue, sampled by
-    /// the harness at checkpoint barriers.
-    pub fn queue_health(&self) -> simcore::QueueHealth {
-        self.sim.queue_health()
-    }
-
-    /// Simulated time reached so far, in seconds.
-    pub fn sim_now_secs(&self) -> f64 {
-        self.sim.sim_now_secs()
-    }
-
-    /// Snapshot the full session state between events.
-    pub fn checkpoint(&self) -> SessionCheckpoint {
-        SessionCheckpoint { sim: self.sim.checkpoint(), command: self.command.clone() }
-    }
-
-    /// Rebuild a session from a snapshot; it replays exactly the events
-    /// the original would have dispatched.
-    pub fn resume(ck: SessionCheckpoint) -> SimSession {
-        SimSession { sim: RunningSim::resume(ck.sim), command: ck.command }
-    }
-
-    /// Drain remaining events and render the report.
-    pub fn finish(self) -> Result<Iperf3Report, RunError> {
-        let result = self.sim.finish()?;
-        // Run-level warnings (e.g. past-scheduled events clamped by the
-        // release-mode queue) don't fail the run, but must not vanish:
-        // the report is suspect and the reader should know.
-        for warning in result.warnings() {
-            eprintln!("warning: {warning}");
-        }
-        Ok(Iperf3Report::from_run(self.command, &result))
-    }
+    Ok(Simulation::new(cfg)?.start())
 }
 
 #[cfg(test)]

@@ -12,9 +12,10 @@
 //! formatting is shortest-round-trip exact, so equal strings ⇔ equal
 //! bits) and the iperf3-style JSON dump.
 
+use dtnperf::netsim::RunningSim;
 use dtnperf::prelude::*;
 use harness::supervise::Supervisor;
-use iperf3sim::{Iperf3Opts, SimSession};
+use iperf3sim::Iperf3Opts;
 
 /// The golden-shape trio: clean LAN, long-RTT WAN with zerocopy, and a
 /// parallel-stream run — the same path/host shapes `golden_shapes.rs`
@@ -55,9 +56,18 @@ fn start(
     host: &HostConfig,
     path: &PathSpec,
     opts: &Iperf3Opts,
-) -> SimSession {
+) -> RunningSim {
     iperf3sim::start_session(host, host, path, opts, &FaultPlan::none(), None)
         .expect("session starts")
+}
+
+/// Render a finished simulation the way `iperf3sim::run` does.
+fn report(host: &HostConfig, opts: &Iperf3Opts, result: &RunResult) -> Iperf3Report {
+    Iperf3Report::from_run(opts.command_line(&host.name), result)
+}
+
+fn finish(host: &HostConfig, opts: &Iperf3Opts, session: RunningSim) -> Iperf3Report {
+    report(host, opts, &session.finish().expect("finish"))
 }
 
 fn assert_bit_identical(label: &str, a: &Iperf3Report, b: &Iperf3Report) {
@@ -73,7 +83,7 @@ fn stepped_run_matches_straight_through() {
         // Deliberately awkward chunk size: progress never lines up with
         // any internal boundary.
         while !session.step_events(777).expect("step") {}
-        let stepped = session.finish().expect("finish");
+        let stepped = finish(&host, &opts, session);
         assert_bit_identical(label, &reference, &stepped);
     }
 }
@@ -101,11 +111,11 @@ fn resume_from_checkpoint_matches_straight_through() {
         assert_eq!(checkpoint.events_done(), session.events_done());
         drop(session); // the original worker "dies" here
 
-        let mut resumed = SimSession::resume(checkpoint);
+        let mut resumed = RunningSim::resume(checkpoint);
         assert_eq!(resumed.events_done(), stop_at.max(resumed.events_done()));
         while !resumed.step_events(4096).expect("resumed step") {}
-        let report = resumed.finish().expect("resumed finish");
-        assert_bit_identical(label, &reference, &report);
+        let resumed = finish(&host, &opts, resumed);
+        assert_bit_identical(label, &reference, &resumed);
     }
 }
 
@@ -124,9 +134,9 @@ fn checkpoint_is_a_value_resume_twice() {
 
     let mut runs = Vec::new();
     for _ in 0..2 {
-        let mut replica = SimSession::resume(checkpoint.clone());
+        let mut replica = RunningSim::resume(checkpoint.clone());
         while !replica.step_events(3000).expect("step") {}
-        runs.push(replica.finish().expect("finish"));
+        runs.push(finish(&host, &opts, replica));
     }
     assert_bit_identical(label, &runs[0], &runs[1]);
 }
@@ -145,17 +155,16 @@ fn chained_checkpoints_match_straight_through() {
     let first = session.checkpoint();
     drop(session);
 
-    let mut session = SimSession::resume(first);
+    let mut session = RunningSim::resume(first);
     for _ in 0..4 {
         assert!(!session.step_events(2048).expect("step"), "run too short");
     }
     let second = session.checkpoint();
     drop(session);
 
-    let mut session = SimSession::resume(second);
+    let mut session = RunningSim::resume(second);
     while !session.step_events(4096).expect("step") {}
-    let report = session.finish().expect("finish");
-    assert_bit_identical(label, &reference, &report);
+    assert_bit_identical(label, &reference, &finish(&host, &opts, session));
 }
 
 #[test]
@@ -165,11 +174,11 @@ fn supervised_drive_is_bit_identical_to_plain_run() {
     for (label, host, path, opts) in golden_opts() {
         let reference = straight_through(&host, &path, &opts);
         let supervisor = Supervisor::default().with_checkpoint_every(10_000);
-        let report = supervisor
+        let result = supervisor
             .drive(opts.seed, || {
                 iperf3sim::start_session(&host, &host, &path, &opts, &FaultPlan::none(), None)
             })
             .expect("supervised run");
-        assert_bit_identical(label, &reference, &report);
+        assert_bit_identical(label, &reference, &report(&host, &opts, &result));
     }
 }

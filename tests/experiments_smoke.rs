@@ -65,7 +65,7 @@ fn fig12_kernel_ordering() {
 #[test]
 fn experiment_ids_render() {
     // The cheapest artefact end-to-end through the registry interface.
-    let out = harness::experiments::ExperimentId::ExtBigTcpZc.run_rendered(&RunCtx::new(Effort::Smoke));
+    let out = harness::experiments::ExperimentId::ExtBigTcpZc.run(&RunCtx::new(Effort::Smoke)).render_ascii();
     assert!(out.contains("BIG TCP"));
     assert!(out.contains("Gbps"));
 }

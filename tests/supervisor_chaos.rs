@@ -13,7 +13,7 @@
 use dtnperf::prelude::*;
 use dtnperf::simcore::{derive_seed, SimRng, WatchdogTrip};
 use harness::supervise::{ErrorBudget, ErrorClass, RetryPolicy, Supervisor};
-use harness::{ChaosPlan, FailedRep, MetricsHub, RunLedger, ScenarioError, TestSummary};
+use harness::{ChaosPlan, FailedRep, MetricsHub, ScenarioError, TestSummary};
 use iperf3sim::RunError;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -71,8 +71,8 @@ fn scratch_dir(name: &str) -> PathBuf {
 #[test]
 fn chaos_soak_loses_nothing_and_matches_clean_runs() {
     let scenarios = soak_scenarios();
-    let clean: Vec<TestSummary> = TestHarness::new(SOAK_REPS)
-        .with_base_seed(SOAK_BASE_SEED)
+    let clean_h = TestHarness::new(SOAK_REPS).with_base_seed(SOAK_BASE_SEED);
+    let clean: Vec<TestSummary> = clean_h
         .run_batch(&scenarios)
         .into_iter()
         .map(|r| r.expect("clean run"))
@@ -101,17 +101,19 @@ fn chaos_soak_loses_nothing_and_matches_clean_runs() {
     // per-tick run, not the plain one.
     let per_tick = |dir: &PathBuf| Arc::new(MetricsHub::new(dir).expect("hub dir").with_per_tick());
     let clean_trace_dir = scratch_dir("repro_chaos_soak_traces_clean");
-    let clean_traced: Vec<TestSummary> = TestHarness::new(SOAK_REPS)
+    let clean_traced_h = TestHarness::new(SOAK_REPS)
         .with_base_seed(SOAK_BASE_SEED)
-        .with_supervisor(Supervisor::default().with_metrics(per_tick(&clean_trace_dir)))
+        .with_supervisor(Supervisor::default().with_metrics(per_tick(&clean_trace_dir)));
+    let clean_traced: Vec<TestSummary> = clean_traced_h
         .run_batch(&scenarios)
         .into_iter()
         .map(|r| r.expect("clean traced run"))
         .collect();
     let trace_dir = scratch_dir("repro_chaos_soak_traces");
-    let traced: Vec<TestSummary> = TestHarness::new(SOAK_REPS)
+    let traced_h = TestHarness::new(SOAK_REPS)
         .with_base_seed(SOAK_BASE_SEED)
-        .with_supervisor(supervisor.with_metrics(per_tick(&trace_dir)))
+        .with_supervisor(supervisor.with_metrics(per_tick(&trace_dir)));
+    let traced: Vec<TestSummary> = traced_h
         .run_batch(&scenarios)
         .into_iter()
         .map(|r| r.expect("chaos traced run"))
@@ -128,16 +130,17 @@ fn chaos_soak_loses_nothing_and_matches_clean_runs() {
             s.failed_reps
         );
     }
-    // ...and the run ledger accounts for all four harness passes.
-    let records = RunLedger::global().snapshot();
-    for sc in &scenarios {
-        let ours: Vec<_> = records.iter().filter(|r| r.label == sc.label).collect();
-        assert_eq!(ours.len(), 4, "'{}' ledger records", sc.label);
+    // ...and each harness pass's run ledger accounts for every
+    // scenario, complete.
+    for h in [&clean_h, &cached_h, &clean_traced_h, &traced_h] {
+        let records = h.ledger.snapshot();
+        let labels: Vec<&str> = records.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(labels, ["soak_lan", "soak_wan_zc"], "ledger records");
         assert!(
-            ours.iter().all(|r| r.complete() && r.expected == SOAK_REPS),
-            "'{}' ledger shows lost repetitions: {ours:?}",
-            sc.label
+            records.iter().all(|r| r.complete() && r.expected == SOAK_REPS),
+            "ledger shows lost repetitions: {records:?}"
         );
+        assert_eq!(h.ledger.exit_code(), 0);
     }
 
     // Recovery leaves no fingerprint in the results.
@@ -332,11 +335,12 @@ fn killed_worker_resumes_bit_identical_from_checkpoint() {
     let opts = Iperf3Opts::new(2).omit(0).seed(run_seed);
     let clean = iperf3sim::run(&host, &host, &path, &opts).expect("clean run");
     let sup = Supervisor::default().with_chaos(chaos.clone());
-    let report = sup
+    let result = sup
         .drive(run_seed, || {
             iperf3sim::start_session(&host, &host, &path, &opts, &FaultPlan::none(), None)
         })
         .expect("supervised run survives its own murder");
+    let report = Iperf3Report::from_run(opts.command_line(&host.name), &result);
     assert!(chaos.stats.kills() >= 1, "{}", chaos.stats.summary());
     assert_eq!(
         chaos.stats.resumes(),
