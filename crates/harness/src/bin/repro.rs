@@ -36,16 +36,16 @@
 //! record on stderr; CI matches on those fields, never on the prose.
 //!
 //! Each experiment runs with a fresh [`RunLedger`]; the exit code
-//! comes from all of them merged: `0` clean, `1` failed scenarios
-//! (reported as zeros, or a wrong result), `2` usage error, `3`
-//! degraded — every artefact rendered, but some repetitions were lost
-//! (see the missing-repetition manifest on stderr, or
-//! `REPRO_MANIFEST=<file>`).
+//! comes from all of them merged: `0` clean, `1` failed scenarios (a
+//! simulator defect, printed with its seed; no surviving repetition;
+//! or a wrong result), `2` usage error, `3` degraded — every artefact
+//! rendered, but some repetitions were lost to host failures (see the
+//! missing-repetition manifest on stderr, or `REPRO_MANIFEST=<file>`).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use harness::experiments::{ablations, ExperimentId};
-use harness::supervise::{ErrorBudget, RunLedger};
+use harness::supervise::RunLedger;
 use harness::{RunCache, RunCtx};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -171,8 +171,9 @@ fn main() {
     }
     // Degraded-run accounting: the ledger has one record per scenario;
     // missing repetitions produce the manifest and exit code 3. A
-    // failed *scenario* (all repetitions lost and reported as zeros, or
-    // a wrong result) is the stronger signal and keeps exit code 1.
+    // failed *scenario* (a simulator defect, all repetitions lost and
+    // reported as zeros, or a wrong result) is the stronger signal and
+    // keeps exit code 1.
     if ledger.degraded() {
         let manifest = ledger.manifest_json();
         match std::env::var_os("REPRO_MANIFEST") {
@@ -213,16 +214,13 @@ fn main() {
 /// progress, wall-clock and cache hit/miss counts go to stderr. Each
 /// experiment gets a private handle onto the shared cache directory (so
 /// its hit/miss counters stay per-experiment even when `all` runs
-/// experiments concurrently), a fresh retry budget sized by effort and
-/// a fresh run ledger.
+/// experiments concurrently) and a fresh run ledger.
 fn run_one(id: ExperimentId, ctx: &RunCtx) -> (String, Arc<RunLedger>) {
     let mut ctx = ctx.clone();
     let cache = ctx.cache.as_ref().map(|c| {
         Arc::new(RunCache::new(c.dir().to_path_buf()).with_cost_model_version(c.cost_model_version()))
     });
     ctx.cache = cache.clone();
-    let budget = Arc::new(ErrorBudget::new(ctx.effort.error_budget()));
-    ctx.budget = Some(budget.clone());
     ctx.ledger = Arc::default();
     eprintln!("running {} at {:?} effort...", id.name(), ctx.effort);
     let start = std::time::Instant::now();
@@ -261,13 +259,8 @@ fn run_one(id: ExperimentId, ctx: &RunCtx) -> (String, Arc<RunLedger>) {
             } else {
                 String::new()
             };
-            let retries = if budget.spent() > 0 {
-                format!("; retries: {}/{}", budget.spent(), budget.initial())
-            } else {
-                String::new()
-            };
             eprintln!(
-                "({} done in {secs:.1}s; cache: {} hit(s), {} miss(es), {} store(s){recoveries}{retries})",
+                "({} done in {secs:.1}s; cache: {} hit(s), {} miss(es), {} store(s){recoveries})",
                 id.name(),
                 c.stats.hits(),
                 c.stats.misses(),
@@ -295,11 +288,6 @@ fn run_one(id: ExperimentId, ctx: &RunCtx) -> (String, Arc<RunLedger>) {
             c.stats.stale_recoveries(),
         ));
     }
-    summary.push_str(&format!(
-        " retries_spent={} retries_budget={}",
-        budget.spent(),
-        budget.initial()
-    ));
     summary.push_str(&format!(" failed={}", ctx.ledger.failed_scenarios().len()));
     // Late-dropped interval samples are an aggregation bug (a watermark
     // advanced past live samples); surface them loudly but keep the
@@ -314,11 +302,8 @@ fn run_one(id: ExperimentId, ctx: &RunCtx) -> (String, Arc<RunLedger>) {
         );
     }
     eprintln!("{summary}\n");
-    if let Some(hub) = &ctx.metrics {
-        if let Some(c) = &cache {
-            harness::metrics::fold_cache_stats(hub.recorder(), &c.stats);
-        }
-        harness::metrics::fold_budget(hub.recorder(), &budget);
+    if let (Some(hub), Some(c)) = (&ctx.metrics, &cache) {
+        harness::metrics::fold_cache_stats(hub.recorder(), &c.stats);
     }
     (rendered, ctx.ledger)
 }

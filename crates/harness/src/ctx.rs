@@ -18,7 +18,7 @@ use crate::chaos::ChaosPlan;
 use crate::effort::Effort;
 use crate::metrics::MetricsHub;
 use crate::runner::TestHarness;
-use crate::supervise::{ErrorBudget, RunLedger, Supervisor};
+use crate::supervise::{RunLedger, Supervisor};
 use std::sync::Arc;
 
 /// Resolved run-wide configuration.
@@ -30,9 +30,6 @@ pub struct RunCtx {
     pub cache: Option<Arc<RunCache>>,
     /// Harness-level fault injection (`REPRO_CHAOS=<seed>`).
     pub chaos: Option<Arc<ChaosPlan>>,
-    /// Shared retry budget for the harnesses this context builds
-    /// (`repro` replaces it per experiment).
-    pub budget: Option<Arc<ErrorBudget>>,
     /// Checkpoint cadence override (`REPRO_CHECKPOINT_EVERY`, events;
     /// 0 = unset, chaos picks its own default).
     pub checkpoint_every: u64,
@@ -56,7 +53,6 @@ impl RunCtx {
             effort,
             cache: None,
             chaos: None,
-            budget: None,
             checkpoint_every: 0,
             metrics: None,
             ledger: Arc::default(),
@@ -83,7 +79,6 @@ impl RunCtx {
             effort: Effort::from_env(),
             cache: RunCache::from_env().map(Arc::new),
             chaos: ChaosPlan::from_env().map(Arc::new),
-            budget: None,
             checkpoint_every,
             metrics: None,
             ledger: Arc::default(),
@@ -102,12 +97,6 @@ impl RunCtx {
         self
     }
 
-    /// Builder: draw retries from `budget`.
-    pub fn with_budget(mut self, budget: Arc<ErrorBudget>) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
     /// Builder: stream run metrics into `hub`.
     pub fn with_metrics(mut self, hub: Arc<MetricsHub>) -> Self {
         self.metrics = Some(hub);
@@ -121,16 +110,13 @@ impl RunCtx {
 
     /// A harness with an explicit repetition count (single-run
     /// diagnosis experiments use 1). The supervisor is assembled from
-    /// the context: effort-matched retry policy and deadline, the
-    /// shared budget, the chaos schedule, and the checkpoint cadence;
-    /// the harness records into the context's ledger.
+    /// the context: effort-matched deadline, the chaos schedule, the
+    /// checkpoint cadence and the metrics hub; the harness records into
+    /// the context's ledger.
     pub fn harness_with_reps(&self, repetitions: usize) -> TestHarness {
         let mut supervisor = Supervisor::for_effort(self.effort);
         if self.checkpoint_every > 0 {
             supervisor = supervisor.with_checkpoint_every(self.checkpoint_every);
-        }
-        if let Some(budget) = &self.budget {
-            supervisor = supervisor.with_budget(budget.clone());
         }
         if let Some(chaos) = &self.chaos {
             supervisor = supervisor.with_chaos(chaos.clone());
@@ -172,7 +158,6 @@ mod tests {
         let h = ctx.harness();
         assert!(h.cache.is_none());
         assert!(h.supervisor.chaos().is_none());
-        assert!(h.supervisor.budget().is_none());
         assert!(h.supervisor.metrics().is_none());
     }
 
@@ -222,16 +207,11 @@ mod tests {
 
     #[test]
     fn harness_supervisor_matches_effort_and_wiring() {
-        let budget = Arc::new(ErrorBudget::new(5));
         let chaos = Arc::new(ChaosPlan::new(99));
-        let ctx = RunCtx::new(Effort::Full)
-            .with_budget(budget.clone())
-            .with_chaos(chaos.clone());
+        let ctx = RunCtx::new(Effort::Full).with_chaos(chaos.clone());
         let h = ctx.harness();
         let sup = &h.supervisor;
-        assert_eq!(sup.policy().max_attempts, Effort::Full.retry_attempts());
-        assert_eq!(sup.policy().deadline, Effort::Full.rep_deadline());
-        assert!(Arc::ptr_eq(sup.budget().expect("budget wired"), &budget));
+        assert_eq!(sup.deadline, Effort::Full.rep_deadline());
         assert!(Arc::ptr_eq(sup.chaos().expect("chaos wired"), &chaos));
         assert!(Arc::ptr_eq(&h.ledger, &ctx.ledger));
         // Chaos without an explicit cadence turns checkpointing on.

@@ -85,7 +85,7 @@ impl Effort {
         }
     }
 
-    /// Wall-clock deadline for one supervised repetition attempt.
+    /// Wall-clock deadline for one supervised repetition.
     /// Generous multiples of the worst observed per-rep runtime — the
     /// deadline exists to catch hangs, not to race healthy runs.
     pub fn rep_deadline(self) -> std::time::Duration {
@@ -94,26 +94,6 @@ impl Effort {
             Effort::Standard => 300,
             Effort::Full => 1200,
         })
-    }
-
-    /// Total attempts per repetition (first run included) the
-    /// supervisor may spend on retryable failures.
-    pub fn retry_attempts(self) -> u32 {
-        match self {
-            Effort::Smoke | Effort::Standard => 2,
-            Effort::Full => 3,
-        }
-    }
-
-    /// Per-experiment retry budget: across all of one experiment's
-    /// scenarios, at most this many retries run before further
-    /// failures are recorded without another attempt.
-    pub fn error_budget(self) -> u64 {
-        match self {
-            Effort::Smoke => 16,
-            Effort::Standard => 32,
-            Effort::Full => 64,
-        }
     }
 
     /// Read `REPRO_EFFORT` from the environment (`smoke` / `standard` /
@@ -146,8 +126,6 @@ mod tests {
             assert!(w[0].scale_secs() <= w[1].scale_secs());
             assert!(w[0].fleet_target_flows() <= w[1].fleet_target_flows());
             assert!(w[0].rep_deadline() <= w[1].rep_deadline());
-            assert!(w[0].retry_attempts() <= w[1].retry_attempts());
-            assert!(w[0].error_budget() <= w[1].error_budget());
         }
     }
 

@@ -34,7 +34,9 @@
 use crate::ctx::RunCtx;
 use crate::effort::Effort;
 use crate::render::TableData;
+use crate::runner::FailedRep;
 use crate::sched;
+use crate::supervise::{ErrorClass, ScenarioRecord};
 use netsim::{
     ArrivalProcess, Diurnal, FleetClass, FleetProfile, FleetResult, FleetSim, SizeDist,
 };
@@ -158,35 +160,34 @@ fn profiles(effort: Effort) -> Vec<FleetProfile> {
     vec![steady_profile(effort), incast_profile(effort, false), incast_profile(effort, true)]
 }
 
-/// Run one profile; `None` means the engine refused it or tripped its
-/// watchdog (already recorded as a failed scenario).
+/// Run one profile as a one-repetition scenario in the ledger, seeded
+/// by the profile fingerprint; `None` means the engine refused it or
+/// tripped its watchdog (recorded as a failed repetition, classed).
 fn run_profile(ctx: &RunCtx, profile: FleetProfile) -> Option<FleetResult> {
     let label = profile.name.clone();
+    let seed = profile.fingerprint();
     // Safety watchdog, not a tuning knob: generously above the worst
     // observed events-per-flow so only a livelock can trip it.
     let budget = profile.max_flows.saturating_mul(400).saturating_add(10_000_000);
-    let sim = match FleetSim::new(profile) {
-        Ok(sim) => sim,
+    let outcome = FleetSim::new(profile).and_then(|sim| sim.with_event_budget(budget).run());
+    let failed = match &outcome {
+        Ok(_) => Vec::new(),
         Err(e) => {
-            ctx.ledger.record_failure(&label, &e);
-            return None;
+            eprintln!("warning: scenario '{label}': {e}");
+            let class = ErrorClass::classify(&e.clone().into());
+            vec![FailedRep { seed, error: e.to_string(), class }]
         }
     };
-    match sim.with_event_budget(budget).run() {
-        Ok(res) => {
-            ctx.ledger.add_late_dropped(res.late_dropped);
-            if let Some(hub) = &ctx.metrics {
-                hub.sample_queue_health(res.health);
-                let io = crate::chaos::artefact_io(ctx.chaos.as_ref());
-                hub.write_intervals(io.as_ref(), &res.name, 0, &res.intervals);
-            }
-            Some(res)
-        }
-        Err(e) => {
-            ctx.ledger.record_failure(&label, &e);
-            None
-        }
+    let completed = usize::from(outcome.is_ok());
+    ctx.ledger.record(ScenarioRecord { label, expected: 1, completed, failed });
+    let res = outcome.ok()?;
+    ctx.ledger.add_late_dropped(res.late_dropped);
+    if let Some(hub) = &ctx.metrics {
+        hub.sample_queue_health(res.health);
+        let io = crate::chaos::artefact_io(ctx.chaos.as_ref());
+        hub.write_intervals(io.as_ref(), &res.name, 0, &res.intervals);
     }
+    Some(res)
 }
 
 /// `831 → "831us"`, `12_400 → "12.4ms"` — FCT cells span µs to seconds.
@@ -349,5 +350,9 @@ mod tests {
         }
         assert_eq!(ctx.ledger.failed_scenarios(), Vec::<String>::new());
         assert_eq!(ctx.ledger.late_dropped(), 0);
+        // One complete one-repetition record per profile.
+        let records = ctx.ledger.snapshot();
+        assert_eq!(records.len(), 3, "{records:?}");
+        assert!(records.iter().all(|r| r.expected == 1 && r.complete()), "{records:?}");
     }
 }

@@ -11,9 +11,9 @@
 //!   flags).
 //! * [`runner`] — the repetition runner (scenario batches flatten into
 //!   `(scenario, repetition)` jobs on the bounded pool) producing
-//!   [`runner::TestSummary`]; failed repetitions are retried once and
-//!   recorded per-seed. Seeds derive from scenario fingerprints, not
-//!   loop positions.
+//!   [`runner::TestSummary`]; each repetition runs once and a failed
+//!   one is recorded per-seed. Seeds derive from scenario fingerprints,
+//!   not loop positions.
 //! * [`sched`] — the bounded work-conserving pool and the process-wide
 //!   concurrency gate (`REPRO_JOBS`).
 //! * [`cache`] — the content-addressed run cache (`REPRO_CACHE_DIR`):
@@ -21,8 +21,8 @@
 //!   cost-model version, with corrupt/truncated/stale entries counted
 //!   and self-healed.
 //! * [`supervise`] — the run supervisor: crash isolation, wall-clock
-//!   deadlines, error-class-aware retries against a per-experiment
-//!   budget, checkpoint/resume, and the degraded-run ledger.
+//!   deadlines, checkpoint/resume, the defect/host-failure error
+//!   taxonomy, and the degraded-run ledger.
 //! * [`chaos`] — seeded harness-fault injection (`REPRO_CHAOS`):
 //!   worker kills, cache corruption, trace-write failures.
 //! * [`ctx`] — [`ctx::RunCtx`]: effort, metrics hub, cache, chaos and
@@ -72,7 +72,5 @@ pub use metrics::MetricsHub;
 pub use render::{FigureData, Series, TableData};
 pub use runner::{FailedRep, ScenarioError, TestHarness, TestSummary};
 pub use scenario::Scenario;
-pub use supervise::{
-    ErrorBudget, ErrorClass, RepError, RetryPolicy, RunLedger, ScenarioRecord, Supervisor,
-};
+pub use supervise::{ErrorClass, RunLedger, ScenarioRecord, Supervisor};
 pub use testbeds::{AmLightPath, EsnetPath, Testbeds};

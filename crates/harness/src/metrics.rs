@@ -150,7 +150,7 @@ impl MetricsHub {
 
     /// Record one finished repetition and maybe emit a heartbeat line.
     /// `cached` repetitions were served from the run cache; `failed`
-    /// ones exhausted their retries.
+    /// ones produced no report.
     pub fn rep_finished(&self, cached: bool, failed: bool, wall: Duration) {
         self.done.fetch_add(1, Ordering::Relaxed);
         if cached {
@@ -167,7 +167,7 @@ impl MetricsHub {
             self.recorder.counter_add("repro_reps_cached", 1);
         }
         if failed {
-            self.recorder.describe("repro_reps_failed", "Repetitions that exhausted their retries");
+            self.recorder.describe("repro_reps_failed", "Repetitions that produced no report");
             self.recorder.counter_add("repro_reps_failed", 1);
         }
         self.recorder.describe("repro_rep_wall_ms", "Wall-clock milliseconds per repetition");
@@ -413,7 +413,7 @@ pub fn fold_run_totals(
     recorder.counter_add("ledger_expected_reps", expected as u64);
     recorder.describe("ledger_completed_reps", "Repetitions that produced a report");
     recorder.counter_add("ledger_completed_reps", completed as u64);
-    recorder.describe("ledger_failed_reps", "Repetitions lost after retries");
+    recorder.describe("ledger_failed_reps", "Repetitions that produced no report");
     recorder.counter_add("ledger_failed_reps", failed as u64);
     recorder.describe("ledger_scenarios", "Scenarios recorded in the run ledger");
     recorder.counter_add("ledger_scenarios", records.len() as u64);
@@ -432,14 +432,6 @@ pub fn fold_run_totals(
         recorder.describe("chaos_trace_failures", "Chaos-failed run-artefact writes");
         recorder.counter_add("chaos_trace_failures", stats.trace_failures());
     }
-}
-
-/// Fold a retry budget's final state into the registry.
-pub fn fold_budget(recorder: &Recorder, budget: &crate::supervise::ErrorBudget) {
-    recorder.describe("retries_spent", "Retry tokens spent across experiments");
-    recorder.counter_add("retries_spent", budget.spent());
-    recorder.describe("retries_budget", "Retry tokens budgeted across experiments");
-    recorder.counter_add("retries_budget", budget.initial());
 }
 
 /// A histogram of per-repetition sim-event counts, merged losslessly

@@ -15,44 +15,46 @@
 //! [`RunCache`](crate::cache::RunCache) is attached, each repetition is
 //! looked up by content address before simulating and stored after.
 //!
-//! Real campaigns lose repetitions (a host reboots, a watchdog fires):
-//! a failed repetition is recorded per-seed and retried once with a
-//! perturbed seed, survivors are aggregated, and the whole scenario
-//! only errors out when *no* repetition produced a report.
+//! Every repetition gets exactly one attempt, on its derived seed. Real
+//! campaigns lose repetitions (a host reboots, a watchdog fires): a
+//! failed repetition is recorded against its seed and class, survivors
+//! are aggregated, and the whole scenario only errors out when *no*
+//! repetition produced a report. A simulator defect on any seed still
+//! fails its scenario in the [`RunLedger`], which names that seed.
 
 use crate::cache::RunCache;
 use crate::scenario::Scenario;
 use crate::sched;
 use crate::supervise::{
-    json_escape, json_unescape, ErrorClass, RepError, RunLedger, ScenarioRecord, Supervisor,
+    json_escape, json_unescape, ErrorClass, RunLedger, ScenarioRecord, Supervisor,
 };
-use iperf3sim::Iperf3Report;
+use iperf3sim::{Iperf3Report, RunError};
 use simcore::{derive_seed, RunningStats, SimDuration, Summary};
 use std::fmt;
 use std::sync::Arc;
 
-/// Outcome slot for one repetition: the report (with the seed that
-/// produced it — a rescued retry runs on a perturbed seed), or the
-/// failure record.
-type Slot = Result<(u64, Iperf3Report), FailedRep>;
+/// Outcome slot for one repetition: the report, or the failure record.
+type Slot = Result<Iperf3Report, FailedRep>;
 
 /// One repetition that produced no report, identified by its seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailedRep {
-    /// The seed the repetition was asked to run with (retries perturb
-    /// it, but the failure is recorded against the original).
+    /// The seed the repetition ran with.
     pub seed: u64,
-    /// The *first* error, rendered as text (stable across retries).
+    /// The error, rendered as text.
     pub error: String,
-    /// The first error's class — what the retry policy keyed on.
+    /// The error's class: a simulator defect or a host failure.
     pub class: ErrorClass,
-    /// Attempts made before giving up (1 = never retried).
-    pub attempts: u32,
 }
 
 impl FailedRep {
+    /// Classify and render a run error on `seed`.
+    pub fn from_run(seed: u64, e: &RunError) -> Self {
+        FailedRep { seed, error: e.to_string(), class: ErrorClass::classify(e) }
+    }
+
     /// Was this a deterministic flag/config rejection (the same on
-    /// every seed, so never retried)?
+    /// every seed)?
     pub fn invalid(&self) -> bool {
         self.class == ErrorClass::InvalidConfig
     }
@@ -60,10 +62,9 @@ impl FailedRep {
     /// Serialize for the degraded-run manifest.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"seed\":{},\"class\":\"{}\",\"attempts\":{},\"error\":\"{}\"}}",
+            "{{\"seed\":{},\"class\":\"{}\",\"error\":\"{}\"}}",
             self.seed,
             self.class.name(),
-            self.attempts,
             json_escape(&self.error)
         )
     }
@@ -74,27 +75,25 @@ impl FailedRep {
         let s = s.strip_prefix("{\"seed\":")?;
         let (seed, s) = s.split_once(",\"class\":\"")?;
         let seed = seed.parse().ok()?;
-        let (class, s) = s.split_once("\",\"attempts\":")?;
+        let (class, s) = s.split_once("\",\"error\":\"")?;
         let class = ErrorClass::parse(class)?;
-        let (attempts, s) = s.split_once(",\"error\":\"")?;
-        let attempts = attempts.parse().ok()?;
         let error = json_unescape(s.strip_suffix("\"}")?)?;
-        Some(FailedRep { seed, error, class, attempts })
+        Some(FailedRep { seed, error, class })
     }
 }
 
 /// Why a whole scenario produced no summary.
 #[derive(Debug, Clone)]
 pub enum ScenarioError {
-    /// The scenario's flags/config are invalid — deterministic, so no
-    /// repetition was attempted beyond the first.
+    /// The scenario's flags/config are invalid — deterministic, the
+    /// same on every seed.
     Invalid {
         /// Scenario label.
         label: String,
         /// The individual validation messages.
         problems: Vec<String>,
     },
-    /// Every repetition (including retries) failed at runtime.
+    /// Every repetition failed at runtime.
     AllRepetitionsFailed {
         /// Scenario label.
         label: String,
@@ -144,7 +143,7 @@ pub struct TestSummary {
     pub zc_fallback: f64,
     /// The individual reports (one per surviving repetition).
     pub reports: Vec<Iperf3Report>,
-    /// Repetitions that produced no report even after a retry.
+    /// Repetitions that produced no report.
     pub failed_reps: Vec<FailedRep>,
 }
 
@@ -196,8 +195,8 @@ pub struct TestHarness {
     /// (telemetry sampling or attribution, e.g. under a per-tick
     /// metrics hub) bypass it.
     pub cache: Option<Arc<RunCache>>,
-    /// Crash isolation, deadlines, classed retries, chaos schedule —
-    /// every repetition runs under it (see [`crate::supervise`]).
+    /// Crash isolation, deadline, checkpoints, chaos schedule — every
+    /// repetition runs under it (see [`crate::supervise`]).
     pub supervisor: Supervisor,
     /// Where every scenario this harness runs is accounted: the run
     /// context's ledger, or a fresh one of the harness's own.
@@ -216,12 +215,6 @@ impl Default for TestHarness {
         }
     }
 }
-
-/// Retried seeds flip the top bit of the derived seed, so a retry
-/// never collides with another repetition's seed stream. (The second
-/// retry onward re-derives from this mask, keeping every attempt's
-/// seed distinct from every repetition stream.)
-const RETRY_SEED_XOR: u64 = 0x8000_0000_0000_0000;
 
 impl TestHarness {
     /// Harness with `repetitions` runs per scenario.
@@ -243,8 +236,8 @@ impl TestHarness {
         self
     }
 
-    /// Builder: replace the run supervisor (retry policy, error
-    /// budget, chaos schedule, checkpoint cadence).
+    /// Builder: replace the run supervisor (deadline, chaos schedule,
+    /// checkpoint cadence, metrics hub).
     pub fn with_supervisor(mut self, supervisor: Supervisor) -> Self {
         self.supervisor = supervisor;
         self
@@ -252,12 +245,13 @@ impl TestHarness {
 
     /// Run all repetitions of one scenario and aggregate the survivors.
     ///
-    /// Invalid scenarios (flag/kernel mismatches) fail fast with
-    /// [`ScenarioError::Invalid`]. Runtime failures (watchdog trips,
-    /// conservation violations) cost one retry with a perturbed seed;
-    /// seeds that fail twice are recorded in
+    /// Invalid scenarios (flag/kernel mismatches) fail with
+    /// [`ScenarioError::Invalid`]. Each repetition runs once; runtime
+    /// failures (watchdog trips, conservation violations, worker
+    /// deaths) are recorded against their seed in
     /// [`TestSummary::failed_reps`]. Only a scenario with *zero*
-    /// surviving repetitions is an error.
+    /// surviving repetitions is an error here; the ledger additionally
+    /// fails a scenario on any simulator defect.
     pub fn run(&self, scenario: &Scenario) -> Result<TestSummary, ScenarioError> {
         self.run_batch(std::slice::from_ref(scenario))
             .pop()
@@ -295,49 +289,15 @@ impl TestHarness {
             .collect()
     }
 
-    /// One repetition: attempt, then retries on perturbed seeds, each
-    /// gated on the error class (a deterministic config rejection reads
-    /// the same on every seed, so it is never rerun), the policy's
-    /// attempt cap, and the shared error budget. The recorded failure
-    /// keeps the *first* error — retries are rescue attempts, not
-    /// evidence.
+    /// One repetition: a single supervised attempt on `seed`.
     fn run_one_rep(&self, scenario: &Scenario, seed: u64) -> Slot {
         let wall_start = std::time::Instant::now();
-        let mut first: Option<RepError> = None;
-        let mut attempt_no: u32 = 1;
-        loop {
-            let attempt_seed = match attempt_no {
-                1 => seed,
-                2 => seed ^ RETRY_SEED_XOR,
-                n => derive_seed(seed, RETRY_SEED_XOR, n as u64),
-            };
-            match self.attempt(scenario, attempt_seed) {
-                Ok((report, cached)) => {
-                    if let Some(hub) = self.supervisor.metrics() {
-                        hub.rep_finished(cached, false, wall_start.elapsed());
-                    }
-                    return Ok((attempt_seed, report));
-                }
-                Err(e) => {
-                    let class = e.class;
-                    let first = first.get_or_insert(e);
-                    if self.supervisor.may_retry(class, attempt_no) {
-                        std::thread::sleep(self.supervisor.policy().backoff(attempt_no + 1));
-                        attempt_no += 1;
-                    } else {
-                        if let Some(hub) = self.supervisor.metrics() {
-                            hub.rep_finished(false, true, wall_start.elapsed());
-                        }
-                        return Err(FailedRep {
-                            seed,
-                            error: first.error.clone(),
-                            class: first.class,
-                            attempts: attempt_no,
-                        });
-                    }
-                }
-            }
+        let outcome = self.attempt(scenario, seed);
+        if let Some(hub) = self.supervisor.metrics() {
+            let cached = matches!(outcome, Ok((_, true)));
+            hub.rep_finished(cached, outcome.is_err(), wall_start.elapsed());
         }
+        outcome.map(|(report, _)| report)
     }
 
     /// Aggregate one scenario's repetition slots into a summary (or a
@@ -404,23 +364,22 @@ impl TestHarness {
         let mut failures = Vec::new();
         for (i, slot) in slots.into_iter().enumerate() {
             match slot {
-                Some(Ok((seed, report))) => reports.push((i, seed, report)),
+                Some(Ok(report)) => reports.push((i, seeds[i], report)),
                 Some(Err(failure)) => failures.push(failure),
                 None => failures.push(FailedRep {
                     seed: seeds[i],
                     error: format!("repetition {i}: worker died before reporting a result"),
                     class: ErrorClass::WorkerDeath,
-                    attempts: 1,
                 }),
             }
         }
         (reports, failures)
     }
 
-    /// One supervised simulation attempt. The boolean is `true` when
+    /// One supervised simulation run. The boolean is `true` when
     /// the report came straight from the cache (the heartbeat and the
     /// structured summary distinguish cached from simulated reps).
-    fn attempt(&self, scenario: &Scenario, seed: u64) -> Result<(Iperf3Report, bool), RepError> {
+    fn attempt(&self, scenario: &Scenario, seed: u64) -> Result<(Iperf3Report, bool), FailedRep> {
         let mut opts = scenario.opts.clone().seed(seed);
         // A per-tick hub (`--trace`) needs samples: default to a 1 s
         // tick unless the scenario already chose one, and turn on
@@ -452,7 +411,7 @@ impl TestHarness {
             for warning in result.warnings() {
                 eprintln!("warning: {warning}");
             }
-            Ok::<_, RepError>(Iperf3Report::from_run(
+            Ok::<_, FailedRep>(Iperf3Report::from_run(
                 opts.command_line(&scenario.server.name),
                 &result,
             ))
@@ -551,6 +510,7 @@ impl TestHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::effort::Effort;
     use crate::testbeds::{EsnetPath, Testbeds};
     use iperf3sim::Iperf3Opts;
     use linuxhost::KernelVersion;
@@ -607,20 +567,39 @@ mod tests {
     #[test]
     fn watchdog_failures_recorded_per_seed() {
         // An absurdly small event budget trips the watchdog on every
-        // seed (and every retry): the scenario must surface
-        // AllRepetitionsFailed with one record per seed.
+        // seed: at every effort, each repetition gets exactly one
+        // attempt (one cache lookup, no perturbed seed), the failure is
+        // recorded against its derived seed, and the ledger fails the
+        // scenario naming that seed and the class.
         let sc = scenario().with_faults(FaultPlan::none()).with_event_budget(10);
-        let err = TestHarness::new(2).with_base_seed(7).run(&sc).unwrap_err();
-        let rep0_seed = simcore::derive_seed(sc.fingerprint(), 7, 0);
-        match err {
-            ScenarioError::AllRepetitionsFailed { failures, .. } => {
-                assert_eq!(failures.len(), 2);
-                assert!(failures.iter().all(|f| f.attempts > 1));
-                assert!(failures.iter().all(|f| f.class == ErrorClass::WatchdogBudget));
-                assert!(failures.iter().any(|f| f.seed == rep0_seed));
-                assert!(failures[0].error.contains("stalled"), "{}", failures[0].error);
+        for effort in [Effort::Smoke, Effort::Standard, Effort::Full] {
+            let cache = Arc::new(RunCache::new(std::env::temp_dir().join(format!(
+                "runner_watchdog_{effort:?}_{}",
+                std::process::id()
+            ))));
+            let mut h = TestHarness::new(2)
+                .with_base_seed(7)
+                .with_supervisor(Supervisor::for_effort(effort));
+            h.cache = Some(cache.clone());
+            let err = h.run(&sc).unwrap_err();
+            let ScenarioError::AllRepetitionsFailed { failures, .. } = err else {
+                panic!("{effort:?}: expected AllRepetitionsFailed, got {err}");
+            };
+            assert_eq!((cache.stats.misses(), cache.stats.stores()), (2, 0), "{effort:?}");
+            assert_eq!(failures.len(), 2, "{effort:?}");
+            let failed = h.ledger.failed_scenarios();
+            assert_eq!(failed.len(), 1, "{effort:?}: {failed:?}");
+            for (i, f) in failures.iter().enumerate() {
+                let seed = simcore::derive_seed(sc.fingerprint(), 7, i as u64);
+                assert_eq!(f.seed, seed, "{effort:?}");
+                assert_eq!(f.class, ErrorClass::WatchdogBudget, "{effort:?}");
+                assert!(f.error.contains("stalled"), "{}", f.error);
+                assert!(
+                    failed[0].contains(&format!("watchdog-budget on seed {seed:#018x}")),
+                    "{effort:?}: {failed:?}"
+                );
             }
-            other => panic!("expected AllRepetitionsFailed, got {other}"),
+            assert_eq!(h.ledger.exit_code(), 1, "{effort:?}");
         }
     }
 
@@ -635,16 +614,15 @@ mod tests {
         assert_eq!(failures.len(), 2);
         assert_eq!(failures[0].seed, 50);
         assert_eq!(failures[1].seed, 51);
-        assert!(failures.iter().all(|f| f.attempts <= 1 && !f.invalid()));
+        assert!(failures.iter().all(|f| !f.invalid()));
         assert!(failures.iter().all(|f| f.class == ErrorClass::WorkerDeath));
         assert!(failures[0].error.contains("worker died"), "{}", failures[0].error);
     }
 
     #[test]
-    fn invalid_scenario_never_retries() {
-        // A deterministic config rejection must burn exactly one
-        // attempt per repetition — the identical rerun the old harness
-        // paid for is gone. Verified through the harness's run ledger.
+    fn invalid_scenario_is_recorded_per_repetition() {
+        // A deterministic config rejection is recorded once per
+        // repetition, classed, in the harness's run ledger.
         let mut sc = scenario();
         sc.opts.parallel = 0;
         let harness = TestHarness::new(2);
@@ -655,10 +633,7 @@ mod tests {
         let rec = &records[0];
         assert_eq!((rec.expected, rec.completed), (2, 0));
         assert_eq!(rec.failed.len(), 2);
-        assert!(rec
-            .failed
-            .iter()
-            .all(|f| f.attempts == 1 && f.class == ErrorClass::InvalidConfig));
+        assert!(rec.failed.iter().all(|f| f.class == ErrorClass::InvalidConfig));
     }
 
     #[test]
@@ -667,13 +642,12 @@ mod tests {
             seed: u64::MAX,
             error: "weird \"msg\"\nwith\\slashes\tand tabs".into(),
             class: ErrorClass::StateCorruption,
-            attempts: 3,
         };
         assert_eq!(FailedRep::from_json(&f.to_json()), Some(f));
         assert_eq!(FailedRep::from_json("{\"seed\":1}"), None);
         assert_eq!(
             FailedRep::from_json(
-                "{\"seed\":1,\"class\":\"no-such\",\"attempts\":1,\"error\":\"x\"}"
+                "{\"seed\":1,\"class\":\"no-such\",\"error\":\"x\"}"
             ),
             None
         );

@@ -1,23 +1,23 @@
-//! Run supervision: crash isolation, deadlines, classed retries, and
-//! the degraded-run ledger.
+//! Run supervision: crash isolation, deadlines, and the degraded-run
+//! ledger.
 //!
 //! Real campaigns on R&E testbeds lose repetitions — a host reboots, a
 //! watchdog fires, a disk fills — and the methodology answer is never
-//! "rerun everything", it is "retry what is retryable, account for what
-//! is lost, and say so". This module is that answer for the simulated
-//! campaign:
+//! "rerun everything", it is "account for what is lost, and say so".
+//! This module is that answer for the simulated campaign:
 //!
 //! * every repetition executes under [`Supervisor::drive`], inside
 //!   `catch_unwind`, stepped in bounded event chunks with a wall-clock
 //!   deadline and periodic [checkpoints](netsim::SimCheckpoint)
 //!   — a crashed worker resumes from its last snapshot instead of
 //!   taking the whole harness down;
-//! * failures carry an [`ErrorClass`], and the retry policy consults
-//!   it: a deterministic config rejection is never retried (the rerun
-//!   would fail identically), a watchdog trip or state corruption gets
-//!   exponential backoff up to the effort's attempt cap;
-//! * retries draw from a per-experiment [`ErrorBudget`] so one
-//!   pathological scenario cannot starve the rest of the run;
+//! * every repetition gets exactly one attempt, on its derived seed.
+//!   A failure carries an [`ErrorClass`] that says whose fault it was:
+//!   a simulator defect (a watchdog trip, state corruption, a
+//!   conservation violation) is deterministic in its seed and fails its
+//!   scenario naming that seed, while a host failure (a worker that
+//!   died past its resume allowance, an overrun deadline) only degrades
+//!   the run — a same-seed rerun would replay the same events;
 //! * every scenario reports into its experiment's [`RunLedger`], from
 //!   which `repro` derives its exit code and builds the degraded-run
 //!   manifest (exit code 3) when repetitions went missing.
@@ -29,7 +29,6 @@ use iperf3sim::RunError;
 use netsim::{RunResult, RunningSim, SimCheckpoint, SimError};
 use simcore::{CheckpointPolicy, Checkpointer, WatchdogTrip};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -46,14 +45,14 @@ const MAX_RESUMES: u32 = 8;
 /// `REPRO_CHECKPOINT_EVERY` was given.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 50_000;
 
-/// The failure taxonomy the retry policy keys on.
+/// The failure taxonomy.
 ///
 /// Everything a repetition can die of maps onto exactly one class; the
-/// class (not the message text) decides whether a retry can help.
+/// class (not the message text) decides whether the failure is a
+/// simulator defect or a host failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorClass {
-    /// Deterministic flag/config rejection — identical on every seed,
-    /// so retrying burns budget for nothing.
+    /// Deterministic flag/config rejection — identical on every seed.
     InvalidConfig,
     /// Watchdog tripped on total event-budget exhaustion.
     WatchdogBudget,
@@ -118,116 +117,19 @@ impl ErrorClass {
         }
     }
 
-    /// Can a rerun on a perturbed seed plausibly succeed? Config
-    /// rejections are deterministic in the scenario, not the seed —
-    /// everything else is state- or timing-dependent and worth a retry.
-    pub fn retryable(self) -> bool {
-        !matches!(self, ErrorClass::InvalidConfig)
-    }
-}
-
-/// A classed repetition failure, before it is recorded as a
-/// [`FailedRep`].
-#[derive(Debug, Clone)]
-pub struct RepError {
-    /// Which failure class this is (drives the retry decision).
-    pub class: ErrorClass,
-    /// Human-readable rendering of the underlying error.
-    pub error: String,
-}
-
-impl RepError {
-    /// Classify and render a run error.
-    pub fn from_run(e: &RunError) -> Self {
-        RepError { class: ErrorClass::classify(e), error: e.to_string() }
-    }
-
-    /// Classify and render a simulation error, exactly as it reads
-    /// once lifted into a [`RunError`].
-    fn from_sim(e: SimError) -> Self {
-        RepError::from_run(&e.into())
-    }
-}
-
-/// How often to retry, how long to back off, how long one repetition
-/// may run on the wall clock.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts per repetition (first run included).
-    pub max_attempts: u32,
-    /// First backoff; doubles per further attempt, capped at ~1 s.
-    pub base_backoff: Duration,
-    /// Wall-clock deadline for a single attempt.
-    pub deadline: Duration,
-}
-
-impl Default for RetryPolicy {
-    /// The historical harness behaviour: one retry, 10 ms backoff, and
-    /// a wall-clock leash generous enough for any single repetition.
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 2,
-            base_backoff: Duration::from_millis(10),
-            deadline: Duration::from_secs(600),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Policy matched to the effort ladder (more attempts and a longer
-    /// leash at Full, where runs are 60 s of simulated time).
-    pub fn for_effort(effort: Effort) -> Self {
-        RetryPolicy {
-            max_attempts: effort.retry_attempts(),
-            base_backoff: Duration::from_millis(10),
-            deadline: effort.rep_deadline(),
-        }
-    }
-
-    /// Backoff before attempt number `next_attempt` (2-based: the pause
-    /// before the first retry is the base). Exponential, capped at 1 s
-    /// so a broken scenario cannot stall the harness meaningfully.
-    pub fn backoff(&self, next_attempt: u32) -> Duration {
-        let doublings = next_attempt.saturating_sub(2).min(7);
-        (self.base_backoff * 2u32.pow(doublings)).min(Duration::from_secs(1))
-    }
-}
-
-/// A shared pool of retries for one experiment: every retry spends one
-/// token, and when the pool is dry further failures are recorded
-/// without another attempt. Keeps `repro all` moving when one scenario
-/// family turns pathological.
-#[derive(Debug)]
-pub struct ErrorBudget {
-    tokens: AtomicI64,
-    initial: u64,
-}
-
-impl ErrorBudget {
-    /// A budget of `n` retries.
-    pub fn new(n: u64) -> Self {
-        ErrorBudget { tokens: AtomicI64::new(n as i64), initial: n }
-    }
-
-    /// Take one retry token; `false` means the budget is exhausted and
-    /// the caller must record the failure as-is.
-    pub fn try_spend(&self) -> bool {
-        self.tokens.fetch_sub(1, Ordering::Relaxed) > 0
-    }
-
-    /// Tokens left (0 when exhausted).
-    pub fn remaining(&self) -> u64 {
-        self.tokens.load(Ordering::Relaxed).max(0) as u64
-    }
-
-    /// Retries spent so far.
-    pub fn spent(&self) -> u64 {
-        self.initial - self.remaining()
-    }
-
-    /// The budget this pool started with.
-    pub fn initial(&self) -> u64 {
-        self.initial
+    /// Is this a simulator defect? A watchdog trip, state corruption
+    /// or a conservation violation is a deterministic function of the
+    /// scenario and its seed: it fails the scenario, naming the seed, so
+    /// the defect can be replayed. Config rejections, worker deaths and
+    /// overrun deadlines are not defects of the simulation.
+    pub fn is_defect(self) -> bool {
+        matches!(
+            self,
+            ErrorClass::WatchdogBudget
+                | ErrorClass::WatchdogLivelock
+                | ErrorClass::StateCorruption
+                | ErrorClass::ConservationViolation
+        )
     }
 }
 
@@ -235,8 +137,8 @@ impl ErrorBudget {
 /// checkpoint cadence, chaos schedule.
 #[derive(Debug, Clone)]
 pub struct Supervisor {
-    policy: RetryPolicy,
-    budget: Option<Arc<ErrorBudget>>,
+    /// Wall-clock deadline for one repetition.
+    pub(crate) deadline: Duration,
     chaos: Option<Arc<ChaosPlan>>,
     /// Checkpoint cadence in events (0 = checkpointing off).
     pub(crate) checkpoint_every: u64,
@@ -244,27 +146,22 @@ pub struct Supervisor {
 }
 
 impl Default for Supervisor {
+    /// A wall-clock leash generous enough for any single repetition, no
+    /// chaos, and checkpointing off.
     fn default() -> Self {
-        Supervisor::new(RetryPolicy::default())
+        Supervisor {
+            deadline: Duration::from_secs(600),
+            chaos: None,
+            checkpoint_every: 0,
+            metrics: None,
+        }
     }
 }
 
 impl Supervisor {
-    /// A supervisor with the given retry policy, no budget, no chaos,
-    /// and checkpointing off.
-    pub fn new(policy: RetryPolicy) -> Self {
-        Supervisor { policy, budget: None, chaos: None, checkpoint_every: 0, metrics: None }
-    }
-
-    /// Supervisor matched to the effort ladder.
+    /// Supervisor with the effort ladder's repetition deadline.
     pub fn for_effort(effort: Effort) -> Self {
-        Supervisor::new(RetryPolicy::for_effort(effort))
-    }
-
-    /// Builder: attach a shared retry budget.
-    pub fn with_budget(mut self, budget: Arc<ErrorBudget>) -> Self {
-        self.budget = Some(budget);
-        self
+        Supervisor { deadline: effort.rep_deadline(), ..Supervisor::default() }
     }
 
     /// Builder: attach a chaos schedule. Chaos needs somewhere to
@@ -300,32 +197,12 @@ impl Supervisor {
         self.metrics.as_ref()
     }
 
-    /// The retry policy in force.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    /// The shared retry budget, if any.
-    pub fn budget(&self) -> Option<&Arc<ErrorBudget>> {
-        self.budget.as_ref()
-    }
-
     /// The chaos schedule, if any.
     pub fn chaos(&self) -> Option<&Arc<ChaosPlan>> {
         self.chaos.as_ref()
     }
 
-    /// May a retry run, given `class` and the attempts made so far?
-    /// Consults the class first (deterministic failures never retry),
-    /// then the attempt cap, then — only if both pass — spends a budget
-    /// token.
-    pub fn may_retry(&self, class: ErrorClass, attempts_so_far: u32) -> bool {
-        class.retryable()
-            && attempts_so_far < self.policy.max_attempts
-            && self.budget.as_ref().is_none_or(|b| b.try_spend())
-    }
-
-    /// Execute one repetition attempt under full supervision.
+    /// Execute one repetition under full supervision.
     ///
     /// `start` builds the simulation (it runs *inside* the
     /// crash-isolation boundary, so a panicking config path is
@@ -339,11 +216,11 @@ impl Supervisor {
     /// was taken yet; because checkpoints snapshot the full engine
     /// state between events, the resumed run replays the exact event
     /// sequence and the result is bit-identical to an undisturbed run.
-    pub fn drive<F>(&self, run_seed: u64, start: F) -> Result<RunResult, RepError>
+    pub fn drive<F>(&self, run_seed: u64, start: F) -> Result<RunResult, FailedRep>
     where
         F: Fn() -> Result<RunningSim, RunError>,
     {
-        let deadline = Instant::now() + self.policy.deadline;
+        let deadline = Instant::now() + self.deadline;
         // The resume slot lives *outside* the unwind boundary: whatever
         // the worker had checkpointed before dying survives the panic.
         let slot: Mutex<Option<SimCheckpoint>> = Mutex::new(None);
@@ -357,7 +234,8 @@ impl Supervisor {
                 Err(_payload) => {
                     round += 1;
                     if round > MAX_RESUMES {
-                        return Err(RepError {
+                        return Err(FailedRep {
+                            seed: run_seed,
                             class: ErrorClass::WorkerDeath,
                             error: format!(
                                 "worker died {round} times (resume allowance exhausted)"
@@ -383,7 +261,7 @@ impl Supervisor {
         run_seed: u64,
         round: u32,
         deadline: Instant,
-    ) -> Result<RunResult, RepError>
+    ) -> Result<RunResult, FailedRep>
     where
         F: Fn() -> Result<RunningSim, RunError>,
     {
@@ -393,7 +271,7 @@ impl Supervisor {
         let resumed = slot.lock().expect("checkpoint slot").clone();
         let mut session = match resumed {
             Some(ck) => RunningSim::resume(ck),
-            None => start().map_err(|e| RepError::from_run(&e))?,
+            None => start().map_err(|e| FailedRep::from_run(run_seed, &e))?,
         };
         let entry = session.events_done();
         let kill_at = self
@@ -410,16 +288,19 @@ impl Supervisor {
         // Skip cadence boundaries already behind a resumed session.
         ckpt.due(entry);
         loop {
-            let done = session.step_events(STEP_CHUNK).map_err(RepError::from_sim)?;
+            let done = session
+                .step_events(STEP_CHUNK)
+                .map_err(|e| FailedRep::from_run(run_seed, &e.into()))?;
             if done {
                 break;
             }
             if Instant::now() >= deadline {
-                return Err(RepError {
+                return Err(FailedRep {
+                    seed: run_seed,
                     class: ErrorClass::DeadlineExceeded,
                     error: format!(
                         "repetition exceeded its {}s wall-clock deadline after {} events",
-                        self.policy.deadline.as_secs(),
+                        self.deadline.as_secs(),
                         session.events_done()
                     ),
                 });
@@ -471,7 +352,7 @@ impl Supervisor {
             shard.record(session.events_done());
             crate::metrics::fold_events_hist(hub.recorder(), &shard);
         }
-        session.finish().map_err(RepError::from_sim)
+        session.finish().map_err(|e| FailedRep::from_run(run_seed, &e.into()))
     }
 }
 
@@ -485,7 +366,7 @@ pub struct ScenarioRecord {
     pub expected: usize,
     /// Repetitions that produced a report.
     pub completed: usize,
-    /// The repetitions that did not, with class and attempt count.
+    /// The repetitions that did not, with seed and class.
     pub failed: Vec<FailedRep>,
 }
 
@@ -558,14 +439,28 @@ impl RunLedger {
         self.entries().records.clone()
     }
 
-    /// The failed scenarios, one line each: those with no completed
-    /// repetition (reported as zeros), then those whose result was
-    /// wrong, with the reason.
+    /// The failed scenarios, one line each: those that hit a simulator
+    /// defect (each defect's class and seed, in hex, so the run can be
+    /// replayed), those with no completed repetition (reported as
+    /// zeros), then those whose result was wrong, with the reason.
     pub fn failed_scenarios(&self) -> Vec<String> {
         let entries = self.entries();
-        let lost = entries.records.iter().filter(|r| r.completed == 0);
-        lost.map(|r| format!("{}: no repetition completed", r.label))
-            .chain(entries.result_failures.iter().map(|(label, why)| format!("{label}: {why}")))
+        let lost = entries.records.iter().filter_map(|r| {
+            let defects: Vec<String> = r
+                .failed
+                .iter()
+                .filter(|f| f.class.is_defect())
+                .map(|f| format!("{} on seed {:#018x}", f.class.name(), f.seed))
+                .collect();
+            if !defects.is_empty() {
+                Some(format!("{}: {}", r.label, defects.join(", ")))
+            } else if r.completed == 0 {
+                Some(format!("{}: no repetition completed", r.label))
+            } else {
+                None
+            }
+        });
+        lost.chain(entries.result_failures.iter().map(|(label, why)| format!("{label}: {why}")))
             .collect()
     }
 
@@ -580,7 +475,8 @@ impl RunLedger {
     }
 
     /// `repro`'s exit code: 1 when a scenario failed (the stronger
-    /// signal), else 3 when repetitions were lost, else 0.
+    /// signal), else 3 when repetitions were lost to host failures,
+    /// else 0.
     pub fn exit_code(&self) -> i32 {
         if !self.failed_scenarios().is_empty() {
             1
@@ -593,7 +489,7 @@ impl RunLedger {
 
     /// The missing-repetition manifest: totals plus one entry per
     /// scenario that lost repetitions, each failed seed with its error
-    /// class and attempt count. Valid JSON, hand-rolled like the rest
+    /// class. Valid JSON, hand-rolled like the rest
     /// of the repo's serialization.
     pub fn manifest_json(&self) -> String {
         let records = self.snapshot();
@@ -730,57 +626,51 @@ mod tests {
     }
 
     #[test]
-    fn only_invalid_config_is_unretryable() {
-        for class in ErrorClass::ALL {
-            assert_eq!(class.retryable(), class != ErrorClass::InvalidConfig, "{class:?}");
+    fn is_defect_splits_simulator_defects_from_host_failures() {
+        let table = [
+            (ErrorClass::InvalidConfig, false),
+            (ErrorClass::WatchdogBudget, true),
+            (ErrorClass::WatchdogLivelock, true),
+            (ErrorClass::StateCorruption, true),
+            (ErrorClass::ConservationViolation, true),
+            (ErrorClass::WorkerDeath, false),
+            (ErrorClass::DeadlineExceeded, false),
+        ];
+        assert_eq!(table.map(|(class, _)| class), ErrorClass::ALL);
+        for (class, defect) in table {
+            assert_eq!(class.is_defect(), defect, "{class:?}");
         }
+        // Both watchdog trips classify as defects.
+        let stalled = |trip| RunError::Sim(SimError::Stalled { at: SimTime::from_nanos(1), trip });
+        let livelock = stalled(WatchdogTrip::Livelock { at: SimTime::from_nanos(1), events: 99 });
+        let budget = stalled(WatchdogTrip::BudgetExhausted { events: 10, budget: 9 });
+        assert_eq!(ErrorClass::classify(&livelock), ErrorClass::WatchdogLivelock);
+        assert_eq!(ErrorClass::classify(&budget), ErrorClass::WatchdogBudget);
+        assert!(ErrorClass::classify(&livelock).is_defect());
+        assert!(ErrorClass::classify(&budget).is_defect());
     }
 
     #[test]
-    fn backoff_is_exponential_and_capped() {
-        let p = RetryPolicy {
-            max_attempts: 10,
-            base_backoff: Duration::from_millis(10),
-            deadline: Duration::from_secs(60),
-        };
-        assert_eq!(p.backoff(2), Duration::from_millis(10));
-        assert_eq!(p.backoff(3), Duration::from_millis(20));
-        assert_eq!(p.backoff(4), Duration::from_millis(40));
-        assert_eq!(p.backoff(20), Duration::from_secs(1));
-    }
-
-    #[test]
-    fn budget_spends_down_and_stops() {
-        let b = ErrorBudget::new(2);
-        assert_eq!(b.remaining(), 2);
-        assert!(b.try_spend());
-        assert!(b.try_spend());
-        assert!(!b.try_spend());
-        assert!(!b.try_spend());
-        assert_eq!(b.remaining(), 0);
-        assert_eq!(b.spent(), 2);
-        assert_eq!(b.initial(), 2);
-    }
-
-    #[test]
-    fn may_retry_consults_class_then_cap_then_budget() {
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(1),
-            deadline: Duration::from_secs(60),
-        };
-        let budget = Arc::new(ErrorBudget::new(1));
-        let sup = Supervisor::new(policy).with_budget(budget.clone());
-        // Deterministic config errors never retry — and never spend.
-        assert!(!sup.may_retry(ErrorClass::InvalidConfig, 1));
-        assert_eq!(budget.remaining(), 1);
-        // At the attempt cap the budget is also untouched.
-        assert!(!sup.may_retry(ErrorClass::WatchdogBudget, 3));
-        assert_eq!(budget.remaining(), 1);
-        // A retryable class under the cap spends the last token...
-        assert!(sup.may_retry(ErrorClass::WatchdogBudget, 1));
-        // ...and a dry budget blocks the next one.
-        assert!(!sup.may_retry(ErrorClass::WatchdogBudget, 1));
+    fn overrunning_repetition_is_classed_deadline_exceeded() {
+        use crate::testbeds::{EsnetPath, Testbeds};
+        use iperf3sim::Iperf3Opts;
+        use linuxhost::KernelVersion;
+        use netsim::FaultPlan;
+        let host = Testbeds::esnet_host(KernelVersion::L6_8);
+        let path = Testbeds::esnet_path(EsnetPath::Lan);
+        let opts = Iperf3Opts::new(2).omit(0).seed(31);
+        // An already-expired deadline: the first step chunk completes (the
+        // run is much longer than one chunk), then the leash snaps.
+        let sup = Supervisor { deadline: Duration::ZERO, ..Supervisor::default() };
+        let err = sup
+            .drive(31, || {
+                iperf3sim::start_session(&host, &host, &path, &opts, &FaultPlan::none(), None)
+            })
+            .unwrap_err();
+        assert_eq!(err.class, ErrorClass::DeadlineExceeded);
+        assert!(err.error.contains("deadline"), "{}", err.error);
+        // A hang can be load-dependent: a host failure, not a defect.
+        assert!(!ErrorClass::DeadlineExceeded.is_defect());
     }
 
     #[test]
@@ -806,12 +696,11 @@ mod tests {
             seed: 7,
             error: "worker died".into(),
             class: ErrorClass::WorkerDeath,
-            attempts: 2,
         };
         let ledger = RunLedger::default();
         ledger.record(clean());
         assert_eq!(ledger.exit_code(), 0);
-        // Lost repetitions with survivors: degraded.
+        // Repetitions lost to a host failure, with survivors: degraded.
         let degraded = RunLedger::default();
         degraded.record(clean());
         degraded.record(ScenarioRecord {
@@ -821,6 +710,20 @@ mod tests {
             failed: vec![lost.clone()],
         });
         assert_eq!((degraded.failed_scenarios().len(), degraded.exit_code()), (0, 3));
+        // A simulator defect with survivors: a failed scenario naming
+        // the seed and class.
+        let defect = RunLedger::default();
+        defect.record(ScenarioRecord {
+            label: "buggy".into(),
+            expected: 2,
+            completed: 1,
+            failed: vec![FailedRep { class: ErrorClass::StateCorruption, ..lost.clone() }],
+        });
+        assert_eq!(
+            defect.failed_scenarios(),
+            ["buggy: state-corruption on seed 0x0000000000000007"]
+        );
+        assert_eq!(defect.exit_code(), 1);
         // No survivor at all: a failed scenario, which wins over 3.
         let total_loss = RunLedger::default();
         total_loss.record(ScenarioRecord {
@@ -863,7 +766,6 @@ mod tests {
                 seed: 42,
                 error: "simulation stalled at t=1ns: livelock".into(),
                 class: ErrorClass::WatchdogLivelock,
-                attempts: 2,
             }],
         });
         assert!(ledger.degraded());

@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod advisor;
 pub mod calib;
 pub mod costmodel;
 pub mod cpu;
@@ -43,7 +42,6 @@ pub mod sysctl;
 pub mod virt;
 pub mod zerocopy;
 
-pub use advisor::{advise, Intent, Recommendation, Severity};
 pub use costmodel::{CostModel, Stage, TxMode, COST_MODEL_VERSION};
 pub use cpu::{CoreAllocation, CpuArch};
 pub use hostcfg::HostConfig;

@@ -5,19 +5,17 @@
 //! entries, and fails run-artefact writes — and the harness must lose no
 //! repetition, duplicate no result, self-heal the cache, and leave
 //! every report bit-identical to a chaos-free run. Alongside the soak,
-//! this suite pins the typed failure taxonomy: watchdog trips carry
-//! the class the retry policy keys on at every effort level, a dry
-//! error budget blocks retries without losing the failure record, and
-//! [`FailedRep`] round-trips through the degraded-run manifest JSON.
+//! this suite pins the one-attempt contract — a watchdog trip is a
+//! simulator defect that fails its scenario on its own seed, at every
+//! effort level — and that [`FailedRep`] round-trips through the
+//! degraded-run manifest JSON.
 
 use dtnperf::prelude::*;
-use dtnperf::simcore::{derive_seed, SimRng, WatchdogTrip};
-use harness::supervise::{ErrorBudget, ErrorClass, RetryPolicy, Supervisor};
+use dtnperf::simcore::{derive_seed, SimRng};
+use harness::supervise::{ErrorClass, Supervisor};
 use harness::{ChaosPlan, FailedRep, MetricsHub, ScenarioError, TestSummary};
-use iperf3sim::RunError;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 const SOAK_REPS: usize = 8;
 const SOAK_BASE_SEED: u64 = 77;
@@ -237,90 +235,38 @@ fn cache_self_heals_under_chaos() {
 
 #[test]
 fn watchdog_budget_trips_are_classed_and_retried_per_effort() {
-    // A 10-event budget trips the watchdog on every seed and every
-    // retry: the supervisor must classify it, burn exactly the
-    // effort's attempt allowance, and record the failure typed.
+    // A 10-event budget trips the watchdog on every seed. At every
+    // effort, through the same context-built harness `repro` uses, each
+    // repetition gets exactly one attempt (one cache lookup, no
+    // perturbed seed), the typed failure is recorded against its derived
+    // seed, and the simulator defect fails the scenario naming the seed.
     for effort in [Effort::Smoke, Effort::Standard, Effort::Full] {
         let sc = lan_scenario(&format!("watchdog_{effort:?}")).with_event_budget(10);
-        let h = TestHarness::new(1).with_supervisor(Supervisor::for_effort(effort));
+        let cache = Arc::new(RunCache::new(scratch_dir(&format!("repro_watchdog_{effort:?}"))));
+        let ctx = RunCtx::new(effort).with_cache(cache.clone());
+        let h = ctx.harness();
+        let reps = effort.repetitions();
         let err = h.run(&sc).unwrap_err();
-        match err {
-            ScenarioError::AllRepetitionsFailed { failures, .. } => {
-                assert_eq!(failures.len(), 1, "{effort:?}");
-                let f = &failures[0];
-                assert_eq!(f.class, ErrorClass::WatchdogBudget, "{effort:?}");
-                assert_eq!(f.attempts, effort.retry_attempts(), "{effort:?}: allowance burned");
-                assert!(f.error.contains("stalled"), "{effort:?}: {}", f.error);
-            }
-            other => panic!("{effort:?}: expected AllRepetitionsFailed, got {other}"),
-        }
-    }
-}
-
-#[test]
-fn livelock_trips_are_classed_and_retryable_at_every_effort() {
-    let livelock = RunError::Sim(SimError::Stalled {
-        at: SimTime::from_nanos(1),
-        trip: WatchdogTrip::Livelock { at: SimTime::from_nanos(1), events: 99 },
-    });
-    assert_eq!(ErrorClass::classify(&livelock), ErrorClass::WatchdogLivelock);
-    let budget_trip = RunError::Sim(SimError::Stalled {
-        at: SimTime::from_nanos(1),
-        trip: WatchdogTrip::BudgetExhausted { events: 10, budget: 9 },
-    });
-    assert_eq!(ErrorClass::classify(&budget_trip), ErrorClass::WatchdogBudget);
-    for effort in [Effort::Smoke, Effort::Standard, Effort::Full] {
-        let sup = Supervisor::for_effort(effort);
-        for class in [ErrorClass::WatchdogBudget, ErrorClass::WatchdogLivelock] {
-            assert!(sup.may_retry(class, 1), "{effort:?}/{class:?} must earn a retry");
+        let ScenarioError::AllRepetitionsFailed { failures, .. } = err else {
+            panic!("{effort:?}: expected AllRepetitionsFailed, got {err}");
+        };
+        assert_eq!(failures.len(), reps, "{effort:?}");
+        assert_eq!(cache.stats.misses() as usize, reps, "{effort:?}: one attempt per repetition");
+        assert_eq!(cache.stats.stores(), 0, "{effort:?}");
+        let failed = ctx.ledger.failed_scenarios();
+        assert_eq!(failed.len(), 1, "{effort:?}: {failed:?}");
+        for (i, f) in failures.iter().enumerate() {
+            let seed = derive_seed(sc.fingerprint(), h.base_seed, i as u64);
+            assert_eq!(f.seed, seed, "{effort:?}: repetition {i}");
+            assert_eq!(f.class, ErrorClass::WatchdogBudget, "{effort:?}");
+            assert!(f.error.contains("stalled"), "{effort:?}: {}", f.error);
             assert!(
-                !sup.may_retry(class, effort.retry_attempts()),
-                "{effort:?}/{class:?} must stop at the attempt cap"
+                failed[0].contains(&format!("watchdog-budget on seed {seed:#018x}")),
+                "{effort:?}: {failed:?}"
             );
         }
-        // A deterministic config rejection never retries, at any effort.
-        assert!(!sup.may_retry(ErrorClass::InvalidConfig, 1), "{effort:?}");
+        assert_eq!(ctx.ledger.exit_code(), 1, "{effort:?}");
     }
-}
-
-#[test]
-fn dry_budget_records_failures_without_retry() {
-    let sc = lan_scenario("dry_budget").with_event_budget(10);
-    let sup = Supervisor::default().with_budget(Arc::new(ErrorBudget::new(0)));
-    let err = TestHarness::new(2).with_supervisor(sup).run(&sc).unwrap_err();
-    match err {
-        ScenarioError::AllRepetitionsFailed { failures, .. } => {
-            assert_eq!(failures.len(), 2);
-            assert!(
-                failures.iter().all(|f| f.attempts == 1 && f.class == ErrorClass::WatchdogBudget),
-                "a dry budget must record the typed failure after one attempt: {failures:?}"
-            );
-        }
-        other => panic!("expected AllRepetitionsFailed, got {other}"),
-    }
-}
-
-#[test]
-fn overrunning_repetition_is_classed_deadline_exceeded() {
-    let host = esnet_host();
-    let path = Testbeds::esnet_path(EsnetPath::Lan);
-    let opts = Iperf3Opts::new(2).omit(0).seed(31);
-    // An already-expired deadline: the first step chunk completes (the
-    // run is much longer than one chunk), then the leash snaps.
-    let sup = Supervisor::new(RetryPolicy {
-        max_attempts: 1,
-        base_backoff: Duration::from_millis(1),
-        deadline: Duration::ZERO,
-    });
-    let err = sup
-        .drive(31, || {
-            iperf3sim::start_session(&host, &host, &path, &opts, &FaultPlan::none(), None)
-        })
-        .unwrap_err();
-    assert_eq!(err.class, ErrorClass::DeadlineExceeded);
-    assert!(err.error.contains("deadline"), "{}", err.error);
-    // A hang can be load-dependent, so the class is worth a retry.
-    assert!(ErrorClass::DeadlineExceeded.retryable());
 }
 
 #[test]
@@ -355,8 +301,8 @@ fn killed_worker_resumes_bit_identical_from_checkpoint() {
 #[test]
 fn failed_rep_taxonomy_round_trips_through_json() {
     // Property-style sweep: every error class, adversarial message
-    // strings (quotes, backslashes, control chars, multi-byte), random
-    // seeds and attempt counts — all must survive the manifest JSON.
+    // strings (quotes, backslashes, control chars, multi-byte) and
+    // random seeds — all must survive the manifest JSON.
     let mut rng = SimRng::seed_from_u64(0x5eed_f00d);
     const POOL: &[char] = &[
         'a', 'Z', '0', ' ', '"', '\\', '\n', '\t', '\r', '\u{1}', '\u{1f}', 'é', '→', '日', '{',
@@ -367,18 +313,10 @@ fn failed_rep_taxonomy_round_trips_through_json() {
         let len = (rng.next_u64() % 48) as usize;
         let error: String =
             (0..len).map(|_| POOL[(rng.next_u64() as usize) % POOL.len()]).collect();
-        let rep = FailedRep {
-            seed: rng.next_u64(),
-            error,
-            class,
-            attempts: (rng.next_u64() % 9 + 1) as u32,
-        };
+        let rep = FailedRep { seed: rng.next_u64(), error, class };
         let json = rep.to_json();
         assert_eq!(FailedRep::from_json(&json).as_ref(), Some(&rep), "case {i}: {json}");
     }
     // Wire names are the contract: an unknown class must not parse.
-    assert!(FailedRep::from_json(
-        "{\"seed\":1,\"class\":\"cosmic-ray\",\"attempts\":1,\"error\":\"\"}"
-    )
-    .is_none());
+    assert!(FailedRep::from_json("{\"seed\":1,\"class\":\"cosmic-ray\",\"error\":\"\"}").is_none());
 }
