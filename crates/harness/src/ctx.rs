@@ -108,12 +108,10 @@ impl RunCtx {
         self.harness_with_reps(self.effort.repetitions())
     }
 
-    /// A harness with an explicit repetition count (single-run
-    /// diagnosis experiments use 1). The supervisor is assembled from
-    /// the context: effort-matched deadline, the chaos schedule, the
-    /// checkpoint cadence and the metrics hub; the harness records into
-    /// the context's ledger.
-    pub fn harness_with_reps(&self, repetitions: usize) -> TestHarness {
+    /// The supervisor every run of this context goes through, assembled
+    /// from the context: effort-matched deadline, the chaos schedule,
+    /// the checkpoint cadence and the metrics hub.
+    pub fn supervisor(&self) -> Supervisor {
         let mut supervisor = Supervisor::for_effort(self.effort);
         if self.checkpoint_every > 0 {
             supervisor = supervisor.with_checkpoint_every(self.checkpoint_every);
@@ -124,7 +122,15 @@ impl RunCtx {
         if let Some(hub) = &self.metrics {
             supervisor = supervisor.with_metrics(hub.clone());
         }
-        let mut h = TestHarness::new(repetitions).with_supervisor(supervisor);
+        supervisor
+    }
+
+    /// A harness with an explicit repetition count (single-run
+    /// diagnosis experiments use 1), running under the context's
+    /// [`supervisor`](RunCtx::supervisor) and recording into the
+    /// context's ledger.
+    pub fn harness_with_reps(&self, repetitions: usize) -> TestHarness {
+        let mut h = TestHarness::new(repetitions).with_supervisor(self.supervisor());
         h.cache = self.cache.clone();
         h.ledger = self.ledger.clone();
         h

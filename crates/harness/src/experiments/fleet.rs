@@ -26,17 +26,23 @@
 //!   pacing smooths bursts — here it spreads whole-window losses into
 //!   recoverable ones).
 //!
-//! Each profile also reports *what limited the p99*: the PR 3
-//! bottleneck-verdict idea rolled up to fleet scale, classifying every
-//! tail flow by its dominant factor (RTO stall, loss recovery,
-//! cwnd-limited, bottleneck share).
+//! Each profile also reports *what limited the p99*: the bottleneck
+//! verdicts of [`netsim::attribution`] rolled up to fleet scale,
+//! classifying every tail flow by its dominant factor (RTO stall, loss
+//! recovery, cwnd-limited, bottleneck share).
+//!
+//! Each profile is one repetition under
+//! [`Supervisor::drive`](crate::supervise::Supervisor::drive), like
+//! every other run: crash isolation, the effort deadline, checkpoints,
+//! chaos kills, heartbeats, and one [`ScenarioRecord`] in the run
+//! ledger.
 
 use crate::ctx::RunCtx;
 use crate::effort::Effort;
 use crate::render::TableData;
-use crate::runner::FailedRep;
 use crate::sched;
-use crate::supervise::{ErrorClass, ScenarioRecord};
+use crate::supervise::ScenarioRecord;
+use iperf3sim::RunError;
 use netsim::{
     ArrivalProcess, Diurnal, FleetClass, FleetProfile, FleetResult, FleetSim, SizeDist,
 };
@@ -160,30 +166,35 @@ fn profiles(effort: Effort) -> Vec<FleetProfile> {
     vec![steady_profile(effort), incast_profile(effort, false), incast_profile(effort, true)]
 }
 
-/// Run one profile as a one-repetition scenario in the ledger, seeded
-/// by the profile fingerprint; `None` means the engine refused it or
-/// tripped its watchdog (recorded as a failed repetition, classed).
-fn run_profile(ctx: &RunCtx, profile: FleetProfile) -> Option<FleetResult> {
-    let label = profile.name.clone();
-    let seed = profile.fingerprint();
-    // Safety watchdog, not a tuning knob: generously above the worst
-    // observed events-per-flow so only a livelock can trip it.
-    let budget = profile.max_flows.saturating_mul(400).saturating_add(10_000_000);
-    let outcome = FleetSim::new(profile).and_then(|sim| sim.with_event_budget(budget).run());
-    let failed = match &outcome {
-        Ok(_) => Vec::new(),
-        Err(e) => {
-            eprintln!("warning: scenario '{label}': {e}");
-            let class = ErrorClass::classify(&e.clone().into());
-            vec![FailedRep { seed, error: e.to_string(), class }]
-        }
-    };
-    let completed = usize::from(outcome.is_ok());
-    ctx.ledger.record(ScenarioRecord { label, expected: 1, completed, failed });
+/// Run one profile as a one-repetition scenario under the context's
+/// supervisor, seeded by the profile fingerprint, and record it in the
+/// ledger. `configure` adjusts the simulation before it starts (tests
+/// tighten its watchdog budget). `None` means the run produced no
+/// result: the supervisor's classed [`crate::FailedRep`] is recorded.
+pub fn run_profile(
+    ctx: &RunCtx,
+    profile: &FleetProfile,
+    configure: impl Fn(FleetSim) -> FleetSim,
+) -> Option<FleetResult> {
+    let wall_start = std::time::Instant::now();
+    let outcome = ctx.supervisor().drive(profile.fingerprint(), || {
+        FleetSim::new(profile.clone()).map(|sim| configure(sim).start()).map_err(RunError::from)
+    });
+    if let Some(hub) = &ctx.metrics {
+        hub.rep_finished(false, outcome.is_err(), wall_start.elapsed());
+    }
+    if let Err(f) = &outcome {
+        eprintln!("warning: scenario '{}': {}", profile.name, f.error);
+    }
+    ctx.ledger.record(ScenarioRecord {
+        label: profile.name.clone(),
+        expected: 1,
+        completed: usize::from(outcome.is_ok()),
+        failed: outcome.as_ref().err().cloned().into_iter().collect(),
+    });
     let res = outcome.ok()?;
     ctx.ledger.add_late_dropped(res.late_dropped);
     if let Some(hub) = &ctx.metrics {
-        hub.sample_queue_health(res.health);
         let io = crate::chaos::artefact_io(ctx.chaos.as_ref());
         hub.write_intervals(io.as_ref(), &res.name, 0, &res.intervals);
     }
@@ -226,8 +237,11 @@ pub fn fleet(ctx: &RunCtx) -> TableData {
     );
     let profs = profiles(ctx.effort);
     let n = profs.len();
+    if let Some(hub) = &ctx.metrics {
+        hub.expect_reps(n as u64);
+    }
     let results =
-        sched::run_batch(sched::global_gate(), n, |i| run_profile(ctx, profs[i].clone()));
+        sched::run_batch(sched::global_gate(), n, |i| run_profile(ctx, &profs[i], |sim| sim));
     for res in results.iter().flatten() {
         let ok = sane(res);
         if !ok {
@@ -272,18 +286,11 @@ pub fn fleet(ctx: &RunCtx) -> TableData {
         if !holds {
             ctx.ledger.record_failure(name, format!("ordering violated: {detail}"));
         }
-        table.push_row(vec![
-            "ordering".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            format!("{name}: {detail}"),
-            if holds { "ok".into() } else { "MISMATCH".into() },
-        ]);
+        let mut row = vec!["-".to_string(); 10];
+        row[0] = "ordering".into();
+        row[8] = format!("{name}: {detail}");
+        row[9] = if holds { "ok".into() } else { "MISMATCH".into() };
+        table.push_row(row);
     };
     // Incast degrades the tail vs the steady mix — compared on the
     // scale-free slowdown (fct ÷ ideal fct), since raw FCTs live on
@@ -354,5 +361,19 @@ mod tests {
         let records = ctx.ledger.snapshot();
         assert_eq!(records.len(), 3, "{records:?}");
         assert!(records.iter().all(|r| r.expected == 1 && r.complete()), "{records:?}");
+
+        // A watchdog-stopped profile is a lost repetition, classed and
+        // recorded on its fingerprint seed by the supervisor.
+        let ctx = RunCtx::new(Effort::Smoke);
+        let stalled = profiles(Effort::Smoke)[1].clone();
+        assert!(run_profile(&ctx, &stalled, |sim| sim.with_event_budget(10)).is_none());
+        let records = ctx.ledger.snapshot();
+        assert_eq!(records.len(), 1, "{records:?}");
+        assert_eq!((records[0].expected, records[0].completed, records[0].failed.len()), (1, 0, 1));
+        assert_eq!(
+            ctx.ledger.failed_scenarios(),
+            [format!("fleet_incast_unpaced: watchdog-budget on seed {:#018x}", stalled.fingerprint())]
+        );
+        assert_eq!(ctx.ledger.exit_code(), 1);
     }
 }

@@ -6,11 +6,12 @@
 //! "rerun everything", it is "account for what is lost, and say so".
 //! This module is that answer for the simulated campaign:
 //!
-//! * every repetition executes under [`Supervisor::drive`], inside
-//!   `catch_unwind`, stepped in bounded event chunks with a wall-clock
-//!   deadline and periodic [checkpoints](netsim::SimCheckpoint)
-//!   — a crashed worker resumes from its last snapshot instead of
-//!   taking the whole harness down;
+//! * every repetition — an iperf3-style session or a fleet run —
+//!   executes under [`Supervisor::drive`], inside `catch_unwind`,
+//!   stepped in bounded event chunks with a wall-clock deadline and
+//!   periodic [checkpoints](netsim::Checkpoint) — a crashed worker
+//!   resumes from its last snapshot instead of taking the whole harness
+//!   down;
 //! * every repetition gets exactly one attempt, on its derived seed.
 //!   A failure carries an [`ErrorClass`] that says whose fault it was:
 //!   a simulator defect (a watchdog trip, state corruption, a
@@ -26,7 +27,7 @@ use crate::chaos::ChaosPlan;
 use crate::effort::Effort;
 use crate::runner::FailedRep;
 use iperf3sim::RunError;
-use netsim::{RunResult, RunningSim, SimCheckpoint, SimError};
+use netsim::{Checkpoint, Engine, Running, SimError};
 use simcore::{CheckpointPolicy, Checkpointer, WatchdogTrip};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -186,8 +187,13 @@ impl Supervisor {
     /// checkpoint spans to a metrics hub. Purely observational — the
     /// hub is consulted only between stepping slices and at checkpoint
     /// barriers, never inside the event loop, so supervised runs stay
-    /// bit-identical with or without it.
+    /// bit-identical with or without it. The checkpoint counter is
+    /// registered here, so the exposition reports it (0 with
+    /// checkpointing off) for every supervised run.
     pub fn with_metrics(mut self, hub: Arc<crate::metrics::MetricsHub>) -> Self {
+        hub.recorder()
+            .describe("supervisor_checkpoints", "Session snapshots taken at cadence barriers");
+        hub.recorder().counter_add("supervisor_checkpoints", 0);
         self.metrics = Some(hub);
         self
     }
@@ -202,9 +208,10 @@ impl Supervisor {
         self.chaos.as_ref()
     }
 
-    /// Execute one repetition under full supervision.
+    /// Execute one repetition of either engine under full supervision
+    /// and return its report.
     ///
-    /// `start` builds the simulation (it runs *inside* the
+    /// `start` builds the run (it runs *inside* the
     /// crash-isolation boundary, so a panicking config path is
     /// survivable too);
     /// `run_seed` keys the chaos schedule. The session is stepped in
@@ -216,14 +223,15 @@ impl Supervisor {
     /// was taken yet; because checkpoints snapshot the full engine
     /// state between events, the resumed run replays the exact event
     /// sequence and the result is bit-identical to an undisturbed run.
-    pub fn drive<F>(&self, run_seed: u64, start: F) -> Result<RunResult, FailedRep>
+    pub fn drive<E, F>(&self, run_seed: u64, start: F) -> Result<E::Output, FailedRep>
     where
-        F: Fn() -> Result<RunningSim, RunError>,
+        E: Engine,
+        F: Fn() -> Result<Running<E>, RunError>,
     {
         let deadline = Instant::now() + self.deadline;
         // The resume slot lives *outside* the unwind boundary: whatever
         // the worker had checkpointed before dying survives the panic.
-        let slot: Mutex<Option<SimCheckpoint>> = Mutex::new(None);
+        let slot: Mutex<Option<Checkpoint<E>>> = Mutex::new(None);
         let mut round: u32 = 0;
         loop {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -254,23 +262,24 @@ impl Supervisor {
     }
 
     /// One unwind-isolated round of [`Supervisor::drive`].
-    fn run_round<F>(
+    fn run_round<E, F>(
         &self,
-        slot: &Mutex<Option<SimCheckpoint>>,
+        slot: &Mutex<Option<Checkpoint<E>>>,
         start: &F,
         run_seed: u64,
         round: u32,
         deadline: Instant,
-    ) -> Result<RunResult, FailedRep>
+    ) -> Result<E::Output, FailedRep>
     where
-        F: Fn() -> Result<RunningSim, RunError>,
+        E: Engine,
+        F: Fn() -> Result<Running<E>, RunError>,
     {
         // Resume from the latest snapshot if one exists (clone, don't
         // take: if this round dies before its first checkpoint, the
         // next one must still have something to resume from).
         let resumed = slot.lock().expect("checkpoint slot").clone();
         let mut session = match resumed {
-            Some(ck) => RunningSim::resume(ck),
+            Some(ck) => Running::resume(ck),
             None => start().map_err(|e| FailedRep::from_run(run_seed, &e))?,
         };
         let entry = session.events_done();
@@ -306,27 +315,18 @@ impl Supervisor {
                 });
             }
             if ckpt.due(session.events_done()) {
-                if let Some(hub) = &self.metrics {
-                    // Checkpoint barriers are the engine-health sample
-                    // points: the queue is between events, so the
-                    // snapshot is consistent and free of races.
+                // Checkpoint barriers are the engine-health sample
+                // points: the queue is between events, so the snapshot
+                // is consistent and free of races.
+                let start = self.metrics.as_ref().map(|hub| {
                     hub.sample_queue_health(session.queue_health());
-                    hub.recorder().describe(
-                        "supervisor_checkpoints",
-                        "Session snapshots taken at cadence barriers",
-                    );
                     hub.recorder().counter_add("supervisor_checkpoints", 1);
-                    let start = hub.wall_now();
-                    *slot.lock().expect("checkpoint slot") = Some(session.checkpoint());
-                    hub.span(
-                        format!("seed_{run_seed:016x}"),
-                        "checkpoint",
-                        "wall_s",
-                        start,
-                        hub.wall_now() - start,
-                    );
-                } else {
-                    *slot.lock().expect("checkpoint slot") = Some(session.checkpoint());
+                    hub.wall_now()
+                });
+                *slot.lock().expect("checkpoint slot") = Some(session.checkpoint());
+                if let (Some(hub), Some(start)) = (&self.metrics, start) {
+                    let span = hub.wall_now() - start;
+                    hub.span(format!("seed_{run_seed:016x}"), "checkpoint", "wall_s", start, span);
                 }
             }
             if let Some(kill_at) = kill_at {

@@ -1,18 +1,23 @@
 //! Fleet simulation: millions of dynamically arriving flows in one run.
 //!
-//! [`FleetSim`] executes a [`FleetProfile`](crate::workload::FleetProfile):
-//! flows open at sampled arrival times ([`FlowEvent::Open`]), transfer a
-//! finite number of bursts through a per-class FIFO bottleneck, and
-//! close ([`FlowEvent::Close`]) when the final burst is cumulatively
-//! acknowledged — the burst-granularity FIN. Per-flow state lives in a
-//! generation-guarded slot slab: every event is handled on its slot in
-//! place, a close bumps the slot's generation and frees it, and the
-//! next open resets it in place with its buffers kept. The slab grows
-//! only while every slot is busy, so resident memory is **O(active
-//! flows)** regardless of how many flows the run serves, and a flow's
-//! lifecycle allocates nothing once the slab has warmed up. Results
-//! fold through [`obs::IntervalAggregator`] as streaming FCT / goodput
-//! histograms — there is never a per-flow result vector.
+//! [`FleetSim`] executes a [`FleetProfile`]:
+//! flows open at sampled arrival times, transfer a finite number of
+//! bursts through a per-class FIFO bottleneck, and close when the final
+//! burst is cumulatively acknowledged — the burst-granularity FIN.
+//! Per-flow state lives in a generation-guarded slot slab: every event
+//! is handled on its slot in place, a close bumps the slot's generation
+//! and frees it, and the next open resets it in place with its buffers
+//! kept. The slab grows only while every slot is busy, so resident
+//! memory is **O(active flows)** regardless of how many flows the run
+//! serves, and a flow's lifecycle allocates nothing once the slab has
+//! warmed up. Results fold through [`obs::IntervalAggregator`] as
+//! streaming FCT / goodput histograms — there is never a per-flow
+//! result vector.
+//!
+//! The engine runs on the same loop ([`Running`]) as
+//! [`crate::Simulation`]: a fleet run can be stepped, checkpointed,
+//! resumed and supervised like any other, and [`FleetSim::run`] is
+//! `start().finish()`.
 //!
 //! The per-flow loss timers (TLP/RTO) are *cancelable* wheel timers:
 //! every deadline change and every close cancels the stale timer
@@ -21,7 +26,7 @@
 //! timer slab balances — a closing flow must not leak slab slots.
 //!
 //! Each close also classifies *what limited this flow* from the
-//! sender's own counters — the fleet-level counterpart of the PR 3
+//! sender's own counters — the fleet-level counterpart of the
 //! per-interval [`crate::attribution`] verdicts — so the result can
 //! roll up "what limited the p99" across millions of flows.
 
@@ -32,6 +37,7 @@ use simcore::{Bytes, EventQueue, QueueHealth, SimDuration, SimTime, TimerId, Wat
 use tcpstack::{SendSlot, TcpReceiver, TcpSender, TimerKind};
 
 use crate::error::SimError;
+use crate::run::{observe, Engine, Running};
 use crate::workload::{ArrivalSampler, FleetProfile};
 
 /// Wire MTU used for fleet flows (standard Ethernet; the fleet models
@@ -86,49 +92,13 @@ pub enum FlowEvent {
     },
 }
 
-/// What limited one flow's completion time, judged at close from the
-/// sender's own counters — the per-flow analogue of
-/// [`crate::attribution::LimitingFactor`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FlowFactor {
-    /// The flow took at least one retransmission timeout.
-    RtoStall,
-    /// The flow retransmitted (fast recovery / TLP) but never RTO'd.
-    LossRecovery,
-    /// Majority of ACKs arrived cwnd-limited: the window, not the
-    /// path, was the constraint.
-    CwndLimited,
-    /// None of the above: the flow got its fair share of the bottleneck
-    /// (or was too short to be limited by anything else).
-    BottleneckShare,
-}
-
-impl FlowFactor {
-    /// Stable snake_case label (metric and JSON key).
-    pub fn name(self) -> &'static str {
-        match self {
-            FlowFactor::RtoStall => "rto_stall",
-            FlowFactor::LossRecovery => "loss_recovery",
-            FlowFactor::CwndLimited => "cwnd_limited",
-            FlowFactor::BottleneckShare => "bottleneck_share",
-        }
-    }
-
-    /// All factors, in diagnostic-priority order.
-    pub const ALL: [FlowFactor; 4] = [
-        FlowFactor::RtoStall,
-        FlowFactor::LossRecovery,
-        FlowFactor::CwndLimited,
-        FlowFactor::BottleneckShare,
-    ];
-}
-
 /// Per-flow resident state: everything a live flow needs. Handlers
 /// work on it where it sits in the slab. At close it stays there with
 /// its generation bumped, and the next open resets it in place
 /// ([`TcpSender::reinit`], [`TcpReceiver::reinit`]), so a flow's whole
 /// life — open, every event, close — touches the heap only when its
 /// scoreboard outgrows what earlier tenants left behind.
+#[derive(Clone)]
 struct FlowSlot {
     sender: TcpSender,
     recv: TcpReceiver,
@@ -209,8 +179,8 @@ pub struct FleetResult {
     /// bottleneck. 100 = ideal; scale-free across profiles with
     /// different RTTs and sizes.
     pub slowdown: HdrHistogram,
-    /// FCT distribution per limiting factor (keys from
-    /// [`FlowFactor::name`]).
+    /// FCT distribution per limiting factor, keyed `rto_stall`,
+    /// `loss_recovery`, `cwnd_limited` or `bottleneck_share`.
     pub factors: BTreeMap<&'static str, HdrHistogram>,
     /// Streaming interval series (`fct_us`, `goodput_mbps` metrics).
     pub intervals: Vec<IntervalRecord>,
@@ -227,7 +197,8 @@ pub struct FleetResult {
     pub tlp_events: u64,
     /// Sum of per-flow retransmitted bursts.
     pub retx_bursts: u64,
-    /// Loss timers cancelled through the wheel's tombstone path.
+    /// Armed loss timers cancelled through the wheel's tombstone path:
+    /// one per moved deadline and one per close with a timer pending.
     pub timers_cancelled: u64,
     /// Final queue health (slab balance asserted before returning).
     pub health: QueueHealth,
@@ -253,27 +224,19 @@ impl FleetResult {
         self.total_bytes as f64 * 8.0 / secs / 1e9
     }
 
-    /// "What limited the p99": for each factor, the number of its flows
-    /// with FCT above the fleet-wide p99, descending. The factor whose
-    /// flows dominate the tail is the fleet-level bottleneck verdict.
+    /// "What limited the p99": for each factor that limited some flow,
+    /// the number of its flows with FCT above the fleet-wide p99,
+    /// descending. The factor whose flows dominate the tail is the
+    /// fleet-level bottleneck verdict.
     pub fn tail_rollup(&self) -> Vec<(&'static str, u64)> {
         let Some(p99) = self.fct.quantile(0.99) else {
             return Vec::new();
         };
-        let mut rows: Vec<(&'static str, u64)> = FlowFactor::ALL
+        let mut rows: Vec<(&'static str, u64)> = self
+            .factors
             .iter()
-            .map(|f| {
-                let above = self
-                    .factors
-                    .get(f.name())
-                    .map(|h| {
-                        h.nonzero_buckets()
-                            .filter(|&(v, _)| v > p99)
-                            .map(|(_, c)| c)
-                            .sum()
-                    })
-                    .unwrap_or(0u64);
-                (f.name(), above)
+            .map(|(&factor, h)| {
+                (factor, h.nonzero_buckets().filter(|&(v, _)| v > p99).map(|(_, c)| c).sum())
             })
             .collect();
         rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
@@ -281,14 +244,14 @@ impl FleetResult {
     }
 }
 
-/// The fleet event loop. Build with [`FleetSim::new`], run with
-/// [`FleetSim::run`].
+/// A fleet run. Build with [`FleetSim::new`], run with
+/// [`FleetSim::run`], or [`FleetSim::start`] it to step it.
 pub struct FleetSim {
     profile: FleetProfile,
     fingerprint: u64,
     /// Event budget: exceeding it trips the watchdog instead of
-    /// spinning forever (`None` = unlimited).
-    event_budget: Option<u64>,
+    /// spinning forever.
+    event_budget: u64,
 }
 
 impl FleetSim {
@@ -299,37 +262,46 @@ impl FleetSim {
             return Err(SimError::InvalidConfig(problems));
         }
         let fingerprint = profile.fingerprint();
-        Ok(FleetSim { profile, fingerprint, event_budget: None })
+        // Generously above the worst observed events per flow, so only
+        // a livelock or a runaway trips it.
+        let event_budget = profile.max_flows.saturating_mul(400).saturating_add(10_000_000);
+        Ok(FleetSim { profile, fingerprint, event_budget })
     }
 
-    /// Trip the watchdog after `events` loop iterations (livelock /
-    /// runaway-retransmission protection for tests and CI).
+    /// Trip the watchdog after `events` loop iterations instead of the
+    /// budget derived from the profile's `max_flows`.
     pub fn with_event_budget(mut self, events: u64) -> Self {
-        self.event_budget = Some(events);
+        self.event_budget = events;
         self
+    }
+
+    /// Schedule the first arrival and hand back the run, to be stepped,
+    /// checkpointed, resumed and finished.
+    pub fn start(self) -> Running<Loop> {
+        Running::new(Loop::new(self.profile, self.fingerprint), self.event_budget)
     }
 
     /// Execute the profile to completion: all arrivals within the
     /// duration served, all flows closed, queue drained. Fails with
     /// [`SimError::Stalled`] when the watchdog trips: a livelock, or
-    /// more events than [`FleetSim::with_event_budget`] allows.
+    /// more events than the budget allows.
     pub fn run(self) -> Result<FleetResult, SimError> {
-        Loop::new(&self.profile, self.fingerprint, self.event_budget).run()
+        self.start().finish()
     }
 }
 
-/// All mutable loop state. Flow slots live apart from the [`Net`] part
-/// so every handler can borrow its slot in place and hand it to the
-/// network methods alongside.
-struct Loop<'p> {
-    p: &'p FleetProfile,
+/// The fleet engine: all mutable run state. Flow slots live apart from
+/// the [`Net`] part so every handler can borrow its slot in place and
+/// hand it to the network methods alongside.
+#[derive(Clone)]
+pub struct Loop {
     /// Canonical profile fingerprint (per-flow draw seed base).
     fingerprint: u64,
     /// The flow slab. A closed slot stays here, free, until an open
     /// resets it in place; the slab only grows when every slot is busy.
     slots: Vec<FlowSlot>,
     free: Vec<u32>,
-    net: Net<'p>,
+    net: Net,
     sampler: ArrivalSampler,
     /// Arrival clock in float seconds (kept separate from SimTime so
     /// ns rounding never perturbs the sampled sequence).
@@ -337,7 +309,6 @@ struct Loop<'p> {
     /// An `Open` event is pending in the queue.
     open_pending: bool,
     agg: IntervalAggregator,
-    seal_pending: bool,
     fct: HdrHistogram,
     slowdown: HdrHistogram,
     factors: BTreeMap<&'static str, HdrHistogram>,
@@ -349,14 +320,14 @@ struct Loop<'p> {
     rto_events: u64,
     tlp_events: u64,
     retx_bursts: u64,
-    /// Livelock and event-budget guard, observed once per popped event.
-    watchdog: Watchdog,
 }
 
-/// What every flow shares: the event queue, the class bottlenecks and
-/// the wire counters. Its methods act on one borrowed [`FlowSlot`].
-struct Net<'p> {
-    p: &'p FleetProfile,
+/// What every flow shares: the profile, the event queue, the class
+/// bottlenecks and the wire counters. Its methods act on one borrowed
+/// [`FlowSlot`].
+#[derive(Clone)]
+struct Net {
+    p: FleetProfile,
     q: EventQueue<FlowEvent>,
     /// Per-class bottleneck: the time its FIFO becomes idle.
     busy_until: Vec<SimTime>,
@@ -372,29 +343,26 @@ fn live(slots: &mut [FlowSlot], i: u32, gen: u32) -> Option<&mut FlowSlot> {
     slots.get_mut(i as usize).filter(|s| s.gen == gen)
 }
 
-impl<'p> Loop<'p> {
-    fn new(p: &'p FleetProfile, fingerprint: u64, budget: Option<u64>) -> Self {
+impl Loop {
+    /// The run's state with its first arrival (and the first seal)
+    /// queued.
+    fn new(p: FleetProfile, fingerprint: u64) -> Self {
         let mut q = EventQueue::with_capacity(1024);
-        let mut sampler = ArrivalSampler::new(p, fingerprint);
+        let mut sampler = ArrivalSampler::new(&p, fingerprint);
         let first = sampler.next_arrival(0.0);
-        let duration_secs = p.duration.as_secs_f64();
-        let mut open_pending = false;
-        if first <= duration_secs {
-            q.push(SimTime::from_secs_f64(first), FlowEvent::Open);
-            open_pending = true;
-        }
-        let mut seal_pending = false;
+        let open_pending = first <= p.duration.as_secs_f64();
         if open_pending {
+            q.push(SimTime::from_secs_f64(first), FlowEvent::Open);
             q.push(SimTime::ZERO + p.interval_width, FlowEvent::Seal);
-            seal_pending = true;
         }
         Loop {
             slots: Vec::new(),
             free: Vec::new(),
+            agg: IntervalAggregator::new(p.interval_width.as_nanos()),
             net: Net {
+                busy_until: vec![SimTime::ZERO; p.classes.len()],
                 p,
                 q,
-                busy_until: vec![SimTime::ZERO; p.classes.len()],
                 drops: 0,
                 wire_bursts: 0,
                 timers_cancelled: 0,
@@ -402,8 +370,6 @@ impl<'p> Loop<'p> {
             sampler,
             arrival_secs: first,
             open_pending,
-            agg: IntervalAggregator::new(p.interval_width.as_nanos()),
-            seal_pending,
             fct: HdrHistogram::new(),
             slowdown: HdrHistogram::new(),
             factors: BTreeMap::new(),
@@ -415,27 +381,8 @@ impl<'p> Loop<'p> {
             rto_events: 0,
             tlp_events: 0,
             retx_bursts: 0,
-            watchdog: Watchdog::new(budget),
-            p,
             fingerprint,
         }
-    }
-
-    fn run(mut self) -> Result<FleetResult, SimError> {
-        while let Some((now, ev)) = self.net.q.pop() {
-            if let Err(trip) = self.watchdog.observe(now) {
-                return Err(SimError::Stalled { at: now, trip });
-            }
-            match ev {
-                FlowEvent::Open => self.on_open(now),
-                FlowEvent::Tx { slot, gen } => self.on_tx(now, slot, gen),
-                FlowEvent::Deliver { slot, gen, idx } => self.on_deliver(now, slot, gen, idx),
-                FlowEvent::Timer { slot, gen } => self.on_timer(now, slot, gen),
-                FlowEvent::Seal => self.on_seal(now),
-                FlowEvent::Close { slot, gen } => self.on_close(now, slot, gen),
-            }
-        }
-        self.finish()
     }
 
     // ---- event handlers --------------------------------------------------
@@ -444,9 +391,9 @@ impl<'p> Loop<'p> {
         self.open_pending = false;
         let flow_id = self.flows_opened;
         self.flows_opened += 1;
-        let draw = self.p.draw_flow(self.fingerprint, flow_id);
-        let class = &self.p.classes[draw.class];
-        let burst = self.p.burst;
+        let draw = self.net.p.draw_flow(self.fingerprint, flow_id);
+        let class = &self.net.p.classes[draw.class];
+        let burst = self.net.p.burst;
         let mtu = Bytes::new(FLEET_MTU);
         let bdp = class.bottleneck.bdp(class.rtt);
         // Buffers sized so the path, not the host, is the constraint:
@@ -498,7 +445,7 @@ impl<'p> Loop<'p> {
         // Schedule the next arrival while inside the horizon.
         let next = self.sampler.next_arrival(self.arrival_secs);
         self.arrival_secs = next;
-        if next <= self.p.duration.as_secs_f64() && self.flows_opened < self.p.max_flows {
+        if next <= self.net.p.duration.as_secs_f64() && self.flows_opened < self.net.p.max_flows {
             self.net.q.push(SimTime::from_secs_f64(next), FlowEvent::Open);
             self.open_pending = true;
         }
@@ -551,11 +498,9 @@ impl<'p> Loop<'p> {
     }
 
     fn on_seal(&mut self, now: SimTime) {
-        self.seal_pending = false;
         self.agg.seal_before(now.as_nanos());
         if self.active > 0 || self.open_pending {
-            self.net.q.push(now + self.p.interval_width, FlowEvent::Seal);
-            self.seal_pending = true;
+            self.net.q.push(now + self.net.p.interval_width, FlowEvent::Seal);
         }
     }
 
@@ -569,7 +514,7 @@ impl<'p> Loop<'p> {
         }
         let fct = now.saturating_since(slot.opened_at);
         let fct_us = (fct.as_nanos() / 1_000).max(1);
-        let bytes = slot.bursts * self.p.burst.as_u64();
+        let bytes = slot.bursts * self.net.p.burst.as_u64();
         let goodput_mbps =
             ((bytes as f64 * 8.0 / fct.as_secs_f64().max(1e-9)) / 1e6).round() as u64;
         let slowdown_x100 =
@@ -580,8 +525,7 @@ impl<'p> Loop<'p> {
         self.agg.record(t, "slowdown_x100", slowdown_x100);
         self.fct.record(fct_us);
         self.slowdown.record(slowdown_x100);
-        let factor = classify_flow(slot);
-        self.factors.entry(factor.name()).or_default().record(fct_us);
+        self.factors.entry(classify_flow(slot)).or_default().record(fct_us);
         self.rto_events += slot.sender.rto_events();
         self.tlp_events += slot.sender.tlp_events();
         self.retx_bursts += slot.sender.retx_bursts();
@@ -594,8 +538,30 @@ impl<'p> Loop<'p> {
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(i);
     }
+}
 
-    // ---- run finish ------------------------------------------------------
+impl Engine for Loop {
+    type Event = FlowEvent;
+    type Output = FleetResult;
+
+    fn queue(&self) -> &EventQueue<FlowEvent> {
+        &self.net.q
+    }
+
+    /// The run lasts until the queue drains.
+    fn step(&mut self, watchdog: &mut Watchdog) -> Result<bool, SimError> {
+        let Some((now, ev)) = self.net.q.pop() else { return Ok(false) };
+        observe(watchdog, now)?;
+        match ev {
+            FlowEvent::Open => self.on_open(now),
+            FlowEvent::Tx { slot, gen } => self.on_tx(now, slot, gen),
+            FlowEvent::Deliver { slot, gen, idx } => self.on_deliver(now, slot, gen, idx),
+            FlowEvent::Timer { slot, gen } => self.on_timer(now, slot, gen),
+            FlowEvent::Seal => self.on_seal(now),
+            FlowEvent::Close { slot, gen } => self.on_close(now, slot, gen),
+        }
+        Ok(true)
+    }
 
     fn finish(self) -> Result<FleetResult, SimError> {
         let q = &self.net.q;
@@ -624,12 +590,12 @@ impl<'p> Loop<'p> {
         }
         let late_dropped = self.agg.late();
         Ok(FleetResult {
-            name: self.p.name.clone(),
+            name: self.net.p.name.clone(),
             flows_opened: self.flows_opened,
             flows_served: self.flows_served,
             peak_active: self.peak_active,
             peak_slots: self.slots.len(),
-            events: self.watchdog.total_events(),
+            events: q.total_popped(),
             past_clamps: q.past_clamps(),
             total_bytes: self.total_bytes,
             finished_at: now,
@@ -649,7 +615,7 @@ impl<'p> Loop<'p> {
     }
 }
 
-impl Net<'_> {
+impl Net {
     /// Fill the app buffer and transmit whatever the window and pacing
     /// mode allow right now.
     fn drive(&mut self, now: SimTime, i: u32, slot: &mut FlowSlot) {
@@ -733,19 +699,25 @@ impl Net<'_> {
     }
 }
 
-/// Judge what limited a flow from its sender counters, in diagnostic
-/// priority order (an RTO dwarfs everything; loss recovery dominates
-/// window shaping; a mostly-cwnd-limited flow was window-bound).
-fn classify_flow(slot: &FlowSlot) -> FlowFactor {
+/// Judge what limited a flow's completion time from its sender
+/// counters — the per-flow analogue of
+/// [`crate::attribution::LimitingFactor`] — and name it as
+/// [`FleetResult::factors`] keys it. Diagnostic priority order: an RTO
+/// dwarfs everything; loss recovery dominates window shaping; a
+/// mostly-cwnd-limited flow was window-bound; anything else got its
+/// fair share of the bottleneck (or was too short to be limited by
+/// anything else).
+fn classify_flow(slot: &FlowSlot) -> &'static str {
     let s = &slot.sender;
     if s.rto_events() > 0 {
-        FlowFactor::RtoStall
+        "rto_stall"
     } else if s.retx_bursts() > 0 || s.tlp_events() > 0 {
-        FlowFactor::LossRecovery
+        // Retransmitted (fast recovery / TLP) but never timed out.
+        "loss_recovery"
     } else if s.acks_processed() > 0 && s.cwnd_limited_acks() * 2 >= s.acks_processed() {
-        FlowFactor::CwndLimited
+        "cwnd_limited"
     } else {
-        FlowFactor::BottleneckShare
+        "bottleneck_share"
     }
 }
 
@@ -783,7 +755,6 @@ mod tests {
     fn serves_every_arrival_and_balances_the_slab() {
         let r = FleetSim::new(small_profile(500.0, 2))
             .expect("profile is valid")
-            .with_event_budget(50_000_000)
             .run()
             .expect("run completes");
         assert!(r.flows_opened > 500, "expected ~1000 arrivals, got {}", r.flows_opened);
@@ -805,7 +776,6 @@ mod tests {
     fn fct_quantiles_are_monotone() {
         let r = FleetSim::new(small_profile(800.0, 2))
             .expect("profile is valid")
-            .with_event_budget(50_000_000)
             .run()
             .expect("run completes");
         let p50 = r.fct_us(0.50).expect("flows completed");
@@ -860,7 +830,6 @@ mod tests {
         p.diurnal = Some(Diurnal { amplitude: 0.5, period_secs: 1.0 });
         let r = FleetSim::new(p)
             .expect("valid")
-            .with_event_budget(100_000_000)
             .run()
             .expect("run completes");
         assert_eq!(r.flows_opened, r.flows_served);
@@ -893,7 +862,6 @@ mod tests {
         });
         let r = FleetSim::new(p)
             .expect("valid")
-            .with_event_budget(100_000_000)
             .run()
             .expect("incast drains despite drops");
         assert_eq!(r.flows_opened, r.flows_served);

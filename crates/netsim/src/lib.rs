@@ -35,10 +35,11 @@ pub mod attribution;
 pub mod config;
 pub mod error;
 pub mod faults;
-pub mod fleet;
+mod fleet;
 pub mod host;
 pub mod result;
-pub mod sim;
+mod run;
+mod sim;
 pub mod telemetry;
 pub mod workload;
 
@@ -50,8 +51,9 @@ pub use config::{SimConfig, WorkloadSpec};
 pub use error::SimError;
 pub use faults::{Fault, FaultEvent, FaultPlan};
 pub use result::{FlowResult, RunResult};
+pub use run::{Checkpoint, Engine, Running};
 pub use sim::{RunningSim, SimCheckpoint, Simulation};
-pub use fleet::{FleetResult, FleetSim, FlowEvent, FlowFactor};
+pub use fleet::{FleetResult, FleetSim};
 pub use telemetry::{CaState, FlowTrace, HostSample, HostTrace, TcpInfoSample, Telemetry};
 pub use workload::{
     ArrivalProcess, ArrivalSampler, Diurnal, FleetClass, FleetProfile, FlowDraw, SizeDist,

@@ -1,4 +1,5 @@
-//! The discrete-event simulation loop.
+//! The discrete-event host-and-path engine behind [`Simulation`],
+//! stepped by the shared run loop ([`crate::Running`]).
 //!
 //! See the crate docs for the pipeline diagram. Design notes:
 //!
@@ -24,6 +25,7 @@ use crate::error::SimError;
 use crate::faults::{Fault, FaultEvent};
 use crate::host::SimHost;
 use crate::result::{FlowResult, RunResult};
+use crate::run::{observe, Checkpoint, Engine, Running};
 use crate::telemetry::{CaState, CounterSnapshot, FlowInfo, TelemetrySampler};
 use linuxhost::{Pacer, SendOutcome, Stage, TxMode, ZerocopyAccounting};
 use nethw::{EnqueueOutcome, SharedBufferSwitch};
@@ -41,7 +43,7 @@ const EDGE_DELAY: SimDuration = SimDuration::from_micros(5);
 const TSQ_HORIZON: SimDuration = SimDuration::from_millis(2);
 
 #[derive(Debug, Clone)]
-enum Ev {
+pub enum Ev {
     AppWrite(usize),
     AppWriteDone(usize, TxMode),
     TxDequeue { flow: usize, idx: u64 },
@@ -161,7 +163,6 @@ pub(crate) struct Snapshot {
 /// A configured, runnable simulation.
 pub struct Simulation {
     cfg: SimConfig,
-    burst: Bytes,
 }
 
 impl Simulation {
@@ -173,8 +174,7 @@ impl Simulation {
         if !problems.is_empty() {
             return Err(SimError::InvalidConfig(problems));
         }
-        let burst = cfg.sender.offload.gso_max_size;
-        Ok(Simulation { cfg, burst })
+        Ok(Simulation { cfg })
     }
 
     /// Run to completion and report. Fails with [`SimError::Stalled`]
@@ -182,98 +182,36 @@ impl Simulation {
     /// [`SimError::ConservationViolation`] if end-of-run burst
     /// accounting does not balance.
     pub fn run(self) -> Result<RunResult, SimError> {
-        Runner::new(self.cfg, self.burst).run()
+        self.start().finish()
     }
 
     /// Start the simulation without running it: schedules the initial
     /// events and hands back a [`RunningSim`] that can be stepped,
-    /// checkpointed, and resumed. `start().finish()` is bit-identical
-    /// to [`Simulation::run`] — both drive the same loop.
+    /// checkpointed, and resumed. `start().finish()` is
+    /// [`Simulation::run`].
     pub fn start(self) -> RunningSim {
-        let mut runner = Runner::new(self.cfg, self.burst);
-        runner.start();
-        RunningSim { runner }
+        // Watchdog budget: a legitimate run processes a few million
+        // events per simulated second; scale generously so only a true
+        // runaway trips it.
+        let wl = &self.cfg.workload;
+        let budget = wl.event_budget.unwrap_or_else(|| {
+            let secs = wl.duration.as_secs_f64().ceil().max(1.0) as u64;
+            let flows_factor = (wl.num_flows as u64).max(1);
+            secs.saturating_mul(50_000_000).saturating_mul(flows_factor).max(100_000_000)
+        });
+        Running::new(Runner::new(self.cfg), budget)
     }
 }
 
-/// A started simulation that is driven incrementally.
-///
-/// The supervised execution path steps in bounded chunks so it can take
-/// [`SimCheckpoint`] snapshots between events and impose wall-clock
-/// deadlines; `step → checkpoint → resume → step` pops the identical
-/// (time, seq) event order as a straight-through [`Simulation::run`],
-/// so the final [`RunResult`] is bit-identical either way.
-pub struct RunningSim {
-    runner: Runner,
-}
+/// A started [`Simulation`], driven through the shared run loop.
+pub type RunningSim = Running<Runner>;
 
-/// An opaque, barrier-safe snapshot of a [`RunningSim`].
-///
-/// Taken between events (never mid-dispatch), so resuming replays the
-/// exact remaining event sequence: queue keys and payload slab, RNG,
-/// watchdog, and all flow/host/switch state are deep-copied.
+/// A snapshot of a [`RunningSim`] between events.
+pub type SimCheckpoint = Checkpoint<Runner>;
+
+/// The `netsim::sim` engine: hosts, switch, flows and observers.
 #[derive(Clone)]
-pub struct SimCheckpoint(Box<Runner>);
-
-impl SimCheckpoint {
-    /// Dispatched-event count at the moment of the snapshot.
-    pub fn events_done(&self) -> u64 {
-        self.0.q.total_popped()
-    }
-}
-
-impl RunningSim {
-    /// Total events dispatched so far (monotone; drives checkpoint
-    /// cadence and chaos-injection points).
-    pub fn events_done(&self) -> u64 {
-        self.runner.q.total_popped()
-    }
-
-    /// Dispatch up to `max` further events. Returns `true` once the
-    /// run has no more in-range events (call [`RunningSim::finish`]),
-    /// `false` if more stepping is needed.
-    pub fn step_events(&mut self, max: u64) -> Result<bool, SimError> {
-        for _ in 0..max {
-            if !self.runner.step_one()? {
-                return Ok(true);
-            }
-        }
-        Ok(!self.runner.has_pending())
-    }
-
-    /// Engine-health snapshot of the underlying event queue (rung
-    /// depths, tombstones, past-clamps) for observability gauges.
-    pub fn queue_health(&self) -> simcore::QueueHealth {
-        self.runner.q.health()
-    }
-
-    /// Simulated time reached so far, in seconds.
-    pub fn sim_now_secs(&self) -> f64 {
-        self.runner.q.now().as_secs_f64()
-    }
-
-    /// Snapshot the complete simulation state between events.
-    pub fn checkpoint(&self) -> SimCheckpoint {
-        SimCheckpoint(Box::new(self.runner.clone()))
-    }
-
-    /// Rebuild a running simulation from a snapshot; stepping it replays
-    /// exactly the event sequence the original would have dispatched.
-    pub fn resume(ck: SimCheckpoint) -> RunningSim {
-        RunningSim { runner: *ck.0 }
-    }
-
-    /// Drain any remaining events and produce the final report
-    /// (conservation check, attribution, telemetry flush — identical to
-    /// the tail of [`Simulation::run`]).
-    pub fn finish(mut self) -> Result<RunResult, SimError> {
-        while self.runner.step_one()? {}
-        self.runner.finish()
-    }
-}
-
-#[derive(Clone)]
-struct Runner {
+pub struct Runner {
     cfg: SimConfig,
     burst: Bytes,
     q: EventQueue<Ev>,
@@ -310,7 +248,6 @@ struct Runner {
     pause_storm: u32,
     /// Active Gilbert–Elliott episode, if any.
     ge: Option<GeState>,
-    watchdog: Watchdog,
     cross_on: bool,
     cross_until: SimTime,
     cpu_intervals: Vec<(f64, f64)>,
@@ -331,7 +268,9 @@ struct Runner {
 }
 
 impl Runner {
-    fn new(cfg: SimConfig, burst: Bytes) -> Self {
+    /// The run's state, with its initial events queued.
+    fn new(cfg: SimConfig) -> Self {
+        let burst = cfg.sender.offload.gso_max_size;
         let mut rng = SimRng::seed_from_u64(cfg.workload.seed);
         let n = cfg.workload.num_flows;
         let snd_host = SimHost::new(&cfg.sender, n, &mut rng.fork());
@@ -394,14 +333,6 @@ impl Runner {
         // port, pause storms) overflows the paused buffers and drops.
         let parked_cap = (cfg.receiver.sysctl.tcp_rmem.max.as_u64() / burst.as_u64())
             .max(4) as usize;
-        // Watchdog budget: a legitimate run processes a few million
-        // events per simulated second; scale generously so only a true
-        // runaway trips it.
-        let budget = cfg.workload.event_budget.unwrap_or_else(|| {
-            let secs = cfg.workload.duration.as_secs_f64().ceil().max(1.0) as u64;
-            let flows_factor = (cfg.workload.num_flows as u64).max(1);
-            secs.saturating_mul(50_000_000).saturating_mul(flows_factor).max(100_000_000)
-        });
         let faults = cfg.workload.faults.events.clone();
         let verdicts = cfg.workload.attribution.then(Vec::new);
         let mut runner = Runner {
@@ -427,7 +358,6 @@ impl Runner {
             rx_stalled: 0,
             pause_storm: 0,
             ge: None,
-            watchdog: Watchdog::new(Some(budget)),
             cross_on: false,
             cross_until: SimTime::ZERO,
             cpu_intervals: Vec::new(),
@@ -444,96 +374,30 @@ impl Runner {
             runner.cfg.workload.telemetry.map(|tick| TelemetrySampler::new(tick, start.clone()));
         runner.tick = start.clone();
         runner.omit = start;
+        // Kick off: one write chain per flow, staggered within 1 ms the
+        // way parallel iperf3 threads start.
+        for f in 0..runner.flows.len() {
+            let jitter = SimDuration::from_nanos(runner.rng.uniform_u64(0, 1_000_000));
+            runner.q.push(SimTime::ZERO + jitter, Ev::AppWrite(f));
+        }
+        runner.q.push(runner.omit_time, Ev::OmitBoundary);
+        runner.q
+            .push(runner.omit_time + SimDuration::from_secs(1), Ev::IntervalTick);
+        // Zero-cost when disabled: without a sampler no tick event ever
+        // enters the queue.
+        if let Some(sampler) = &runner.sampler {
+            runner.q.push(SimTime::ZERO + sampler.tick(), Ev::TelemetryTick);
+        }
+        if runner.cfg.path.cross_traffic.is_some() {
+            runner.q.push(SimTime::ZERO, Ev::CrossToggle);
+        }
+        for (i, fe) in runner.faults.iter().enumerate() {
+            runner.q.push(SimTime::ZERO + fe.at, Ev::FaultBegin(i));
+            runner.q.push(SimTime::ZERO + fe.ends_at(), Ev::FaultEnd(i));
+        }
         runner
     }
 
-    /// Schedule the initial events. Split from [`Runner::run`] so the
-    /// supervised path can start once, then step/checkpoint/resume.
-    fn start(&mut self) {
-        // Kick off: one write chain per flow, staggered within 1 ms the
-        // way parallel iperf3 threads start.
-        for f in 0..self.flows.len() {
-            let jitter = SimDuration::from_nanos(self.rng.uniform_u64(0, 1_000_000));
-            self.q.push(SimTime::ZERO + jitter, Ev::AppWrite(f));
-        }
-        self.q.push(self.omit_time, Ev::OmitBoundary);
-        self.q
-            .push(self.omit_time + SimDuration::from_secs(1), Ev::IntervalTick);
-        // Zero-cost when disabled: without a sampler no tick event ever
-        // enters the queue.
-        if let Some(sampler) = &self.sampler {
-            self.q.push(SimTime::ZERO + sampler.tick(), Ev::TelemetryTick);
-        }
-        if self.cfg.path.cross_traffic.is_some() {
-            self.q.push(SimTime::ZERO, Ev::CrossToggle);
-        }
-        for (i, fe) in self.faults.iter().enumerate() {
-            self.q.push(SimTime::ZERO + fe.at, Ev::FaultBegin(i));
-            self.q.push(SimTime::ZERO + fe.ends_at(), Ev::FaultEnd(i));
-        }
-    }
-
-    /// Whether an in-range event is still pending.
-    fn has_pending(&self) -> bool {
-        self.q.peek_time().is_some_and(|next| next <= self.end_time)
-    }
-
-    /// Pop and dispatch exactly one event. `Ok(false)` means the loop
-    /// is done (queue empty or next event past `end_time`); the caller
-    /// then hands off to [`Runner::finish`].
-    fn step_one(&mut self) -> Result<bool, SimError> {
-        let Some(next) = self.q.peek_time() else { return Ok(false) };
-        if next > self.end_time {
-            return Ok(false);
-        }
-        // A successful peek guarantees a pop; if the queue disagrees
-        // its heap is corrupt — fail the rep instead of killing the
-        // worker thread with a panic.
-        let Some((now, ev)) = self.q.pop() else {
-            return Err(SimError::StateCorruption {
-                at: self.q.now(),
-                what: "peeked event vanished before pop".into(),
-            });
-        };
-        if let Err(trip) = self.watchdog.observe(now) {
-            return Err(SimError::Stalled { at: now, trip });
-        }
-        self.dispatch(now, ev)?;
-        Ok(true)
-    }
-
-    fn run(mut self) -> Result<RunResult, SimError> {
-        self.start();
-        // One event per step, the same loop the supervised path drives
-        // through `step_events` — which is what keeps straight-through
-        // and checkpoint/resumed runs byte-identical.
-        while self.step_one()? {}
-        self.finish()
-    }
-
-    fn dispatch(&mut self, now: SimTime, ev: Ev) -> Result<(), SimError> {
-        match ev {
-            Ev::AppWrite(f) => self.on_app_write(now, f),
-            Ev::AppWriteDone(f, mode) => self.on_app_write_done(now, f, mode)?,
-            Ev::TxDequeue { flow, idx } => self.on_tx_dequeue(now, flow, idx),
-            Ev::SwitchArrive { flow, idx } => self.on_switch_arrive(now, flow, idx)?,
-            Ev::SwitchDepart { flow, idx } => self.on_switch_depart(now, flow, idx),
-            Ev::RxArrive { flow, idx } => self.on_rx_arrive(now, flow, idx),
-            Ev::RxSoftirqDone { flow, idx } => self.on_rx_softirq_done(now, flow, idx),
-            Ev::RxAppReadDone(f) => self.on_rx_app_read_done(now, f),
-            Ev::AckArrive { flow, cum, idx, rwnd } => self.on_ack(now, flow, cum, idx, rwnd)?,
-            Ev::RtoCheck(f) => self.on_rto_check(now, f)?,
-            Ev::PacerResume(f) => self.on_pacer_resume(now, f)?,
-            Ev::CrossToggle => self.on_cross_toggle(now),
-            Ev::IntervalTick => self.on_interval(now),
-            Ev::TelemetryTick => self.on_telemetry(now),
-            Ev::OmitBoundary => self.on_omit(now),
-            Ev::FaultBegin(i) => self.on_fault_begin(now, i),
-            Ev::FaultEnd(i) => self.on_fault_end(now, i),
-            Ev::GeToggle(i) => self.on_ge_toggle(now, i),
-        }
-        Ok(())
-    }
 
     // ---- sender application ------------------------------------------------
 
@@ -1249,6 +1113,57 @@ impl Runner {
             });
         }
         Ok(())
+    }
+}
+
+impl Engine for Runner {
+    type Event = Ev;
+    type Output = RunResult;
+
+    fn queue(&self) -> &EventQueue<Ev> {
+        &self.q
+    }
+
+    /// The run covers events up to `end_time`; later ones stay queued.
+    fn step(&mut self, watchdog: &mut Watchdog) -> Result<bool, SimError> {
+        if !self.has_pending() {
+            return Ok(false);
+        }
+        // A successful peek guarantees a pop; if the queue disagrees
+        // its heap is corrupt — fail the rep instead of killing the
+        // worker thread with a panic.
+        let Some((now, ev)) = self.q.pop() else {
+            return Err(SimError::StateCorruption {
+                at: self.q.now(),
+                what: "peeked event vanished before pop".into(),
+            });
+        };
+        observe(watchdog, now)?;
+        match ev {
+            Ev::AppWrite(f) => self.on_app_write(now, f),
+            Ev::AppWriteDone(f, mode) => self.on_app_write_done(now, f, mode)?,
+            Ev::TxDequeue { flow, idx } => self.on_tx_dequeue(now, flow, idx),
+            Ev::SwitchArrive { flow, idx } => self.on_switch_arrive(now, flow, idx)?,
+            Ev::SwitchDepart { flow, idx } => self.on_switch_depart(now, flow, idx),
+            Ev::RxArrive { flow, idx } => self.on_rx_arrive(now, flow, idx),
+            Ev::RxSoftirqDone { flow, idx } => self.on_rx_softirq_done(now, flow, idx),
+            Ev::RxAppReadDone(f) => self.on_rx_app_read_done(now, f),
+            Ev::AckArrive { flow, cum, idx, rwnd } => self.on_ack(now, flow, cum, idx, rwnd)?,
+            Ev::RtoCheck(f) => self.on_rto_check(now, f)?,
+            Ev::PacerResume(f) => self.on_pacer_resume(now, f)?,
+            Ev::CrossToggle => self.on_cross_toggle(now),
+            Ev::IntervalTick => self.on_interval(now),
+            Ev::TelemetryTick => self.on_telemetry(now),
+            Ev::OmitBoundary => self.on_omit(now),
+            Ev::FaultBegin(i) => self.on_fault_begin(now, i),
+            Ev::FaultEnd(i) => self.on_fault_end(now, i),
+            Ev::GeToggle(i) => self.on_ge_toggle(now, i),
+        }
+        Ok(true)
+    }
+
+    fn has_pending(&self) -> bool {
+        self.q.peek_time().is_some_and(|next| next <= self.end_time)
     }
 
     fn finish(mut self) -> Result<RunResult, SimError> {

@@ -6,7 +6,7 @@
 //! diurnal cycle), draw a heavy-tailed size (log-normal or bounded
 //! Pareto) and a [`FleetClass`] (path RTT, bottleneck rate and buffer,
 //! congestion controller, pacing), then open, transfer, and close
-//! inside one simulation (see [`crate::fleet`]).
+//! inside one simulation (see [`crate::FleetSim`]).
 //!
 //! Determinism contract: every random draw is derived from the
 //! profile's canonical fingerprint via [`simcore::derive_seed`].

@@ -37,7 +37,6 @@ fn mouse_fleet(target: u64) -> FleetProfile {
 fn run(target: u64) -> FleetResult {
     FleetSim::new(mouse_fleet(target))
         .expect("profile validates")
-        .with_event_budget(target.saturating_mul(400).saturating_add(10_000_000))
         .run()
         .expect("fleet run completes")
 }

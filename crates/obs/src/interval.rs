@@ -64,7 +64,7 @@ impl IntervalRecord {
 
 /// Folds timestamped samples into fixed-width interval series; see the
 /// module docs for the batch vs streaming contract.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct IntervalAggregator {
     width: u64,
     /// Open intervals by index, each `metric → histogram`.

@@ -10,10 +10,15 @@
 //!
 //! Bit identity is asserted on both the `Debug` rendering (Rust's f64
 //! formatting is shortest-round-trip exact, so equal strings ⇔ equal
-//! bits) and the iperf3-style JSON dump.
+//! bits) and the iperf3-style JSON dump. Fleet runs step on the same
+//! loop and are held to the same contract.
 
-use dtnperf::netsim::RunningSim;
+use dtnperf::netsim::{
+    ArrivalProcess, FleetClass, FleetProfile, FleetResult, FleetSim, Running, RunningSim, SizeDist,
+};
 use dtnperf::prelude::*;
+use dtnperf::simcore::{BitRate, Bytes, SimDuration};
+use dtnperf::tcpstack::CcAlgorithm;
 use harness::supervise::Supervisor;
 use iperf3sim::Iperf3Opts;
 
@@ -181,4 +186,65 @@ fn supervised_drive_is_bit_identical_to_plain_run() {
             .expect("supervised run");
         assert_bit_identical(label, &reference, &report(&host, &opts, &result));
     }
+}
+
+/// A small fleet with loss and pacing: MMPP bursts into a shallow
+/// unpaced class (tail drops, retransmissions, moved and cancelled
+/// loss timers) beside a paced class (`Tx` events in flight at any
+/// checkpoint).
+fn fleet_profile() -> FleetProfile {
+    let mut p = FleetProfile::new(
+        "checkpoint_fleet",
+        ArrivalProcess::Mmpp2 {
+            calm_rate: 2_000.0,
+            burst_rate: 15_000.0,
+            mean_calm_secs: 0.045,
+            mean_burst_secs: 0.0015,
+        },
+        SizeDist::BoundedPareto { alpha: 1.2, min_bytes: 32 * 1024, max_bytes: 512 * 1024 },
+    );
+    p.duration = SimDuration::from_millis(800);
+    p.burst = Bytes::kib(16);
+    let class = |name: &str, pacing| FleetClass {
+        name: name.into(),
+        weight: 1,
+        cc: CcAlgorithm::Cubic,
+        pacing,
+        rtt: SimDuration::from_micros(200),
+        bottleneck: BitRate::gbps(10.0),
+        buffer: Bytes::kib(320),
+    };
+    p.classes = vec![class("unpaced", false), class("paced", true)];
+    p
+}
+
+fn assert_fleet_identical(a: &FleetResult, b: &FleetResult) {
+    assert_eq!(a.events, b.events, "events");
+    assert_eq!(a.timers_cancelled, b.timers_cancelled, "timers_cancelled");
+    assert_eq!(a.health, b.health, "queue health");
+    assert_eq!(a.fct, b.fct, "fct histogram");
+    assert_eq!(a.slowdown, b.slowdown, "slowdown histogram");
+    let lines = |r: &FleetResult| r.intervals.iter().map(|i| i.to_json_line()).collect::<Vec<_>>();
+    assert_eq!(lines(a), lines(b), "interval JSON lines");
+    assert_eq!(format!("{a:?}"), format!("{b:?}"), "Debug bits differ");
+}
+
+#[test]
+fn fleet_resumed_from_checkpoint_matches_run() {
+    let fleet = || FleetSim::new(fleet_profile()).expect("profile is valid");
+    let reference = fleet().run().expect("straight-through fleet run");
+    assert!(reference.drops > 0 && reference.timers_cancelled > 0, "{reference:?}");
+
+    let mut session = fleet().start();
+    let stop_at = reference.events / 3;
+    while session.events_done() < stop_at {
+        assert!(!session.step_events(777).expect("step"), "run ended before the checkpoint target");
+    }
+    let checkpoint = session.checkpoint();
+    assert_eq!(checkpoint.events_done(), session.events_done());
+    drop(session); // the original worker "dies" here
+
+    let mut resumed = Running::resume(checkpoint);
+    while !resumed.step_events(4096).expect("resumed step") {}
+    assert_fleet_identical(&reference, &resumed.finish().expect("finish"));
 }

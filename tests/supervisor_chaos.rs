@@ -4,14 +4,18 @@
 //! (`REPRO_CHAOS`) kills workers mid-run, poisons freshly stored cache
 //! entries, and fails run-artefact writes — and the harness must lose no
 //! repetition, duplicate no result, self-heal the cache, and leave
-//! every report bit-identical to a chaos-free run. Alongside the soak,
+//! every report — iperf3-style or fleet — bit-identical to a
+//! chaos-free run. Alongside the soak,
 //! this suite pins the one-attempt contract — a watchdog trip is a
 //! simulator defect that fails its scenario on its own seed, at every
 //! effort level — and that [`FailedRep`] round-trips through the
 //! degraded-run manifest JSON.
 
+use dtnperf::netsim::{ArrivalProcess, FleetClass, FleetProfile, FleetSim, SizeDist};
 use dtnperf::prelude::*;
-use dtnperf::simcore::{derive_seed, SimRng};
+use dtnperf::simcore::{derive_seed, BitRate, Bytes, SimDuration, SimRng};
+use dtnperf::tcpstack::CcAlgorithm;
+use harness::experiments::fleet::run_profile;
 use harness::supervise::{ErrorClass, Supervisor};
 use harness::{ChaosPlan, FailedRep, MetricsHub, ScenarioError, TestSummary};
 use std::path::PathBuf;
@@ -32,6 +36,35 @@ fn lan_scenario(label: &str) -> Scenario {
         Testbeds::esnet_path(EsnetPath::Lan),
         Iperf3Opts::new(2).omit(0),
     )
+}
+
+/// A fleet the soak's chaos schedule kills on its first round: a
+/// shallow unpaced incast class beside a paced one, ~260,000 events
+/// (several supervisor step chunks, so the kill lands mid-run).
+fn soak_fleet() -> FleetProfile {
+    let mut p = FleetProfile::new(
+        "soak_fleet_incast",
+        ArrivalProcess::Mmpp2 {
+            calm_rate: 2_000.0,
+            burst_rate: 15_000.0,
+            mean_calm_secs: 0.045,
+            mean_burst_secs: 0.0015,
+        },
+        SizeDist::BoundedPareto { alpha: 1.2, min_bytes: 32 * 1024, max_bytes: 512 * 1024 },
+    );
+    p.duration = SimDuration::from_secs(10);
+    p.burst = Bytes::kib(16);
+    let class = |name: &str, pacing| FleetClass {
+        name: name.into(),
+        weight: 1,
+        cc: CcAlgorithm::Cubic,
+        pacing,
+        rtt: SimDuration::from_micros(200),
+        bottleneck: BitRate::gbps(10.0),
+        buffer: Bytes::kib(320),
+    };
+    p.classes = vec![class("unpaced", false), class("paced", true)];
+    p
 }
 
 fn soak_scenarios() -> Vec<Scenario> {
@@ -148,6 +181,22 @@ fn chaos_soak_loses_nothing_and_matches_clean_runs() {
     for (a, b) in clean_traced.iter().zip(&traced) {
         assert_eq!(report_bytes(a), report_bytes(b), "'{}': traced chaos run diverged", a.label);
     }
+
+    // Fleet runs go through the same supervisor: killed and resumed
+    // under the same schedule, one complete ledger record, and a result
+    // bit-identical to the unsupervised run.
+    let fleet = soak_fleet();
+    let clean_fleet = FleetSim::new(fleet.clone()).expect("valid").run().expect("clean fleet");
+    let kills_before = chaos.stats.kills();
+    let fleet_ctx = RunCtx::new(Effort::Smoke).with_chaos(chaos.clone());
+    let driven = run_profile(&fleet_ctx, &fleet, |sim| sim).expect("fleet survives chaos");
+    assert!(chaos.stats.kills() > kills_before, "the fleet worker was never killed");
+    assert_eq!(format!("{clean_fleet:?}"), format!("{driven:?}"), "chaos fleet run diverged");
+    let records = fleet_ctx.ledger.snapshot();
+    assert_eq!(records.len(), 1, "{records:?}");
+    assert!(records[0].complete() && records[0].expected == 1, "{records:?}");
+    assert_eq!(records[0].label, "soak_fleet_incast");
+    assert_eq!(fleet_ctx.ledger.exit_code(), 0);
 
     // Acceptance floor: ≥20 injected faults, all three classes
     // represented, every kill resumed from a checkpoint (the default
