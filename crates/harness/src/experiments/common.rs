@@ -65,7 +65,7 @@ pub fn run_row(scenarios: &[Scenario], ctx: &RunCtx) -> Vec<TestSummary> {
 
 /// Build a CPU-utilisation figure from already-run summaries: for each
 /// series the sender and receiver combined percentages become two
-/// sub-series ("<name> TX cores" / "<name> RX cores"), matching the
+/// sub-series (`"<name> TX cores"` / `"<name> RX cores"`), matching the
 /// paper's Figs. 7–8 presentation.
 pub fn cpu_figure(title: &str, x_labels: Vec<String>, rows: Vec<(String, Vec<TestSummary>)>) -> FigureData {
     let mut fig = FigureData::new(title, "%", x_labels);

@@ -42,7 +42,6 @@ use crate::effort::Effort;
 use crate::render::TableData;
 use crate::sched;
 use crate::supervise::ScenarioRecord;
-use iperf3sim::RunError;
 use netsim::{
     ArrivalProcess, Diurnal, FleetClass, FleetProfile, FleetResult, FleetSim, SizeDist,
 };
@@ -178,7 +177,7 @@ pub fn run_profile(
 ) -> Option<FleetResult> {
     let wall_start = std::time::Instant::now();
     let outcome = ctx.supervisor().drive(profile.fingerprint(), || {
-        FleetSim::new(profile.clone()).map(|sim| configure(sim).start()).map_err(RunError::from)
+        FleetSim::new(profile.clone()).map(|sim| configure(sim).start())
     });
     if let Some(hub) = &ctx.metrics {
         hub.rep_finished(false, outcome.is_err(), wall_start.elapsed());
@@ -212,14 +211,11 @@ fn fmt_us(us: u64) -> String {
     }
 }
 
-/// Per-profile sanity: every arrival served, no samples lost, no
-/// causality clamps, slab fully reclaimed.
+/// Per-profile sanity beyond the engine's own end-of-run checks (which
+/// already fail a run with open flows or a leaked slab): some flow
+/// opened, no samples lost, no causality clamps.
 fn sane(res: &FleetResult) -> bool {
-    res.flows_served == res.flows_opened
-        && res.flows_opened > 0
-        && res.late_dropped == 0
-        && res.past_clamps == 0
-        && res.health.slab_slots == res.health.free_slots
+    res.flows_opened > 0 && res.late_dropped == 0 && res.past_clamps == 0
 }
 
 /// Run the three profiles (each one a leaf job holding a scheduler-gate
@@ -248,13 +244,8 @@ pub fn fleet(ctx: &RunCtx) -> TableData {
             ctx.ledger.record_failure(
                 &res.name,
                 format!(
-                    "fleet invariants violated: served {}/{}, late {}, clamps {}, slab {}/{}",
-                    res.flows_served,
-                    res.flows_opened,
-                    res.late_dropped,
-                    res.past_clamps,
-                    res.health.free_slots,
-                    res.health.slab_slots,
+                    "fleet invariants violated: opened {}, late {}, clamps {}",
+                    res.flows_opened, res.late_dropped, res.past_clamps,
                 ),
             );
         }
@@ -375,5 +366,13 @@ mod tests {
             [format!("fleet_incast_unpaced: watchdog-budget on seed {:#018x}", stalled.fingerprint())]
         );
         assert_eq!(ctx.ledger.exit_code(), 1);
+        // The failure reads as the engine error it is, in the ledger
+        // and in the degraded-run manifest.
+        let error = &records[0].failed[0].error;
+        assert!(error.starts_with("simulation stalled"), "{error}");
+        assert!(!error.contains("iperf3"), "{error}");
+        let manifest = ctx.ledger.manifest_json();
+        assert!(manifest.contains("\"error\":\"simulation stalled"), "{manifest}");
+        assert!(!manifest.contains("iperf3"), "{manifest}");
     }
 }

@@ -1,8 +1,7 @@
 //! The paper's experiments, one function per table/figure.
 //!
-//! Every function takes a [`RunCtx`](crate::RunCtx) and returns
-//! render-ready [`FigureData`](crate::FigureData) /
-//! [`TableData`](crate::TableData). The mapping to the paper:
+//! Every function takes a [`RunCtx`] and returns render-ready
+//! [`FigureData`] / [`TableData`]. The mapping to the paper:
 //!
 //! | Function | Reproduces |
 //! |---|---|

@@ -11,9 +11,9 @@
 //! Seeds are *derived*, not positional: repetition `i` of a scenario
 //! runs on `derive_seed(scenario.fingerprint(), base_seed, i)`, so a
 //! scenario's seeds depend only on what it is — never on where it sits
-//! in a grid or which loop launched it. When a
-//! [`RunCache`](crate::cache::RunCache) is attached, each repetition is
-//! looked up by content address before simulating and stored after.
+//! in a grid or which loop launched it. When a [`RunCache`] is
+//! attached, each repetition is looked up by content address before
+//! simulating and stored after.
 //!
 //! Every repetition gets exactly one attempt, on its derived seed. Real
 //! campaigns lose repetitions (a host reboots, a watchdog fires): a
@@ -25,10 +25,9 @@
 use crate::cache::RunCache;
 use crate::scenario::Scenario;
 use crate::sched;
-use crate::supervise::{
-    json_escape, json_unescape, ErrorClass, RunLedger, ScenarioRecord, Supervisor,
-};
-use iperf3sim::{Iperf3Report, RunError};
+use crate::supervise::{json_unescape, ErrorClass, RunLedger, ScenarioRecord, Supervisor};
+use iperf3sim::Iperf3Report;
+use netsim::SimError;
 use simcore::{derive_seed, RunningStats, SimDuration, Summary};
 use std::fmt;
 use std::sync::Arc;
@@ -49,7 +48,7 @@ pub struct FailedRep {
 
 impl FailedRep {
     /// Classify and render a run error on `seed`.
-    pub fn from_run(seed: u64, e: &RunError) -> Self {
+    pub fn from_run(seed: u64, e: &SimError) -> Self {
         FailedRep { seed, error: e.to_string(), class: ErrorClass::classify(e) }
     }
 
@@ -65,7 +64,7 @@ impl FailedRep {
             "{{\"seed\":{},\"class\":\"{}\",\"error\":\"{}\"}}",
             self.seed,
             self.class.name(),
-            json_escape(&self.error)
+            obs::json_escape(&self.error)
         )
     }
 

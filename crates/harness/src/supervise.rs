@@ -26,7 +26,6 @@
 use crate::chaos::ChaosPlan;
 use crate::effort::Effort;
 use crate::runner::FailedRep;
-use iperf3sim::RunError;
 use netsim::{Checkpoint, Engine, Running, SimError};
 use simcore::{CheckpointPolicy, Checkpointer, WatchdogTrip};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -100,21 +99,19 @@ impl ErrorClass {
         ErrorClass::ALL.into_iter().find(|c| c.name() == name)
     }
 
-    /// Classify a run error. Total: every [`RunError`] lands in exactly
+    /// Classify a run error. Total: every [`SimError`] lands in exactly
     /// one class.
-    pub fn classify(e: &RunError) -> ErrorClass {
+    pub fn classify(e: &SimError) -> ErrorClass {
         match e {
-            RunError::Invalid(_) | RunError::Sim(SimError::InvalidConfig(_)) => {
-                ErrorClass::InvalidConfig
+            SimError::InvalidConfig(_) => ErrorClass::InvalidConfig,
+            SimError::Stalled { trip: WatchdogTrip::BudgetExhausted { .. }, .. } => {
+                ErrorClass::WatchdogBudget
             }
-            RunError::Sim(SimError::Stalled { trip, .. }) => match trip {
-                WatchdogTrip::BudgetExhausted { .. } => ErrorClass::WatchdogBudget,
-                WatchdogTrip::Livelock { .. } => ErrorClass::WatchdogLivelock,
-            },
-            RunError::Sim(SimError::StateCorruption { .. }) => ErrorClass::StateCorruption,
-            RunError::Sim(SimError::ConservationViolation { .. }) => {
-                ErrorClass::ConservationViolation
+            SimError::Stalled { trip: WatchdogTrip::Livelock { .. }, .. } => {
+                ErrorClass::WatchdogLivelock
             }
+            SimError::StateCorruption { .. } => ErrorClass::StateCorruption,
+            SimError::ConservationViolation { .. } => ErrorClass::ConservationViolation,
         }
     }
 
@@ -215,7 +212,7 @@ impl Supervisor {
     /// crash-isolation boundary, so a panicking config path is
     /// survivable too);
     /// `run_seed` keys the chaos schedule. The session is stepped in
-    /// [`STEP_CHUNK`]-event slices; between slices the supervisor
+    /// fixed-size event slices; between slices the supervisor
     /// enforces the wall-clock deadline, takes checkpoints on the
     /// configured cadence, and — under chaos — kills the worker at the
     /// scheduled event count. A killed (or genuinely panicked) worker
@@ -226,7 +223,7 @@ impl Supervisor {
     pub fn drive<E, F>(&self, run_seed: u64, start: F) -> Result<E::Output, FailedRep>
     where
         E: Engine,
-        F: Fn() -> Result<Running<E>, RunError>,
+        F: Fn() -> Result<Running<E>, SimError>,
     {
         let deadline = Instant::now() + self.deadline;
         // The resume slot lives *outside* the unwind boundary: whatever
@@ -272,7 +269,7 @@ impl Supervisor {
     ) -> Result<E::Output, FailedRep>
     where
         E: Engine,
-        F: Fn() -> Result<Running<E>, RunError>,
+        F: Fn() -> Result<Running<E>, SimError>,
     {
         // Resume from the latest snapshot if one exists (clone, don't
         // take: if this round dies before its first checkpoint, the
@@ -299,7 +296,7 @@ impl Supervisor {
         loop {
             let done = session
                 .step_events(STEP_CHUNK)
-                .map_err(|e| FailedRep::from_run(run_seed, &e.into()))?;
+                .map_err(|e| FailedRep::from_run(run_seed, &e))?;
             if done {
                 break;
             }
@@ -352,7 +349,7 @@ impl Supervisor {
             shard.record(session.events_done());
             crate::metrics::fold_events_hist(hub.recorder(), &shard);
         }
-        session.finish().map_err(|e| FailedRep::from_run(run_seed, &e.into()))
+        session.finish().map_err(|e| FailedRep::from_run(run_seed, &e))
     }
 }
 
@@ -503,7 +500,7 @@ impl RunLedger {
                     r.failed.iter().map(FailedRep::to_json).collect();
                 format!(
                     "{{\"label\":\"{}\",\"expected\":{},\"completed\":{},\"missing\":[{}]}}",
-                    json_escape(&r.label),
+                    obs::json_escape(&r.label),
                     r.expected,
                     r.completed,
                     missing.join(",")
@@ -521,25 +518,7 @@ impl RunLedger {
     }
 }
 
-/// Escape a string for embedding in the hand-rolled JSON (mirror of
-/// [`json_unescape`]).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Reverse [`json_escape`]; `None` on a malformed escape.
+/// Reverse [`obs::json_escape`]; `None` on a malformed escape.
 pub(crate) fn json_unescape(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
@@ -575,45 +554,43 @@ mod tests {
 
     #[test]
     fn classification_is_total_and_stable() {
-        let cases: Vec<(RunError, ErrorClass)> = vec![
-            (RunError::Invalid(vec!["bad flag".into()]), ErrorClass::InvalidConfig),
+        let at = SimTime::from_nanos(1);
+        let cases = [
+            (SimError::InvalidConfig(vec!["zero".into()]), ErrorClass::InvalidConfig),
             (
-                RunError::Sim(SimError::InvalidConfig(vec!["zero".into()])),
-                ErrorClass::InvalidConfig,
-            ),
-            (
-                RunError::Sim(SimError::Stalled {
-                    at: SimTime::from_nanos(1),
-                    trip: WatchdogTrip::BudgetExhausted { events: 10, budget: 9 },
-                }),
+                SimError::Stalled { at, trip: WatchdogTrip::BudgetExhausted { events: 10, budget: 9 } },
                 ErrorClass::WatchdogBudget,
             ),
             (
-                RunError::Sim(SimError::Stalled {
-                    at: SimTime::from_nanos(1),
-                    trip: WatchdogTrip::Livelock { at: SimTime::from_nanos(1), events: 5 },
-                }),
+                SimError::Stalled { at, trip: WatchdogTrip::Livelock { at, events: 5 } },
                 ErrorClass::WatchdogLivelock,
             ),
             (
-                RunError::Sim(SimError::StateCorruption {
-                    at: SimTime::from_nanos(2),
-                    what: "ledger vanished".into(),
-                }),
+                SimError::StateCorruption { at, what: "ledger vanished".into() },
                 ErrorClass::StateCorruption,
             ),
             (
-                RunError::Sim(SimError::ConservationViolation {
+                SimError::ConservationViolation {
                     wire_sent: 4,
                     delivered: 1,
                     dropped: 1,
                     in_flight: 1,
-                }),
+                },
                 ErrorClass::ConservationViolation,
             ),
         ];
-        for (err, want) in cases {
-            assert_eq!(ErrorClass::classify(&err), want, "{err}");
+        // Total over `SimError`: a new variant (or watchdog trip) makes
+        // this match non-exhaustive until the table grows a row for it.
+        let row = |e: &SimError| match e {
+            SimError::InvalidConfig(_) => 0,
+            SimError::Stalled { trip: WatchdogTrip::BudgetExhausted { .. }, .. } => 1,
+            SimError::Stalled { trip: WatchdogTrip::Livelock { .. }, .. } => 2,
+            SimError::StateCorruption { .. } => 3,
+            SimError::ConservationViolation { .. } => 4,
+        };
+        for (i, (err, want)) in cases.iter().enumerate() {
+            assert_eq!(row(err), i, "{err}");
+            assert_eq!(ErrorClass::classify(err), *want, "{err}");
         }
     }
 
@@ -641,7 +618,7 @@ mod tests {
             assert_eq!(class.is_defect(), defect, "{class:?}");
         }
         // Both watchdog trips classify as defects.
-        let stalled = |trip| RunError::Sim(SimError::Stalled { at: SimTime::from_nanos(1), trip });
+        let stalled = |trip| SimError::Stalled { at: SimTime::from_nanos(1), trip };
         let livelock = stalled(WatchdogTrip::Livelock { at: SimTime::from_nanos(1), events: 99 });
         let budget = stalled(WatchdogTrip::BudgetExhausted { events: 10, budget: 9 });
         assert_eq!(ErrorClass::classify(&livelock), ErrorClass::WatchdogLivelock);
@@ -781,7 +758,7 @@ mod tests {
     #[test]
     fn json_escape_round_trips() {
         let tricky = "plain \"quoted\" back\\slash\nnewline\ttab\rreturn \u{1} low";
-        assert_eq!(json_unescape(&json_escape(tricky)).as_deref(), Some(tricky));
+        assert_eq!(json_unescape(&obs::json_escape(tricky)).as_deref(), Some(tricky));
         assert_eq!(json_unescape("trailing \\"), None);
         assert_eq!(json_unescape("bad \\q escape"), None);
         assert_eq!(json_unescape("short \\u00"), None);

@@ -24,6 +24,7 @@
 use iperf3sim::Iperf3Report;
 use linuxhost::Stage;
 use netsim::StageProfile;
+use obs::json_escape;
 use simcore::SimTime;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -84,8 +85,9 @@ pub fn render_jsonl(
     let tick_s =
         telemetry.map_or("null".into(), |t| format!("{}", t.tick.as_secs_f64()));
     out.push_str(&format!(
-        "{{\"type\":\"meta\",\"label\":{label:?},\"rep\":{rep},\"seed\":{seed},\"tick_s\":{tick_s},\"command\":{:?}}}\n",
-        report.command,
+        "{{\"type\":\"meta\",\"label\":\"{}\",\"rep\":{rep},\"seed\":{seed},\"tick_s\":{tick_s},\"command\":\"{}\"}}\n",
+        json_escape(label),
+        json_escape(&report.command),
     ));
     for flow in telemetry.map(|t| t.flows.as_slice()).unwrap_or_default() {
         for (t, s) in flow.samples.iter() {
@@ -96,7 +98,7 @@ pub fn render_jsonl(
                 .srtt
                 .map_or("null".into(), |d| format!("{:.1}", d.as_secs_f64() * 1e6));
             let limiting =
-                s.limiting.map_or("null".into(), |v| format!("{:?}", v.name()));
+                s.limiting.map_or("null".into(), |v| format!("\"{}\"", json_escape(v.name())));
             out.push_str(&format!(
                 "{{\"type\":\"flow\",\"flow\":{},\"t_s\":{:.3},\"cwnd_bytes\":{},\"ssthresh_bytes\":{ssthresh},\"srtt_us\":{srtt_us},\"pacing_gbps\":{:.3},\"ca_state\":\"{}\",\"bytes_retrans\":{},\"retr_packets\":{},\"delivered_bytes\":{},\"interval_bytes\":{},\"limiting\":{limiting}}}\n",
                 flow.id,
@@ -278,10 +280,12 @@ mod tests {
     fn attribution_only_report_renders_verdict_lines() {
         // Attribution without telemetry still produces a trace: meta,
         // per-interval verdicts, and the bottleneck roll-up.
+        // The label is JSON-escaped (Rust's `{:?}` would emit `\u{1}`).
         let report = attributed_report();
-        let body = render_jsonl("attr", 0, 1, &report).expect("attribution present");
+        let body = render_jsonl("attr \"é\" \u{1}", 0, 1, &report).expect("attribution present");
         let lines: Vec<&str> = body.lines().collect();
         assert!(lines[0].starts_with("{\"type\":\"meta\""));
+        assert!(lines[0].contains("\"label\":\"attr \\\"é\\\" \\u0001\""), "{}", lines[0]);
         assert!(lines[0].contains("\"tick_s\":null"), "{}", lines[0]);
         assert!(lines.iter().any(|l| l.starts_with("{\"type\":\"verdict\"")));
         assert!(lines.last().unwrap().starts_with("{\"type\":\"bottleneck\""), "{body}");

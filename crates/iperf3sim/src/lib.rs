@@ -31,5 +31,5 @@ pub mod version;
 
 pub use opts::Iperf3Opts;
 pub use report::{Iperf3Report, StreamReport};
-pub use runner::{run, run_with_faults, start_session, RunError};
+pub use runner::{run, run_with_faults, start_session};
 pub use version::Iperf3Version;

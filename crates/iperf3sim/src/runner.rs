@@ -6,39 +6,6 @@ use linuxhost::HostConfig;
 use nethw::PathSpec;
 use netsim::{FaultPlan, RunningSim, SimConfig, SimError, Simulation, WorkloadSpec};
 use simcore::SimDuration;
-use std::fmt;
-
-/// Why a run could not start or finish.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RunError {
-    /// Flag/configuration validation failed before the simulation
-    /// started; each string is one iperf3-style message.
-    Invalid(Vec<String>),
-    /// The simulation itself failed (watchdog, conservation, …).
-    Sim(SimError),
-}
-
-impl fmt::Display for RunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunError::Invalid(errors) => write!(f, "iperf3 error: {}", errors.join("; ")),
-            RunError::Sim(e) => write!(f, "iperf3 error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RunError {}
-
-impl From<SimError> for RunError {
-    fn from(e: SimError) -> Self {
-        // Config problems keep their per-message structure so callers
-        // (and tests) can match individual complaints.
-        match e {
-            SimError::InvalidConfig(problems) => RunError::Invalid(problems),
-            other => RunError::Sim(other),
-        }
-    }
-}
 
 /// Run `iperf3 -c server` from `client` to `server` across `path`.
 ///
@@ -50,7 +17,7 @@ pub fn run(
     server: &HostConfig,
     path: &PathSpec,
     opts: &Iperf3Opts,
-) -> Result<Iperf3Report, RunError> {
+) -> Result<Iperf3Report, SimError> {
     run_with_faults(client, server, path, opts, &FaultPlan::none(), None)
 }
 
@@ -68,7 +35,7 @@ pub fn run_with_faults(
     opts: &Iperf3Opts,
     faults: &FaultPlan,
     event_budget: Option<u64>,
-) -> Result<Iperf3Report, RunError> {
+) -> Result<Iperf3Report, SimError> {
     // One code path: the straight-through run is a started simulation
     // driven to completion without intermediate steps or checkpoints,
     // which the checkpoint/resume suite verifies is bit-identical.
@@ -95,7 +62,7 @@ pub fn start_session(
     opts: &Iperf3Opts,
     faults: &FaultPlan,
     event_budget: Option<u64>,
-) -> Result<RunningSim, RunError> {
+) -> Result<RunningSim, SimError> {
     let mut errors = opts.validate();
 
     // Pre-3.16 builds run all streams on one thread: emulate by pinning
@@ -132,11 +99,17 @@ pub fn start_session(
         path: path.clone(),
         workload,
     };
-    errors.extend(cfg.validate());
-    if !errors.is_empty() {
-        return Err(RunError::Invalid(errors));
+    // `Simulation::new` validates the config; its problems follow the
+    // flag problems in one `InvalidConfig`.
+    match Simulation::new(cfg) {
+        Ok(sim) if errors.is_empty() => Ok(sim.start()),
+        Ok(_) => Err(SimError::InvalidConfig(errors)),
+        Err(SimError::InvalidConfig(problems)) => {
+            errors.extend(problems);
+            Err(SimError::InvalidConfig(errors))
+        }
+        Err(e) => Err(e),
     }
-    Ok(Simulation::new(cfg)?.start())
 }
 
 #[cfg(test)]
@@ -169,15 +142,28 @@ mod tests {
         let (c, s, p) = hosts_and_path();
         let mut unpatched = Iperf3Opts::new(3).zerocopy();
         unpatched.version = Iperf3Version { minor: 17, patch_1690: false, patch_1728: false };
-        // -P 0 fails flag validation too; both must come back classed
-        // as invalid flags, not as a simulation failure.
+        // -P 0 fails flag validation too; both must come back as a
+        // config rejection, not as a simulation failure.
         for (opts, flag) in [(unpatched, "1690"), (Iperf3Opts::new(2).parallel(0), "-P")] {
             match run(&c, &s, &p, &opts) {
-                Err(RunError::Invalid(msgs)) => {
+                Err(SimError::InvalidConfig(msgs)) => {
                     assert!(msgs.iter().any(|m| m.contains(flag)), "{flag}: {msgs:?}")
                 }
-                other => panic!("{flag}: expected RunError::Invalid, got {other:?}"),
+                other => panic!("{flag}: expected SimError::InvalidConfig, got {other:?}"),
             }
+        }
+        // A flag problem and a config problem together: one rejection,
+        // the flag problem first and the config problem exactly once.
+        let mut stock = c.clone();
+        stock.sysctl = linuxhost::SysctlConfig::stock();
+        let opts = Iperf3Opts::new(3).parallel(0).fq_rate(BitRate::gbps(2.0));
+        match run(&stock, &s, &p, &opts) {
+            Err(SimError::InvalidConfig(msgs)) => {
+                assert!(msgs.len() >= 2, "{msgs:?}");
+                assert!(msgs[0].contains("-P"), "{msgs:?}");
+                assert_eq!(msgs.iter().filter(|m| m.contains("fq")).count(), 1, "{msgs:?}");
+            }
+            other => panic!("expected SimError::InvalidConfig, got {other:?}"),
         }
     }
 

@@ -3,7 +3,7 @@
 //! Every failure the simulator can produce — an invalid configuration,
 //! a livelocked event loop, a broken accounting invariant — is a
 //! [`SimError`] variant carrying enough structure for the harness to
-//! report, retry, or degrade without parsing strings.
+//! report and classify without parsing strings.
 
 use simcore::{SimTime, WatchdogTrip};
 use std::fmt;
@@ -50,14 +50,6 @@ pub enum SimError {
     },
 }
 
-impl SimError {
-    /// True if this error came from config validation (caller bug)
-    /// rather than a runtime failure.
-    pub fn is_config_error(&self) -> bool {
-        matches!(self, SimError::InvalidConfig(_))
-    }
-}
-
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -90,7 +82,7 @@ mod tests {
     fn display_variants() {
         let e = SimError::InvalidConfig(vec!["zero duration".into(), "no flows".into()]);
         assert!(e.to_string().contains("zero duration"));
-        assert!(e.is_config_error());
+        assert!(matches!(e, SimError::InvalidConfig(_)));
 
         let e = SimError::Stalled {
             at: SimTime::from_nanos(7),
@@ -98,7 +90,7 @@ mod tests {
         };
         assert!(e.to_string().contains("stalled"));
         assert!(e.to_string().contains("livelock"));
-        assert!(!e.is_config_error());
+        assert!(!matches!(e, SimError::InvalidConfig(_)));
 
         let e = SimError::StateCorruption {
             at: SimTime::from_nanos(3),
@@ -106,7 +98,7 @@ mod tests {
         };
         assert!(e.to_string().contains("corrupted"));
         assert!(e.to_string().contains("peeked event vanished"));
-        assert!(!e.is_config_error());
+        assert!(!matches!(e, SimError::InvalidConfig(_)));
 
         let e = SimError::ConservationViolation {
             wire_sent: 10,

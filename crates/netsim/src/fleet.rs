@@ -582,12 +582,6 @@ impl Engine for Loop {
                 ),
             });
         }
-        if health.len != 0 {
-            return Err(SimError::StateCorruption {
-                at: now,
-                what: format!("{} events still pending after drain", health.len),
-            });
-        }
         let late_dropped = self.agg.late();
         Ok(FleetResult {
             name: self.net.p.name.clone(),

@@ -137,7 +137,7 @@ fn invalid_fault_schedule_is_a_config_error() {
         Err(e) => e,
         Ok(_) => panic!("schedule past the end of the run must be rejected"),
     };
-    assert!(err.is_config_error(), "{err}");
+    assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
     assert!(err.to_string().contains("link-flap"), "{err}");
 }
 

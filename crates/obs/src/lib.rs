@@ -45,11 +45,11 @@ pub use openmetrics::render_openmetrics;
 pub use registry::{MetricsSnapshot, Recorder};
 pub use span::SpanRecord;
 
-/// Minimal JSON string escaping for the JSONL renderers: quotes,
-/// backslashes and control characters. Metric/scope names are already
-/// sanitized by callers; this keeps the output well-formed even if
-/// they are not.
-pub(crate) fn json_escape(s: &str) -> String {
+/// JSON string escaping (without the surrounding quotes) for every
+/// hand-rolled JSON writer in the workspace: quotes, backslashes and
+/// control characters. Metric/scope names are already sanitized by
+/// callers; this keeps the output well-formed even if they are not.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
