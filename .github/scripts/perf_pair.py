@@ -7,8 +7,11 @@ and the side that runs first alternates from pair to pair. Every run's
 result line (the last line perfbench prints on stdout) is appended to a
 ledger together with its commit, side, workload and seed.
 
-Exits 1 when any run reports `"correct": false` or a failed operation,
-on either side, or when the head's median of an end-to-end metric in
+Each ledger line also carries the run's output digest, which perfbench
+prints on stderr. Exits 1 when any run reports `"correct": false` or a
+failed operation, on either side, when the head's and the base's
+digests differ for the same seed (the change altered simulated
+results), or when the head's median of an end-to-end metric in
 BENCHMARK.json is worse than the base's median by more than that
 metric's bound. Without `--base` the head runs alone and only
 correctness is checked. Run length is BENCHMARK.json's `run_seconds`.
@@ -22,19 +25,27 @@ import argparse
 import json
 import math
 import pathlib
+import re
 import statistics
 import subprocess
 import sys
 
 BENCHMARK = pathlib.Path(__file__).resolve().parents[2] / "BENCHMARK.json"
+DIGEST = re.compile(r"^perfbench: digest (\S+) seed (\d+): ([0-9a-f]+)$", re.M)
 
 
 def run_once(binary, workload, seed, seconds):
-    """One untraced perfbench run; returns its result object."""
+    """One untraced perfbench run; returns its result object, with the
+    output digest from its stderr (None if it printed none)."""
     cmd = [binary, "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True).stdout
-    return json.loads(out.splitlines()[-1])
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, check=True)
+    sys.stderr.write(proc.stderr)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    digest = next((m.group(3) for m in DIGEST.finditer(proc.stderr)
+                   if (m.group(1), m.group(2)) == (workload, str(seed))), None)
+    return {**result, "digest": digest}
 
 
 def judge(lines, bench):
@@ -48,6 +59,13 @@ def judge(lines, bench):
         problems.append("no head runs")
     if not by_side["base"] or not by_side["head"]:
         return problems
+    for seed in sorted({l["seed"] for l in lines}):
+        digests = {(l["side"], l.get("digest")) for l in lines if l["seed"] == seed}
+        if any(d is None for _, d in digests):
+            problems.append(f"seed {seed}: a run printed no output digest")
+        elif len({d for _, d in digests}) > 1:
+            problems.append(f"seed {seed}: output digests differ: "
+                            + ", ".join(f"{s} {d}" for s, d in sorted(digests)))
     for metric in bench["end_to_end"]:
         name, bound = metric["name"], metric["bound"]
         try:
@@ -68,11 +86,12 @@ def judge(lines, bench):
 
 def self_test(bench):
     """Show on synthetic lines that the gate passes and fails as it should."""
-    def line(side, wall_rel=1.0, correct=True, failed=0):
+    def line(side, wall_rel=1.0, correct=True, failed=0, digest="00c0ffee"):
         metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in bench["end_to_end"]}
         metrics["wall_rel"]["value"] = wall_rel
         return {"commit": side, "side": side, "workload": "synthetic", "seed": 1,
-                "correct": correct, "attempted": 10, "failed": failed, "metrics": metrics}
+                "correct": correct, "attempted": 10, "failed": failed, "metrics": metrics,
+                "digest": digest}
 
     good = [line(side) for _ in range(5) for side in ("base", "head")]
     cases = [
@@ -82,6 +101,8 @@ def self_test(bench):
         ("base correct false", [line("base", correct=False)] + good[1:], 1),
         ("head failed > 0", good[:-1] + [line("head", failed=1)], 1),
         ("base failed > 0", [line("base", failed=1)] + good[1:], 1),
+        ("digest differs", good[:-1] + [line("head", digest="0badf00d")], 1),
+        ("digest missing", good[:-1] + [line("head", digest=None)], 1),
         ("head alone, correct", [line("head")], 0),
         ("head alone, failed > 0", [line("head", failed=1)], 1),
     ]

@@ -225,6 +225,8 @@ impl MetricsHub {
         r.gauge_set("engine_queue_ring_occupancy", h.ring_occupancy as f64);
         r.describe("engine_queue_overflow_live", "Live events spilled past the wheel horizon");
         r.gauge_set("engine_queue_overflow_live", h.overflow_live as f64);
+        r.describe("engine_queue_lane_depth", "Live events in the FIFO lanes");
+        r.gauge_set("engine_queue_lane_depth", h.lane_depth as f64);
         r.describe("engine_queue_stale_timers", "Cancelled-timer tombstones awaiting drain");
         r.gauge_set("engine_queue_stale_timers", h.stale_timers as f64);
         r.describe("engine_queue_slab_slots", "Allocated timer-payload slab slots");
@@ -493,15 +495,17 @@ mod tests {
             near_depth: 3,
             ring_occupancy: 5,
             overflow_live: 1,
+            lane_depth: 4,
             stale_timers: 2,
             slab_slots: 8,
             free_slots: 6,
-            len: 9,
+            len: 13,
             past_clamps: 0,
         });
         let snap = hub.recorder().snapshot();
         assert_eq!(snap.gauges["engine_queue_near_depth"], 3.0);
-        assert_eq!(snap.gauges["engine_queue_len"], 9.0);
+        assert_eq!(snap.gauges["engine_queue_lane_depth"], 4.0);
+        assert_eq!(snap.gauges["engine_queue_len"], 13.0);
         assert_eq!(snap.hists["engine_queue_depth"].count(), 1);
         assert!(!snap.gauges.contains_key("engine_past_clamps"));
         std::fs::remove_dir_all(&dir).ok();

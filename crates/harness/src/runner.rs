@@ -44,12 +44,19 @@ pub struct FailedRep {
     pub error: String,
     /// The error's class: a simulator defect or a host failure.
     pub class: ErrorClass,
+    /// A config rejection's individual problems, in order; empty for
+    /// every other class. The manifest carries only `error`.
+    pub problems: Vec<String>,
 }
 
 impl FailedRep {
     /// Classify and render a run error on `seed`.
     pub fn from_run(seed: u64, e: &SimError) -> Self {
-        FailedRep { seed, error: e.to_string(), class: ErrorClass::classify(e) }
+        let problems = match e {
+            SimError::InvalidConfig(problems) => problems.clone(),
+            _ => Vec::new(),
+        };
+        FailedRep { seed, error: e.to_string(), class: ErrorClass::classify(e), problems }
     }
 
     /// Was this a deterministic flag/config rejection (the same on
@@ -69,7 +76,8 @@ impl FailedRep {
     }
 
     /// Parse exactly what [`FailedRep::to_json`] emits; `None` on any
-    /// deviation (unknown class, malformed escape, missing field).
+    /// deviation (unknown class, malformed escape, missing field). The
+    /// parsed record has no `problems`.
     pub fn from_json(s: &str) -> Option<FailedRep> {
         let s = s.strip_prefix("{\"seed\":")?;
         let (seed, s) = s.split_once(",\"class\":\"")?;
@@ -77,7 +85,7 @@ impl FailedRep {
         let (class, s) = s.split_once("\",\"error\":\"")?;
         let class = ErrorClass::parse(class)?;
         let error = json_unescape(s.strip_suffix("\"}")?)?;
-        Some(FailedRep { seed, error, class })
+        Some(FailedRep { seed, error, class, problems: Vec::new() })
     }
 }
 
@@ -327,7 +335,7 @@ impl TestHarness {
             if let Some(first) = failures.iter().find(|x| x.invalid()) {
                 return Err(ScenarioError::Invalid {
                     label: scenario.label.clone(),
-                    problems: vec![first.error.clone()],
+                    problems: first.problems.clone(),
                 });
             }
             return Err(ScenarioError::AllRepetitionsFailed {
@@ -369,6 +377,7 @@ impl TestHarness {
                     seed: seeds[i],
                     error: format!("repetition {i}: worker died before reporting a result"),
                     class: ErrorClass::WorkerDeath,
+                    problems: Vec::new(),
                 }),
             }
         }
@@ -564,6 +573,24 @@ mod tests {
     }
 
     #[test]
+    fn invalid_scenario_keeps_each_problem() {
+        // An omit window as long as the test: one flag problem and one
+        // config problem.
+        let mut sc = scenario();
+        sc.opts.omit_secs = sc.opts.time_secs;
+        let err = TestHarness::new(2).run(&sc).unwrap_err();
+        let ScenarioError::Invalid { problems, .. } = &err else {
+            panic!("expected Invalid, got {err}");
+        };
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert_eq!(problems[0], "-O must be shorter than -t");
+        assert_eq!(
+            err.to_string(),
+            format!("scenario 'default' invalid: {}", problems.join("; "))
+        );
+    }
+
+    #[test]
     fn watchdog_failures_recorded_per_seed() {
         // An absurdly small event budget trips the watchdog on every
         // seed: at every effort, each repetition gets exactly one
@@ -641,6 +668,7 @@ mod tests {
             seed: u64::MAX,
             error: "weird \"msg\"\nwith\\slashes\tand tabs".into(),
             class: ErrorClass::StateCorruption,
+            problems: Vec::new(),
         };
         assert_eq!(FailedRep::from_json(&f.to_json()), Some(f));
         assert_eq!(FailedRep::from_json("{\"seed\":1}"), None);

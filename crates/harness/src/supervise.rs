@@ -245,6 +245,7 @@ impl Supervisor {
                             error: format!(
                                 "worker died {round} times (resume allowance exhausted)"
                             ),
+                            problems: Vec::new(),
                         });
                     }
                     if slot.lock().is_ok_and(|s| s.is_some()) {
@@ -309,6 +310,7 @@ impl Supervisor {
                         self.deadline.as_secs(),
                         session.events_done()
                     ),
+                    problems: Vec::new(),
                 });
             }
             if ckpt.due(session.events_done()) {
@@ -673,6 +675,7 @@ mod tests {
             seed: 7,
             error: "worker died".into(),
             class: ErrorClass::WorkerDeath,
+            problems: Vec::new(),
         };
         let ledger = RunLedger::default();
         ledger.record(clean());
@@ -743,6 +746,7 @@ mod tests {
                 seed: 42,
                 error: "simulation stalled at t=1ns: livelock".into(),
                 class: ErrorClass::WatchdogLivelock,
+                problems: Vec::new(),
             }],
         });
         assert!(ledger.degraded());

@@ -23,8 +23,9 @@ pub enum SimError {
         trip: WatchdogTrip,
     },
     /// An internal invariant the event loop relies on was violated
-    /// (a peeked event vanished, a sender ran ahead of its app-write
-    /// bookkeeping, a ledger disappeared mid-run). Previously these
+    /// (a sender ran ahead of its app-write bookkeeping, a fleet
+    /// queue drained with flows still open, a ledger disappeared
+    /// mid-run). Previously these
     /// were hot-path panics that killed the whole worker; as a typed
     /// error the harness records the rep as failed and carries on.
     StateCorruption {
@@ -94,10 +95,10 @@ mod tests {
 
         let e = SimError::StateCorruption {
             at: SimTime::from_nanos(3),
-            what: "peeked event vanished".into(),
+            what: "timer slab leaked".into(),
         };
         assert!(e.to_string().contains("corrupted"));
-        assert!(e.to_string().contains("peeked event vanished"));
+        assert!(e.to_string().contains("timer slab leaked"));
         assert!(!matches!(e, SimError::InvalidConfig(_)));
 
         let e = SimError::ConservationViolation {

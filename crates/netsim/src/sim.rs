@@ -42,6 +42,17 @@ const EDGE_DELAY: SimDuration = SimDuration::from_micros(5);
 /// honest).
 const TSQ_HORIZON: SimDuration = SimDuration::from_millis(2);
 
+/// The event queue's FIFO lanes (see `EventQueue::push_lane`): one per
+/// event stream whose firing times never decrease in push order. Each
+/// push site says why its stream is monotone.
+#[derive(Debug, Clone, Copy)]
+enum Lane {
+    SwitchArrive,
+    SwitchDepart,
+    RxArrive,
+    AckArrive,
+}
+
 #[derive(Debug, Clone)]
 pub enum Ev {
     AppWrite(usize),
@@ -515,6 +526,14 @@ impl Runner {
         Ok(())
     }
 
+    /// Schedule `ev` on `lane`. Debug builds check that the stream is
+    /// monotone, i.e. that the push did not fall back to the wheel.
+    #[inline]
+    fn push_lane(&mut self, lane: Lane, at: SimTime, ev: Ev) {
+        let laned = self.q.push_lane(lane as usize, at, ev);
+        debug_assert!(laned, "{lane:?} push at {at} is earlier than the lane's tail");
+    }
+
     fn on_tx_dequeue(&mut self, now: SimTime, f: usize, idx: u64) {
         // The burst leaves the qdisc now: restart its RTT/RTO clock so
         // pacer residence time doesn't masquerade as network delay.
@@ -540,8 +559,9 @@ impl Runner {
         let wire_done = self.snd_host.nic_transmit(t_irq.max(t_fab), wire);
         // Edge hop to the switch, then the switch-arrival logic runs
         // inline at that instant.
-        self.q
-            .push(wire_done + EDGE_DELAY, Ev::SwitchArrive { flow: f, idx });
+        // Monotone: the sender NIC completes in FIFO order, plus a fixed delay.
+        let at = wire_done + EDGE_DELAY;
+        self.push_lane(Lane::SwitchArrive, at, Ev::SwitchArrive { flow: f, idx });
     }
 
     fn on_switch_arrive(&mut self, now: SimTime, f: usize, idx: u64) -> Result<(), SimError> {
@@ -586,7 +606,8 @@ impl Runner {
                 self.switch_drops += 1;
             }
             EnqueueOutcome::Queued { departs_at } => {
-                self.q.push(departs_at, Ev::SwitchDepart { flow: f, idx });
+                // Monotone: the one port's `busy_until`; cross traffic only delays it.
+                self.push_lane(Lane::SwitchDepart, departs_at, Ev::SwitchDepart { flow: f, idx });
             }
         }
         Ok(())
@@ -595,8 +616,9 @@ impl Runner {
     fn on_switch_depart(&mut self, now: SimTime, f: usize, idx: u64) {
         let wire = self.cfg.sender.offload.wire_bytes(self.burst);
         self.switch.departed(0, wire);
-        self.q
-            .push(now + self.cfg.path.one_way_delay(), Ev::RxArrive { flow: f, idx });
+        // Monotone: `now` plus the path's fixed one-way delay.
+        let at = now + self.cfg.path.one_way_delay();
+        self.push_lane(Lane::RxArrive, at, Ev::RxArrive { flow: f, idx });
     }
 
     // ---- receiver ------------------------------------------------------------
@@ -643,7 +665,9 @@ impl Runner {
             }
         }
         let ack = self.flows[f].receiver.on_burst(idx);
-        self.q.push(
+        // Monotone: `now` plus fixed delays, as at the other ACK site.
+        self.push_lane(
+            Lane::AckArrive,
             now + self.cfg.path.one_way_delay() + EDGE_DELAY,
             Ev::AckArrive { flow: f, cum: ack.cum_ack, idx: ack.acked_idx, rwnd: ack.rwnd },
         );
@@ -690,7 +714,9 @@ impl Runner {
             let cum = flow.receiver.rcv_nxt();
             let rwnd = flow.receiver.rwnd();
             if cum > 0 {
-                self.q.push(
+                // Monotone: `now` plus fixed delays, as at the other ACK site.
+                self.push_lane(
+                    Lane::AckArrive,
                     now + self.cfg.path.one_way_delay() + EDGE_DELAY,
                     // `idx = cum - 1` is already cumulatively ACKed, so
                     // the sender treats this as a pure window refresh.
@@ -1126,17 +1152,8 @@ impl Engine for Runner {
 
     /// The run covers events up to `end_time`; later ones stay queued.
     fn step(&mut self, watchdog: &mut Watchdog) -> Result<bool, SimError> {
-        if !self.has_pending() {
+        let Some((now, ev)) = self.q.pop_until(self.end_time) else {
             return Ok(false);
-        }
-        // A successful peek guarantees a pop; if the queue disagrees
-        // its heap is corrupt — fail the rep instead of killing the
-        // worker thread with a panic.
-        let Some((now, ev)) = self.q.pop() else {
-            return Err(SimError::StateCorruption {
-                at: self.q.now(),
-                what: "peeked event vanished before pop".into(),
-            });
         };
         observe(watchdog, now)?;
         match ev {

@@ -19,13 +19,16 @@
 //! `tests/timer_wheel_differential.rs` for the differential proof
 //! against a reference `BinaryHeap`).
 //!
-//! Every payload lives in a free-listed slab from push to pop. The rungs
-//! only move 24-byte `Copy` nodes — `(time, seq, slot)` — so sorting and
-//! re-filing never touch a payload, and a pop reads exactly one slab
-//! slot. Cancelling a timer empties its slot; the floating node is
-//! filtered out (a tombstone) when its bucket eventually drains.
+//! The queue has two parts: a **timer wheel** for events in any order,
+//! and FIFO **lanes** for streams whose times never decrease (see
+//! below). A wheel payload lives in a free-listed slab from push to
+//! pop. The rungs only move 24-byte `Copy` nodes — `(time, seq, slot)`
+//! — so sorting and re-filing never touch a payload, and a pop reads
+//! exactly one slab slot. Cancelling a timer empties its slot; the
+//! floating node is filtered out (a tombstone) when its bucket
+//! eventually drains.
 //!
-//! The queue is a three-rung **hierarchical timer wheel**, finest rung
+//! The wheel is a three-rung **hierarchical timer wheel**, finest rung
 //! first:
 //!
 //! 1. **Near run** — a `Vec` sorted by *descending* `(time, seq)`,
@@ -37,7 +40,9 @@
 //!    nanoseconds each, covering `(horizon, ring_end]`. A push lands in
 //!    its bucket with one shift and one append — O(1), no comparisons
 //!    against other pending entries. An occupancy bitmap finds the
-//!    next non-empty bucket.
+//!    next non-empty bucket. A bucket is a FIFO chain of links in one
+//!    arena shared by all buckets, so the ring's storage follows the
+//!    most nodes it held at once, not each bucket's largest batch.
 //! 3. **Overflow** — an unsorted spill list for entries beyond
 //!    `ring_end`, with its exact minimum key maintained on push. When
 //!    both finer rungs drain, the wheel *rebases* at the overflow
@@ -60,6 +65,20 @@
 //! migration/rebasing are driven purely by key values — never by wall
 //! clock — so runs remain bit-for-bit deterministic.
 //!
+//! # FIFO lanes
+//!
+//! [`EventQueue::push_lane`] appends to a caller-numbered lane: a
+//! `VecDeque` of `(time, seq, payload)` with the payload inline, no
+//! slab slot and no wheel node. A lane suits a stream whose firing
+//! times never decrease in push order — say, packets on a fixed-delay
+//! link — so its head is always its minimum. A lane entry carries the
+//! same `(time, seq)` key a plain push would stamp; a pop takes the
+//! least key among the near run's tail (the wheel's minimum) and the
+//! lane heads; and a lane push earlier than its lane's tail falls back
+//! to the wheel under that same key. The pop order is therefore the
+//! same total `(time, seq)` order whichever part holds an entry. Lane
+//! entries cannot be cancelled. Lanes are created on first use.
+//!
 //! # Cancelable timers
 //!
 //! [`EventQueue::schedule_timer`] is `push` plus a [`TimerId`] receipt;
@@ -74,6 +93,7 @@
 //! total_cancelled - total_popped == len` at all times.
 
 use crate::time::SimTime;
+use std::collections::VecDeque;
 
 /// Number of buckets in the wheel ring: one bit each in the `u64`
 /// occupancy bitmap. Kept small so the bucket headers and their tail
@@ -87,6 +107,9 @@ const MIN_BATCH: usize = 64;
 /// Bucket drains above this shrink the slots (near run getting too
 /// long to sort and insert into cheaply).
 const MAX_BATCH: usize = 512;
+
+/// End of a bucket chain or of the free-link list.
+const NIL: u32 = u32::MAX;
 
 /// Bounds for the adaptive slot width, as powers of two of nanoseconds:
 /// 64 ns up to ~2.2 s per slot.
@@ -112,6 +135,14 @@ impl Node {
     fn key(&self) -> (SimTime, u64) {
         (self.time, self.seq)
     }
+}
+
+/// A ring-resident node and the `links` index of the next node in its
+/// bucket (or of the next free link).
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    node: Node,
+    next: u32,
 }
 
 /// A slab slot: the payload of the entry with sequence number `seq`,
@@ -141,7 +172,7 @@ fn set_bits(mut bits: u64) -> impl Iterator<Item = usize> {
 /// Sort a migrated bucket into near-run order: descending `(time, seq)`.
 ///
 /// A bucket holds its nodes in ascending `seq` (see
-/// `EventQueue::buckets`), and so does `batch`. Reversed, equal times
+/// `EventQueue::chains`), and so does `batch`. Reversed, equal times
 /// are in descending `seq`, and a stable LSD radix sort on each node's
 /// offset from the bucket `start` (below `2^width_shift`) finishes the
 /// order in a few linear passes, without comparisons. A pass whose
@@ -188,15 +219,19 @@ pub struct QueueHealth {
     pub ring_occupancy: usize,
     /// Live events spilled past the wheel horizon into overflow.
     pub overflow_live: usize,
+    /// Live events in the FIFO lanes, all lanes together.
+    pub lane_depth: usize,
     /// Cancelled-timer tombstones still floating in the rungs.
     pub stale_timers: usize,
-    /// Allocated payload slab slots (high-water mark of pending
-    /// events: the slab holds the payload of every pending event).
+    /// Allocated payload slab slots (high-water mark of pending wheel
+    /// events: the slab holds the payload of every wheel entry; lane
+    /// entries hold theirs inline).
     pub slab_slots: usize,
     /// Slab slots currently on the free list; `slab_slots -
-    /// free_slots == len` at all times.
+    /// free_slots == len - lane_depth` at all times.
     pub free_slots: usize,
-    /// Total pending live events (== `EventQueue::len`).
+    /// Total pending live events (== `EventQueue::len`): `near_depth +
+    /// ring_occupancy + overflow_live + lane_depth`.
     pub len: usize,
     /// Lifetime count of past-time pushes clamped to `now`.
     pub past_clamps: u64,
@@ -204,10 +239,10 @@ pub struct QueueHealth {
 
 /// An event queue over an arbitrary event payload type `E`.
 ///
-/// `Clone` is a deep copy: nodes, payload slab, free list, counters and
-/// the whole wheel geometry carry over verbatim, so a cloned queue pops
-/// the identical `(time, seq)` sequence as the original. This is the
-/// engine half of the checkpoint/resume contract.
+/// `Clone` is a deep copy: nodes, payload slab, free list, lanes,
+/// counters and the whole wheel geometry carry over verbatim, so a
+/// cloned queue pops the identical `(time, seq)` sequence as the
+/// original. This is the engine half of the checkpoint/resume contract.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     /// Nodes with `time <= horizon`, sorted by descending key. Never
@@ -216,11 +251,16 @@ pub struct EventQueue<E> {
     /// Times at or below this belong to the near run.
     horizon: SimTime,
     /// Wheel buckets: nodes with `horizon < time < ring_end()`,
-    /// indexed by `(time - ring_base) >> width_shift`. Each bucket, like
-    /// `overflow`, is in ascending `seq` order: a push carries the
-    /// largest `seq` yet, a rebase re-files the (ascending) spill list
-    /// into an empty ring, and removals keep the order.
-    buckets: Vec<Vec<Node>>,
+    /// indexed by `(time - ring_base) >> width_shift`, each a `(head,
+    /// tail)` chain through `links`, valid while its `occ` bit is set.
+    /// Each bucket, like `overflow`, is in ascending `seq` order: a push
+    /// carries the largest `seq` yet, a rebase re-files the (ascending)
+    /// spill list into an empty ring, and removals keep the order.
+    chains: [(u32, u32); SLOTS],
+    /// Arena of the ring's nodes, shared by all buckets.
+    links: Vec<Link>,
+    /// Head of the list of free `links`, threaded through `next`.
+    free_link: u32,
     /// One bit per bucket: does it hold any node (possibly stale)?
     occ: u64,
     /// Wheel origin (ns). Bucket `i` covers
@@ -249,6 +289,9 @@ pub struct EventQueue<E> {
     free: Vec<usize>,
     /// Scratch space for `sort_batch`; empty between sorts.
     sort_buf: Vec<Node>,
+    /// FIFO lanes, indexed by the caller's lane number; each is in
+    /// ascending `(time, seq)` order. Grown on first use of a lane.
+    lanes: Vec<VecDeque<(SimTime, u64, E)>>,
     /// Live nodes drained / drain batches since the last width
     /// adaptation (rebase-time feedback for `width_shift`).
     drained_keys: u64,
@@ -284,7 +327,9 @@ impl<E> EventQueue<E> {
         EventQueue {
             near: Vec::with_capacity(cap.min(2 * MAX_BATCH)),
             horizon: SimTime::ZERO,
-            buckets: std::iter::repeat_with(Vec::new).take(SLOTS).collect(),
+            chains: [(NIL, NIL); SLOTS],
+            links: Vec::new(),
+            free_link: NIL,
             occ: 0,
             ring_base: 0,
             width_shift: INIT_WIDTH_SHIFT,
@@ -296,6 +341,7 @@ impl<E> EventQueue<E> {
             slab: Vec::new(),
             free: Vec::new(),
             sort_buf: Vec::new(),
+            lanes: Vec::new(),
             drained_keys: 0,
             drained_batches: 0,
             seq: 0,
@@ -337,6 +383,37 @@ impl<E> EventQueue<E> {
     /// [`TimerId`] receipt for [`EventQueue::cancel_timer`]. Scheduling
     /// is O(1) (amortized) regardless of how far out `at` is.
     pub fn schedule_timer(&mut self, at: SimTime, event: E) -> TimerId {
+        let (time, seq) = self.stamp(at);
+        let slot = self.insert(time, seq, event);
+        TimerId { time, seq, slot }
+    }
+
+    /// Schedule `event` at `at` on FIFO lane `lane` (lanes are numbered
+    /// by the caller from 0 and created on first use). Same key, same
+    /// past-time clamp and same pop order as [`EventQueue::push`], but
+    /// the payload is held inline in the lane, at O(1) per push and pop.
+    ///
+    /// Meant for a stream whose times never decrease in push order. A
+    /// push earlier than the lane's tail still fires in order: it goes
+    /// to the wheel under the same key, and `false` is returned.
+    pub fn push_lane(&mut self, lane: usize, at: SimTime, event: E) -> bool {
+        let (time, seq) = self.stamp(at);
+        if lane >= self.lanes.len() {
+            self.lanes.resize_with(lane + 1, VecDeque::new);
+        }
+        let fifo = &mut self.lanes[lane];
+        if fifo.back().is_some_and(|&(tail, _, _)| time < tail) {
+            self.insert(time, seq, event);
+            return false;
+        }
+        fifo.push_back((time, seq, event));
+        true
+    }
+
+    /// Clamp a past `at` to `now` (counting the clamp) and take the
+    /// next sequence number: the `(time, seq)` key of a new entry.
+    #[inline]
+    fn stamp(&mut self, at: SimTime) -> (SimTime, u64) {
         debug_assert!(at >= self.now, "event scheduled in the past: {at} < {}", self.now);
         let time = if at < self.now {
             self.past_clamps += 1;
@@ -347,6 +424,12 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         self.pushed += 1;
+        (time, seq)
+    }
+
+    /// Put a stamped entry into the wheel; returns its slab slot.
+    #[inline]
+    fn insert(&mut self, time: SimTime, seq: u64, event: E) -> usize {
         let filled = Slot { seq, event: Some(event) };
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -370,7 +453,7 @@ impl<E> EventQueue<E> {
         } else {
             self.file_beyond_horizon(node);
         }
-        TimerId { time, seq, slot }
+        slot
     }
 
     /// File a node with `time > horizon` into its wheel bucket or the
@@ -380,8 +463,26 @@ impl<E> EventQueue<E> {
         let at_ns = node.time.as_nanos();
         if at_ns < self.ring_end() {
             let idx = ((at_ns - self.ring_base) >> self.width_shift) as usize;
-            self.occ |= 1 << idx;
-            self.buckets[idx].push(node);
+            let link = Link { node, next: NIL };
+            let at = match self.free_link {
+                NIL => {
+                    self.links.push(link);
+                    u32::try_from(self.links.len() - 1).expect("under 2^32 ring nodes")
+                }
+                free => {
+                    self.free_link = self.links[free as usize].next;
+                    self.links[free as usize] = link;
+                    free
+                }
+            };
+            if self.occ & (1 << idx) == 0 {
+                self.occ |= 1 << idx;
+                self.chains[idx] = (at, at);
+            } else {
+                let tail = &mut self.chains[idx].1;
+                self.links[*tail as usize].next = at;
+                *tail = at;
+            }
             self.ring_len += 1;
         } else {
             if self.overflow_min.is_none_or(|m| node.key() < m) {
@@ -442,12 +543,12 @@ impl<E> EventQueue<E> {
         self.overflow_min = self.overflow.iter().map(Node::key).min();
     }
 
-    /// Once nothing live is pending, every node still floating in a
-    /// bucket or the spill list is a tombstone: drop them all, so a
-    /// drained queue holds (and reports) no stale timers.
+    /// Once nothing live is pending in the wheel, every node still
+    /// floating in a bucket or the spill list is a tombstone: drop them
+    /// all, so a drained wheel holds (and reports) no stale timers.
     #[inline]
     fn drop_tombstones_if_drained(&mut self) {
-        if self.stale != 0 && self.is_empty() {
+        if self.stale != 0 && self.wheel_len() == 0 {
             self.clear_buckets();
             self.overflow.clear();
             self.overflow_min = None;
@@ -455,34 +556,70 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Empty every occupied bucket (keeping its allocation) and clear
-    /// the bitmap; returns how many nodes were dropped.
+    /// Empty the ring, which holds no live node (callers run with
+    /// `ring_len == 0`): clear the bitmap and the arena; returns how
+    /// many tombstones were dropped.
     fn clear_buckets(&mut self) -> usize {
-        let mut dropped = 0;
-        for idx in set_bits(self.occ) {
-            dropped += self.buckets[idx].len();
-            self.buckets[idx].clear();
-        }
+        debug_assert_eq!(self.ring_len, 0);
+        let dropped = set_bits(self.occ).map(|idx| self.chain(idx).count()).sum();
         self.occ = 0;
+        self.links.clear();
+        self.free_link = NIL;
         dropped
     }
 
+    /// The nodes of occupied bucket `idx`, in chain (ascending `seq`)
+    /// order.
+    fn chain(&self, idx: usize) -> impl Iterator<Item = &Node> {
+        let mut at = self.chains[idx].0;
+        std::iter::from_fn(move || {
+            let link = (at != NIL).then(|| &self.links[at as usize])?;
+            at = link.next;
+            Some(&link.node)
+        })
+    }
+
     /// Pop the next event, advancing the clock to its firing time.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let node = match self.near.pop() {
-            Some(node) => node,
+        self.pop_until(SimTime::from_nanos(u64::MAX))
+    }
+
+    /// Pop the next event if it fires at or before `end`, advancing the
+    /// clock to its firing time; otherwise leave it pending and return
+    /// `None`. One call does the work of a `peek_time` and a `pop`.
+    pub fn pop_until(&mut self, end: SimTime) -> Option<(SimTime, E)> {
+        if self.near.is_empty() {
+            // Bring the wheel's minimum to the near run's tail (a no-op
+            // on an empty wheel).
+            let _ = self.migrate();
+        }
+        let mut next = self.near.last().map(Node::key);
+        let mut lane = None;
+        for (i, fifo) in self.lanes.iter().enumerate() {
+            if let Some(&(time, seq, _)) = fifo.front() {
+                if next.is_none_or(|k| (time, seq) < k) {
+                    next = Some((time, seq));
+                    lane = Some(i);
+                }
+            }
+        }
+        let (time, _) = next.filter(|&(time, _)| time <= end)?;
+        debug_assert!(time >= self.now, "event queue time went backwards");
+        self.now = time;
+        self.popped += 1;
+        let event = match lane {
+            Some(i) => self.lanes[i].pop_front().expect("lane head was just seen").2,
             None => {
-                self.migrate()?;
-                self.near.pop().expect("migrate refilled the near run")
+                let node = self.near.pop().expect("near tail was just seen");
+                let event =
+                    self.slab[node.slot].event.take().expect("popped node's slot holds its event");
+                self.free.push(node.slot);
+                self.drop_tombstones_if_drained();
+                event
             }
         };
-        debug_assert!(node.time >= self.now, "event queue time went backwards");
-        self.now = node.time;
-        self.popped += 1;
-        let event = self.slab[node.slot].event.take().expect("popped node's slot holds its event");
-        self.free.push(node.slot);
-        self.drop_tombstones_if_drained();
-        Some((node.time, event))
+        Some((time, event))
     }
 
     /// Refill the (empty) near run from the coarser rungs: drain the
@@ -502,19 +639,22 @@ impl<E> EventQueue<E> {
             if self.ring_len > 0 {
                 let idx = self.occ.trailing_zeros() as usize;
                 self.occ &= !(1 << idx);
-                let mut bucket = std::mem::take(&mut self.buckets[idx]);
-                debug_assert!(bucket.windows(2).all(|w| w[0].seq < w[1].seq));
-                if self.stale != 0 {
+                let mut at = self.chains[idx].0;
+                while at != NIL {
+                    let Link { node, next } = self.links[at as usize];
                     // Stale nodes are dropped here; their slots were
                     // already recycled at cancel time.
-                    let before = bucket.len();
-                    let slab = &self.slab;
-                    bucket.retain(|n| node_live(slab, n));
-                    self.stale -= before - bucket.len();
+                    if self.stale == 0 || node_live(&self.slab, &node) {
+                        self.near.push(node);
+                    } else {
+                        self.stale -= 1;
+                    }
+                    self.links[at as usize].next = self.free_link;
+                    self.free_link = at;
+                    at = next;
                 }
-                let live = bucket.len();
-                self.near.append(&mut bucket);
-                self.buckets[idx] = bucket; // keep the allocation warm
+                debug_assert!(self.near.windows(2).all(|w| w[0].seq < w[1].seq));
+                let live = self.near.len();
                 self.ring_len -= live;
                 // The drained bucket covers [start, end); entries
                 // exactly at `end` sit in the *next* bucket, so the
@@ -552,10 +692,9 @@ impl<E> EventQueue<E> {
         debug_assert!(self.near.is_empty() && self.ring_len == 0);
         // With zero live ring nodes, anything left in a bucket is a
         // cancelled timer's floating tombstone. Sweep them out before
-        // the geometry changes underneath their (stale) indices.
-        if self.stale != 0 {
-            self.stale -= self.clear_buckets();
-        }
+        // the geometry changes underneath their (stale) indices; the
+        // emptied arena then re-fills from its start.
+        self.stale -= self.clear_buckets();
         let (min_time, _) = self.overflow_min.expect("rebase requires a live overflow node");
         self.adapt_width();
         self.horizon = min_time;
@@ -611,7 +750,8 @@ impl<E> EventQueue<E> {
         self.drained_batches = 0;
     }
 
-    /// Firing time of the next event without popping it.
+    /// Firing time of the next event without popping it: the earlier of
+    /// the wheel's minimum and the lane heads.
     ///
     /// Exact at every rung: the near run's tail when it is non-empty,
     /// else the minimum of the first occupied wheel bucket holding a
@@ -620,13 +760,18 @@ impl<E> EventQueue<E> {
     /// where the near run is drained, i.e. at most once per migration
     /// cycle, so its amortized cost matches the drain it precedes.
     pub fn peek_time(&self) -> Option<SimTime> {
+        let lanes = self.lanes.iter().filter_map(|fifo| fifo.front().map(|&(time, _, _)| time));
+        self.peek_wheel().into_iter().chain(lanes).min()
+    }
+
+    /// Firing time of the wheel's next event.
+    fn peek_wheel(&self) -> Option<SimTime> {
         if let Some(node) = self.near.last() {
             return Some(node.time);
         }
         if self.ring_len > 0 {
             let earliest = set_bits(self.occ).find_map(|idx| {
-                self.buckets[idx]
-                    .iter()
+                self.chain(idx)
                     .filter(|n| self.stale == 0 || node_live(&self.slab, n))
                     .map(|n| n.time)
                     .min()
@@ -636,9 +781,20 @@ impl<E> EventQueue<E> {
         self.overflow_min.map(|(time, _)| time)
     }
 
+    /// Live entries in the wheel's three rungs.
+    #[inline]
+    fn wheel_len(&self) -> usize {
+        self.near.len() + self.ring_len + self.overflow_live
+    }
+
+    /// Live entries in the lanes.
+    fn lane_len(&self) -> usize {
+        self.lanes.iter().map(VecDeque::len).sum()
+    }
+
     /// Number of pending (live, uncancelled) events.
     pub fn len(&self) -> usize {
-        self.near.len() + self.ring_len + self.overflow_live
+        self.wheel_len() + self.lane_len()
     }
 
     /// True if no events are pending.
@@ -682,6 +838,7 @@ impl<E> EventQueue<E> {
             near_depth: self.near.len(),
             ring_occupancy: self.ring_len,
             overflow_live: self.overflow_live,
+            lane_depth: self.lane_len(),
             stale_timers: self.stale,
             slab_slots: self.slab.len(),
             free_slots: self.free.len(),
@@ -693,7 +850,8 @@ impl<E> EventQueue<E> {
     /// Iterate over the pending events in arbitrary order (used for
     /// end-of-run accounting, e.g. counting in-flight payloads).
     pub fn iter(&self) -> impl Iterator<Item = &E> {
-        self.slab.iter().filter_map(|s| s.event.as_ref())
+        let lanes = self.lanes.iter().flatten().map(|(_, _, event)| event);
+        self.slab.iter().filter_map(|s| s.event.as_ref()).chain(lanes)
     }
 }
 
@@ -746,6 +904,67 @@ mod tests {
             q.health(),
             QueueHealth { slab_slots: 10, free_slots: 10, ..QueueHealth::default() }
         );
+    }
+
+    /// Lane entries count in `len` and `lane_depth`, take no slab slot,
+    /// and pop merged with the wheel in `(time, seq)` order.
+    #[test]
+    fn health_splits_len_across_rungs_and_lanes() {
+        let mut q = EventQueue::new();
+        let check = |q: &EventQueue<u32>| {
+            let h = q.health();
+            assert_eq!(h.len, q.len());
+            assert_eq!(h.near_depth + h.ring_occupancy + h.overflow_live + h.lane_depth, h.len);
+            assert_eq!(h.slab_slots - h.free_slots, h.len - h.lane_depth);
+            assert_eq!(q.iter().count(), h.len);
+            h
+        };
+        q.push(SimTime::from_nanos(5), 0);
+        q.push(SimTime::from_nanos(1_000_000), 1);
+        q.push(SimTime::from_nanos(60_000_000_000), 2);
+        assert!(q.push_lane(3, SimTime::from_nanos(5), 3));
+        assert!(q.push_lane(0, SimTime::from_nanos(7), 4));
+        assert!(q.push_lane(0, SimTime::from_nanos(7), 5));
+        let h = check(&q);
+        assert_eq!((h.lane_depth, h.len, h.slab_slots), (3, 6, 3));
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(5)));
+        // Nothing fires by t = 4; the same-instant tie at t = 5 goes to
+        // the wheel entry, pushed first.
+        assert_eq!(q.pop_until(SimTime::from_nanos(4)), None);
+        assert_eq!(q.pop_until(SimTime::from_nanos(5)), Some((SimTime::from_nanos(5), 0)));
+        assert_eq!(check(&q).near_depth, 0);
+        let order: Vec<u32> = std::iter::from_fn(|| {
+            let popped = q.pop().map(|(_, v)| v);
+            check(&q);
+            popped
+        })
+        .collect();
+        assert_eq!(order, [3, 4, 5, 1, 2]);
+        assert_eq!(q.health().lane_depth, 0);
+    }
+
+    /// The buckets share one arena. 10k far-future pushes that a rebase
+    /// files into one bucket size it; 10k more, spread over many
+    /// buckets and rebases, reuse it: the ring keeps room for the most
+    /// nodes it held at once, not for each bucket's largest batch.
+    #[test]
+    fn buckets_share_storage_sized_to_the_ring_peak() {
+        let mut q = EventQueue::new();
+        let fill = |q: &mut EventQueue<u64>, spacing: u64| {
+            let base = q.now().as_nanos() + 1_000_000_000;
+            for i in 0..10_000u64 {
+                q.push(SimTime::from_nanos(base + i * spacing), i);
+            }
+            q.pop();
+            let peak = q.health().ring_occupancy;
+            while q.pop().is_some() {}
+            peak
+        };
+        assert!(fill(&mut q, 10) > 9_000, "the rebase should file 10k nodes in the ring");
+        let sized = q.links.capacity();
+        assert!(sized < 2 * 10_000, "ring kept {sized} links");
+        fill(&mut q, 100_000);
+        assert_eq!(q.links.capacity(), sized, "spread pushes grew the ring's storage");
     }
 
     #[test]

@@ -362,7 +362,7 @@ fn failed_rep_taxonomy_round_trips_through_json() {
         let len = (rng.next_u64() % 48) as usize;
         let error: String =
             (0..len).map(|_| POOL[(rng.next_u64() as usize) % POOL.len()]).collect();
-        let rep = FailedRep { seed: rng.next_u64(), error, class };
+        let rep = FailedRep { seed: rng.next_u64(), error, class, problems: Vec::new() };
         let json = rep.to_json();
         assert_eq!(FailedRep::from_json(&json).as_ref(), Some(&rep), "case {i}: {json}");
     }

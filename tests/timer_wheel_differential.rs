@@ -1,8 +1,9 @@
 //! Differential test: [`simcore::EventQueue`] against a
 //! `BinaryHeap` reference, on randomized schedules — plain-push
-//! schedules with no cancels, and pacing/RTO-style workloads through
-//! the timer path ([`EventQueue::schedule_timer`] /
-//! [`EventQueue::cancel_timer`]).
+//! schedules with no cancels, pacing/RTO-style workloads through the
+//! timer path ([`EventQueue::schedule_timer`] /
+//! [`EventQueue::cancel_timer`]), and FIFO lane streams
+//! ([`EventQueue::push_lane`]) mixed with both.
 //!
 //! The determinism contract (DESIGN.md §6e/§6g) says any correct
 //! min-heap keyed on `(time, seq)` pops the *identical* total order,
@@ -13,6 +14,8 @@
 //! keys — tombstones and lazily-filtered wheel buckets are invisible in
 //! the output. The reference mirrors that by assigning the same
 //! monotone sequence numbers and skipping cancelled ones at pop time.
+//! Lanes take keys from the same counter, so a lane push is a plain
+//! push to the reference.
 //!
 //! Randomness is a hand-rolled LCG from fixed seeds (same policy as
 //! `tests/properties.rs`): failures are reproducible by construction.
@@ -68,6 +71,18 @@ impl ReferenceQueue {
             }
             self.now = t;
             return Some((t, payload));
+        }
+        None
+    }
+
+    /// Pop only if the next live entry fires at or before `end`.
+    fn pop_until(&mut self, end: SimTime) -> Option<(SimTime, u64)> {
+        while let Some(&Reverse((t, seq, _))) = self.heap.peek() {
+            if !self.cancelled.contains(&seq) {
+                return if t <= end { self.pop() } else { None };
+            }
+            self.heap.pop();
+            self.cancelled.remove(&seq);
         }
         None
     }
@@ -383,4 +398,188 @@ fn popped_times_are_monotone_and_count_preserving() {
     }
     assert_eq!(seen, n, "events were lost or duplicated");
     assert_eq!(engine.total_popped(), engine.total_pushed());
+}
+
+/// Random operations over three monotone lane streams, plain wheel
+/// pushes and cancelable timers: the lane keys share the wheel's
+/// `(time, seq)` space, so the merged pop stream — through `pop` and
+/// `pop_until` alike — must be the reference heap's.
+#[test]
+fn lane_streams_mixed_with_wheel_and_timers_match_reference() {
+    for seed in 0..16u64 {
+        let mut rng = Lcg(0x1a9e ^ (seed << 11));
+        let mut engine: EventQueue<u64> = EventQueue::new();
+        let mut reference = ReferenceQueue::new();
+        let mut tails = [SimTime::ZERO; 3];
+        let mut timers: Vec<(TimerId, u64)> = Vec::new();
+        for step in 0..6000u64 {
+            let payload = step;
+            let now = engine.now();
+            match rng.next() % 10 {
+                // A lane stream: fixed-delay-like, never earlier than
+                // its own tail, sometimes equal to it.
+                0..=3 => {
+                    let lane = (rng.next() % 3) as usize;
+                    let delay = [1_000, 50_000, 30_000_000][lane];
+                    let t = (now + SimDuration::from_nanos(delay + rng.next() % 2_000))
+                        .max(tails[lane]);
+                    tails[lane] = t;
+                    assert!(engine.push_lane(lane, t, payload), "monotone push fell back");
+                    reference.push(t, payload);
+                }
+                4 | 5 => {
+                    let t = now + SimDuration::from_nanos(rng.next() % 5_000_000);
+                    engine.push(t, payload);
+                    reference.push(t, payload);
+                }
+                6 => {
+                    let t = now + SimDuration::from_nanos(1_000_000 + rng.next() % 200_000_000);
+                    timers.push((engine.schedule_timer(t, payload), reference.push(t, payload)));
+                }
+                7 => {
+                    if !timers.is_empty() {
+                        let (id, seq) = timers.swap_remove((rng.next() as usize) % timers.len());
+                        assert_eq!(engine.cancel_timer(id), reference.cancel(seq));
+                    }
+                }
+                8 => {
+                    let end = now + SimDuration::from_nanos(rng.next() % 100_000);
+                    assert_eq!(
+                        engine.pop_until(end),
+                        reference.pop_until(end),
+                        "pop_until divergence (seed {seed}, step {step})"
+                    );
+                }
+                _ => {
+                    assert_eq!(
+                        engine.pop(),
+                        reference.pop(),
+                        "mid-run divergence (seed {seed}, step {step})"
+                    );
+                }
+            }
+            let h = engine.health();
+            assert_eq!(
+                h.near_depth + h.ring_occupancy + h.overflow_live + h.lane_depth,
+                h.len,
+                "rung split (seed {seed})"
+            );
+            assert_eq!(h.slab_slots - h.free_slots, h.len - h.lane_depth, "slab (seed {seed})");
+        }
+        assert_eq!(engine.iter().count(), engine.len());
+        assert_drained_identically(&mut engine, &mut reference);
+    }
+}
+
+/// Same-instant ties everywhere: lane heads, the near run and far
+/// wheel buckets all hold entries at the same few instants, so every
+/// pop is decided by `seq` alone.
+#[test]
+fn lane_ties_with_near_run_and_buckets_keep_fifo_order() {
+    // Instants one bucket width (2^18 ns) apart, so the ties sit in the
+    // near run and in several ring buckets at once.
+    const INSTANTS: u64 = 12;
+    const GAP: u64 = 1 << 18;
+    for seed in 0..8u64 {
+        let mut rng = Lcg(0x71e5 ^ (seed << 23));
+        let mut engine: EventQueue<u64> = EventQueue::new();
+        let mut reference = ReferenceQueue::new();
+        let mut tails = [0u64; 2];
+        for payload in 0..4000u64 {
+            let now = engine.now().as_nanos().div_ceil(GAP);
+            let pick = |rng: &mut Lcg, from: u64| {
+                SimTime::from_nanos((from + rng.next() % 3).min(INSTANTS) * GAP)
+            };
+            match rng.next() % 6 {
+                0 | 1 => {
+                    let lane = (rng.next() % 2) as usize;
+                    let t = pick(&mut rng, now.max(tails[lane]));
+                    tails[lane] = t.as_nanos() / GAP;
+                    assert!(engine.push_lane(lane, t, payload));
+                    reference.push(t, payload);
+                }
+                2 | 3 => {
+                    let t = pick(&mut rng, now);
+                    engine.push(t, payload);
+                    reference.push(t, payload);
+                }
+                4 => {
+                    let t = pick(&mut rng, now);
+                    let _ = engine.schedule_timer(t, payload);
+                    reference.push(t, payload);
+                }
+                _ => assert_eq!(engine.pop(), reference.pop(), "tie divergence (seed {seed})"),
+            }
+        }
+        assert_drained_identically(&mut engine, &mut reference);
+    }
+}
+
+/// A lane push earlier than its lane's tail goes to the wheel under
+/// the key it was stamped with, and still pops in reference order.
+#[test]
+fn non_monotone_lane_push_falls_back_to_the_wheel() {
+    let mut engine: EventQueue<u64> = EventQueue::new();
+    assert!(engine.push_lane(0, SimTime::from_nanos(500), 0));
+    assert!(!engine.push_lane(0, SimTime::from_nanos(100), 1));
+    assert!(engine.push_lane(0, SimTime::from_nanos(500), 2));
+    let h = engine.health();
+    assert_eq!((h.lane_depth, h.len), (2, 3));
+    assert_eq!(engine.peek_time(), Some(SimTime::from_nanos(100)));
+    let order: Vec<u64> = std::iter::from_fn(|| engine.pop().map(|(_, p)| p)).collect();
+    assert_eq!(order, [1, 0, 2]);
+
+    for seed in 0..8u64 {
+        let mut rng = Lcg(0xfa11 ^ (seed << 5));
+        let mut engine: EventQueue<u64> = EventQueue::new();
+        let mut reference = ReferenceQueue::new();
+        let mut fell_back = 0;
+        for payload in 0..4000u64 {
+            if rng.next().is_multiple_of(4) {
+                assert_eq!(engine.pop(), reference.pop(), "divergence (seed {seed})");
+                continue;
+            }
+            let t = engine.now() + SimDuration::from_nanos(rng.next() % 3_000_000);
+            fell_back += usize::from(!engine.push_lane((payload % 2) as usize, t, payload));
+            reference.push(t, payload);
+        }
+        assert!(fell_back > 1000, "only {fell_back} fallbacks (seed {seed})");
+        assert_drained_identically(&mut engine, &mut reference);
+    }
+}
+
+/// A clone taken mid-stream (a checkpoint) holds the lanes too: it pops
+/// exactly what the original pops.
+#[test]
+fn clone_mid_lane_stream_pops_identically() {
+    let mut rng = Lcg(0xc10e);
+    let mut engine: EventQueue<u64> = EventQueue::new();
+    let mut reference = ReferenceQueue::new();
+    let mut tail = SimTime::ZERO;
+    for payload in 0..3000u64 {
+        match rng.next() % 4 {
+            0 => {
+                tail = tail.max(engine.now() + SimDuration::from_nanos(rng.next() % 40_000_000));
+                assert!(engine.push_lane(1, tail, payload));
+                reference.push(tail, payload);
+            }
+            1 => {
+                let t = engine.now() + SimDuration::from_nanos(rng.next() % 40_000_000);
+                let _ = engine.schedule_timer(t, payload);
+                reference.push(t, payload);
+            }
+            _ => assert_eq!(engine.pop(), reference.pop()),
+        }
+    }
+    let mut copy = engine.clone();
+    assert!(copy.health().lane_depth > 0);
+    assert_eq!(copy.health(), engine.health());
+    loop {
+        let (a, b) = (engine.pop(), copy.pop());
+        assert_eq!(a, b, "clone diverged");
+        assert_eq!(a, reference.pop(), "original diverged from the reference");
+        if a.is_none() {
+            break;
+        }
+    }
 }
