@@ -188,6 +188,19 @@ impl SimConfig {
         if self.workload.fq_rate.is_some() && !self.sender.sysctl.supports_fq_pacing() {
             problems.push("--fq-rate requires net.core.default_qdisc=fq".into());
         }
+        // Every rate below serialises bursts, and a zero, negative or
+        // non-finite one cannot (`BitRate::serialize_time` asserts).
+        let rates = [
+            ("--fq-rate", self.workload.fq_rate),
+            ("path bottleneck", Some(self.path.bottleneck)),
+            ("path policy cap", self.path.policy_cap),
+        ];
+        for (what, rate) in rates {
+            let unusable = |bps: &f64| !(*bps > 0.0 && bps.is_finite());
+            if let Some(bps) = rate.map(BitRate::as_bps).filter(unusable) {
+                problems.push(format!("{what} must be a positive, finite rate, got {bps} bit/s"));
+            }
+        }
         if self.workload.telemetry.is_some_and(|t| t.is_zero()) {
             problems.push("telemetry tick must be positive".into());
         }
@@ -247,6 +260,34 @@ mod tests {
         cfg.sender.sysctl = linuxhost::SysctlConfig::stock();
         cfg.workload = cfg.workload.with_fq_rate(BitRate::gbps(10.0));
         assert!(!cfg.validate().is_empty());
+    }
+
+    /// Each zero or non-finite rate is one problem, and `Simulation::new`
+    /// turns it into `InvalidConfig` before anything can serialise at it.
+    #[test]
+    fn unusable_rates_are_config_errors_not_panics() {
+        let zero = BitRate::gbps(0.0);
+        let infinite = BitRate::gbps(1.0).mul_f64(f64::INFINITY);
+        type SetRate = fn(&mut SimConfig, BitRate);
+        let cases: [(&str, SetRate); 3] = [
+            ("--fq-rate", |cfg, r| cfg.workload = cfg.workload.clone().with_fq_rate(r)),
+            ("path bottleneck", |cfg, r| cfg.path.bottleneck = r),
+            ("path policy cap", |cfg, r| cfg.path.policy_cap = Some(r)),
+        ];
+        for (what, set) in cases {
+            for rate in [zero, infinite] {
+                let mut cfg = base();
+                set(&mut cfg, rate);
+                let problems = cfg.validate();
+                assert_eq!(problems.len(), 1, "{what} at {rate:?}: {problems:?}");
+                assert!(problems[0].starts_with(what), "{problems:?}");
+                match crate::Simulation::new(cfg) {
+                    Err(crate::SimError::InvalidConfig(p)) => assert_eq!(p, problems),
+                    Err(e) => panic!("{what} at {rate:?}: expected InvalidConfig, got {e}"),
+                    Ok(_) => panic!("{what} at {rate:?} was accepted"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -79,6 +79,14 @@
 //! same total `(time, seq)` order whichever part holds an entry. Lane
 //! entries cannot be cancelled. Lanes are created on first use.
 //!
+//! Keys are compared *packed*: `time << 64 | seq` in one `u128`, whose
+//! integer order is the `(time, seq)` tuple order. Each lane's front
+//! key is kept in a flat `heads` array beside the lanes (`NO_KEY` for
+//! an empty lane), updated only when a push fills an empty lane or a
+//! pop exposes a new front. Selecting the next entry is then a
+//! branch-free minimum over the near tail's key and `heads`, without
+//! touching any `VecDeque`; `peek_time` makes the same selection.
+//!
 //! # Cancelable timers
 //!
 //! [`EventQueue::schedule_timer`] is `push` plus a [`TimerId`] receipt;
@@ -120,6 +128,22 @@ const MAX_WIDTH_SHIFT: u32 = 31;
 /// and WAN timer spacings; the width self-tunes from there.
 const INIT_WIDTH_SHIFT: u32 = 18;
 
+/// The packed key of no entry: larger than every real key (a real key
+/// would need `seq == u64::MAX`, i.e. 2^64 pushes).
+const NO_KEY: u128 = u128::MAX;
+
+/// Pack a `(time, seq)` key into one integer with the same order.
+#[inline]
+fn pack(time: SimTime, seq: u64) -> u128 {
+    (u128::from(time.as_nanos()) << 64) | u128::from(seq)
+}
+
+/// The firing time of a packed key.
+#[inline]
+fn key_time(key: u128) -> SimTime {
+    SimTime::from_nanos((key >> 64) as u64)
+}
+
 /// One pending entry: the `(time, seq)` ordering key plus the slab slot
 /// holding its payload.
 #[derive(Debug, Clone, Copy)]
@@ -130,10 +154,11 @@ struct Node {
 }
 
 impl Node {
-    /// The total-order key: earliest time first, then insertion order.
+    /// The packed total-order key: earliest time first, then insertion
+    /// order.
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+    fn key(&self) -> u128 {
+        pack(self.time, self.seq)
     }
 }
 
@@ -274,8 +299,8 @@ pub struct EventQueue<E> {
     /// Spill list for nodes at or beyond `ring_end()`, in ascending
     /// `seq` order.
     overflow: Vec<Node>,
-    /// Exact minimum live `(time, seq)` key in `overflow`, if any.
-    overflow_min: Option<(SimTime, u64)>,
+    /// Exact minimum live packed key in `overflow`, if any.
+    overflow_min: Option<u128>,
     /// Live nodes in `overflow` (the Vec may also hold tombstones).
     overflow_live: usize,
     /// Cancelled timers still floating in a bucket or the overflow list
@@ -292,6 +317,9 @@ pub struct EventQueue<E> {
     /// FIFO lanes, indexed by the caller's lane number; each is in
     /// ascending `(time, seq)` order. Grown on first use of a lane.
     lanes: Vec<VecDeque<(SimTime, u64, E)>>,
+    /// Packed key of each lane's front entry, `NO_KEY` while the lane
+    /// is empty: what a pop selects over instead of the lanes.
+    heads: Vec<u128>,
     /// Live nodes drained / drain batches since the last width
     /// adaptation (rebase-time feedback for `width_shift`).
     drained_keys: u64,
@@ -342,6 +370,7 @@ impl<E> EventQueue<E> {
             free: Vec::new(),
             sort_buf: Vec::new(),
             lanes: Vec::new(),
+            heads: Vec::new(),
             drained_keys: 0,
             drained_batches: 0,
             seq: 0,
@@ -400,11 +429,16 @@ impl<E> EventQueue<E> {
         let (time, seq) = self.stamp(at);
         if lane >= self.lanes.len() {
             self.lanes.resize_with(lane + 1, VecDeque::new);
+            self.heads.resize(lane + 1, NO_KEY);
         }
         let fifo = &mut self.lanes[lane];
-        if fifo.back().is_some_and(|&(tail, _, _)| time < tail) {
-            self.insert(time, seq, event);
-            return false;
+        match fifo.back() {
+            Some(&(tail, _, _)) if time < tail => {
+                self.insert(time, seq, event);
+                return false;
+            }
+            Some(_) => {}
+            None => self.heads[lane] = pack(time, seq),
         }
         fifo.push_back((time, seq, event));
         true
@@ -513,7 +547,7 @@ impl<E> EventQueue<E> {
         if id.time <= self.horizon {
             // Near-resident: remove eagerly so the tail (and thus
             // `peek_time`/`pop`) never sees a tombstone.
-            let key = (id.time, id.seq);
+            let key = pack(id.time, id.seq);
             let i = self
                 .near
                 .binary_search_by(|n| key.cmp(&n.key()))
@@ -525,7 +559,7 @@ impl<E> EventQueue<E> {
         } else {
             self.overflow_live -= 1;
             self.stale += 1;
-            if self.overflow_min.is_some_and(|(_, mseq)| mseq == id.seq) {
+            if self.overflow_min == Some(pack(id.time, id.seq)) {
                 self.rescan_overflow_min();
             }
         }
@@ -594,22 +628,21 @@ impl<E> EventQueue<E> {
             // on an empty wheel).
             let _ = self.migrate();
         }
-        let mut next = self.near.last().map(Node::key);
-        let mut lane = None;
-        for (i, fifo) in self.lanes.iter().enumerate() {
-            if let Some(&(time, seq, _)) = fifo.front() {
-                if next.is_none_or(|k| (time, seq) < k) {
-                    next = Some((time, seq));
-                    lane = Some(i);
-                }
-            }
+        let (key, lane) = self.select(self.near.last().map_or(NO_KEY, Node::key));
+        if key == NO_KEY || key_time(key) > end {
+            return None;
         }
-        let (time, _) = next.filter(|&(time, _)| time <= end)?;
+        let time = key_time(key);
         debug_assert!(time >= self.now, "event queue time went backwards");
         self.now = time;
         self.popped += 1;
         let event = match lane {
-            Some(i) => self.lanes[i].pop_front().expect("lane head was just seen").2,
+            Some(i) => {
+                let fifo = &mut self.lanes[i];
+                let (_, _, event) = fifo.pop_front().expect("lane head was just seen");
+                self.heads[i] = fifo.front().map_or(NO_KEY, |&(time, seq, _)| pack(time, seq));
+                event
+            }
             None => {
                 let node = self.near.pop().expect("near tail was just seen");
                 let event =
@@ -620,6 +653,26 @@ impl<E> EventQueue<E> {
             }
         };
         Some((time, event))
+    }
+
+    /// The least of `wheel` (the wheel's minimum key, or `NO_KEY`) and
+    /// the lane heads, with the lane it heads (`None` for the wheel).
+    /// Ties cannot occur: keys are unique.
+    #[inline]
+    fn select(&self, wheel: u128) -> (u128, Option<usize>) {
+        debug_assert!(
+            self.lanes.iter().zip(&self.heads).all(|(fifo, &head)| {
+                head == fifo.front().map_or(NO_KEY, |&(time, seq, _)| pack(time, seq))
+            }),
+            "a lane head is out of step with its lane"
+        );
+        let mut best = (wheel, None);
+        for (i, &head) in self.heads.iter().enumerate() {
+            if head < best.0 {
+                best = (head, Some(i));
+            }
+        }
+        best
     }
 
     /// Refill the (empty) near run from the coarser rungs: drain the
@@ -695,7 +748,7 @@ impl<E> EventQueue<E> {
         // the geometry changes underneath their (stale) indices; the
         // emptied arena then re-fills from its start.
         self.stale -= self.clear_buckets();
-        let (min_time, _) = self.overflow_min.expect("rebase requires a live overflow node");
+        let min_time = key_time(self.overflow_min.expect("rebase requires a live overflow node"));
         self.adapt_width();
         self.horizon = min_time;
         self.ring_base = min_time.as_nanos();
@@ -760,25 +813,25 @@ impl<E> EventQueue<E> {
     /// where the near run is drained, i.e. at most once per migration
     /// cycle, so its amortized cost matches the drain it precedes.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let lanes = self.lanes.iter().filter_map(|fifo| fifo.front().map(|&(time, _, _)| time));
-        self.peek_wheel().into_iter().chain(lanes).min()
+        let (key, _) = self.select(self.peek_wheel());
+        (key != NO_KEY).then(|| key_time(key))
     }
 
-    /// Firing time of the wheel's next event.
-    fn peek_wheel(&self) -> Option<SimTime> {
+    /// Packed key of the wheel's next event, or `NO_KEY`.
+    fn peek_wheel(&self) -> u128 {
         if let Some(node) = self.near.last() {
-            return Some(node.time);
+            return node.key();
         }
         if self.ring_len > 0 {
             let earliest = set_bits(self.occ).find_map(|idx| {
                 self.chain(idx)
                     .filter(|n| self.stale == 0 || node_live(&self.slab, n))
-                    .map(|n| n.time)
+                    .map(Node::key)
                     .min()
             });
-            return Some(earliest.expect("ring_len > 0 implies a live bucket node"));
+            return earliest.expect("ring_len > 0 implies a live bucket node");
         }
-        self.overflow_min.map(|(time, _)| time)
+        self.overflow_min.unwrap_or(NO_KEY)
     }
 
     /// Live entries in the wheel's three rungs.

@@ -7,6 +7,30 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
+/// 2^63: every `f64` in `[0, 2^63)` converts to `i64` exactly.
+const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// Truncate `x` to `u64`, adding one when `up(x, trunc(x))` says so —
+/// the shared core of the rounding helpers below.
+///
+/// On `[0, 2^63)` the truncation goes through `i64`: one `cvttsd2si`
+/// down and one `cvtsi2sd` back on baseline x86-64, which has no
+/// unsigned conversions. Through `u64` the same round trip takes two
+/// `cvttsd2si` with a fix-up for values at or above 2^63, and six
+/// instructions back to `f64`. Every other input is an integer, an
+/// infinity, NaN or negative, and there `x as u64` (0 for NaN and
+/// negatives, saturating above) already is what `round`, `ceil` and
+/// `floor` followed by `as u64` give.
+#[inline(always)]
+fn trunc_then(x: f64, up: impl FnOnce(f64, f64) -> bool) -> u64 {
+    if (0.0..TWO_63).contains(&x) {
+        let t = x as i64;
+        t as u64 + u64::from(up(x, t as f64))
+    } else {
+        x as u64
+    }
+}
+
 /// Round a non-negative `f64` to the nearest integer, halves away from
 /// zero — bit-identical to `x.round() as u64` over the whole `f64`
 /// domain (negatives, NaN and out-of-range values all saturate through
@@ -20,12 +44,21 @@ pub fn round_f64_u64(x: f64) -> u64 {
     // exact, so the comparison reproduces round()'s half-away-from-zero
     // tie break; for x >= 2^53 there is no fractional part and the
     // truncation is already the answer.
-    let t = x as u64;
-    if x - t as f64 >= 0.5 {
-        t.saturating_add(1)
-    } else {
-        t
-    }
+    trunc_then(x, |x, t| x - t >= 0.5)
+}
+
+/// `x.ceil() as u64` over the whole `f64` domain, without libm's
+/// out-of-line `ceil`.
+#[inline]
+pub fn ceil_f64_u64(x: f64) -> u64 {
+    trunc_then(x, |x, t| t < x)
+}
+
+/// `x.floor() as u64` over the whole `f64` domain, without libm's
+/// out-of-line `floor`.
+#[inline]
+pub fn floor_f64_u64(x: f64) -> u64 {
+    trunc_then(x, |_, _| false)
 }
 
 /// An instant on the simulated clock (nanoseconds since run start).
@@ -147,6 +180,11 @@ impl SimDuration {
     #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         debug_assert!(factor >= 0.0, "duration scale must be non-negative");
+        // Up to 2^53 ns the float round trip is exact, so scaling by one
+        // returns `self` either way; skip the two conversions.
+        if factor == 1.0 && self.0 <= 1 << 53 {
+            return self;
+        }
         SimDuration(round_f64_u64(self.0 as f64 * factor))
     }
 
@@ -278,27 +316,76 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(0.000_001).as_nanos(), 1_000);
     }
 
+    /// Each helper against the `std` expression it replaces.
+    fn assert_helpers_match_std(x: f64) {
+        let bits = x.to_bits();
+        assert_eq!(round_f64_u64(x), x.round() as u64, "round mismatch at {x:e} ({bits:#x})");
+        assert_eq!(ceil_f64_u64(x), x.ceil() as u64, "ceil mismatch at {x:e} ({bits:#x})");
+        assert_eq!(floor_f64_u64(x), x.floor() as u64, "floor mismatch at {x:e} ({bits:#x})");
+    }
+
     #[test]
-    fn round_f64_u64_matches_libm_round() {
-        // Exhaustive over the interesting shapes: exact halves, just
-        // under/over halves, subnormal-ish smalls, big values past the
-        // 2^53 exactness cliff, and the saturating edges.
-        let cases = [
-            0.0, 0.25, 0.5, 0.75, 0.999_999_999, 1.0, 1.499_999_9, 1.5, 2.5, 1e9, 1.5e9 + 0.5,
-            4.503_599_627_370_495e15, 4.503_599_627_370_496e15, 9.3e18, 2e19, f64::MAX,
-            -0.2, -0.5, -3.7, f64::NAN, f64::INFINITY, f64::NEG_INFINITY,
+    fn conversions_match_std_on_the_edges() {
+        let two = |e: i32| 2f64.powi(e);
+        let mut cases = vec![
+            0.0, -0.0, 0.25, 0.5, 0.75, 0.999_999_999, 1.0, 1.499_999_9, 1.5, 2.5, 3.5, 1e9,
+            1.5e9 + 0.5, f64::MIN_POSITIVE, -f64::MIN_POSITIVE, f64::from_bits(1),
+            -f64::from_bits(1), f64::from_bits(0x000f_ffff_ffff_ffff), 9.3e18, 2e19, f64::MAX,
+            -0.2, -0.5, -0.7, -1.0, -3.7, f64::MIN, f64::NAN, -f64::NAN, f64::INFINITY,
+            f64::NEG_INFINITY, u64::MAX as f64, i64::MAX as f64,
         ];
-        for &x in &cases {
-            assert_eq!(round_f64_u64(x), x.round() as u64, "mismatch at {x}");
+        // Neighbours of the powers of two where the fast path's
+        // assumptions change: 2^52 (no more halves), 2^53 (no more odd
+        // integers), 2^63 (the end of the `i64` range) and 2^64.
+        for e in [52, 53, 63, 64] {
+            let p = two(e);
+            cases.extend([p - 1.0, p, p + 1.0, p - 0.5, p + 2.0]);
+            cases.extend([f64::from_bits(p.to_bits() - 1), f64::from_bits(p.to_bits() + 1)]);
         }
-        // And a dense deterministic sweep around the ns magnitudes the
+        // Ties at .5 across the magnitudes where they still exist.
+        cases.extend((0..52).map(|e| two(e) + 0.5));
+        for &x in &cases {
+            assert_helpers_match_std(x);
+            assert_helpers_match_std(-x);
+        }
+        // A dense deterministic sweep around the ns magnitudes the
         // cost model actually produces.
         let mut v = 1.0_f64;
         for i in 0..200_000u64 {
-            let x = v + (i as f64) * 0.137;
-            assert_eq!(round_f64_u64(x), x.round() as u64, "mismatch at {x}");
+            assert_helpers_match_std(v + (i as f64) * 0.137);
             v += 17.31;
         }
+    }
+
+    /// Seeded random bit patterns cover every exponent and sign, NaN
+    /// payloads and subnormals; the second half draws from `[0, 2^64)`
+    /// where the fast path and its fallback meet.
+    #[test]
+    fn conversions_match_std_on_random_bit_patterns() {
+        let mut rng = crate::SimRng::seed_from_u64(0x05ee_df64);
+        for _ in 0..200_000 {
+            assert_helpers_match_std(f64::from_bits(rng.next_u64()));
+            let magnitude = 2f64.powi((rng.next_u64() % 65) as i32);
+            assert_helpers_match_std(rng.uniform(0.0, magnitude));
+        }
+    }
+
+    /// Scaling by exactly one returns `self` up to 2^53 ns, which is
+    /// what the float round trip gives there; beyond it the round trip
+    /// still runs.
+    #[test]
+    fn mul_f64_by_one_matches_the_float_round_trip() {
+        let old = |d: SimDuration, f: f64| SimDuration(round_f64_u64(d.0 as f64 * f));
+        let edge = 1u64 << 53;
+        let top = [u64::MAX / 2, u64::MAX - 1, u64::MAX];
+        for ns in (0..64).chain(edge - 64..edge + 64).chain(top) {
+            let d = SimDuration::from_nanos(ns);
+            assert_eq!(d.mul_f64(1.0), old(d, 1.0), "at {ns} ns");
+            assert_eq!(d.mul_f64(1.5), old(d, 1.5), "at {ns} ns");
+        }
+        // Above 2^53 ns the round trip is lossy and `mul_f64(1.0)` keeps
+        // it: an odd count comes back even.
+        assert_eq!(SimDuration::from_nanos(edge + 1).mul_f64(1.0).as_nanos(), edge);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! the unit the paper reports: Gbps) and data volumes are [`Bytes`].
 //! Mixing the two — the classic factor-of-8 bug — is a type error.
 
-use crate::time::SimDuration;
+use crate::time::{ceil_f64_u64, floor_f64_u64, SimDuration};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
@@ -214,13 +214,13 @@ impl BitRate {
     #[inline]
     pub fn serialize_time(self, bytes: Bytes) -> SimDuration {
         assert!(self.0 > 0.0, "cannot serialise at zero rate");
-        SimDuration::from_nanos((bytes.bits() as f64 / self.0 * 1e9).ceil() as u64)
+        SimDuration::from_nanos(ceil_f64_u64(bytes.bits() as f64 / self.0 * 1e9))
     }
 
     /// Bytes transferred in `dur` at this rate.
     #[inline]
     pub fn bytes_in(self, dur: SimDuration) -> Bytes {
-        Bytes::new((self.bytes_per_sec() * dur.as_secs_f64()).floor() as u64)
+        Bytes::new(floor_f64_u64(self.bytes_per_sec() * dur.as_secs_f64()))
     }
 
     /// Bandwidth-delay product: bytes in flight at this rate over `rtt`.

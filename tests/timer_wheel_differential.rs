@@ -75,6 +75,18 @@ impl ReferenceQueue {
         None
     }
 
+    /// Firing time of the next live entry.
+    fn peek_time(&mut self) -> Option<SimTime> {
+        while let Some(&Reverse((t, seq, _))) = self.heap.peek() {
+            if !self.cancelled.contains(&seq) {
+                return Some(t);
+            }
+            self.heap.pop();
+            self.cancelled.remove(&seq);
+        }
+        None
+    }
+
     /// Pop only if the next live entry fires at or before `end`.
     fn pop_until(&mut self, end: SimTime) -> Option<(SimTime, u64)> {
         while let Some(&Reverse((t, seq, _))) = self.heap.peek() {
@@ -582,4 +594,155 @@ fn clone_mid_lane_stream_pops_identically() {
             break;
         }
     }
+}
+
+/// Run `op` on `engine` and, once it exists, on its mid-stream clone:
+/// the two must answer alike.
+fn on_both<R: PartialEq + std::fmt::Debug>(
+    engine: &mut EventQueue<u64>,
+    copy: &mut Option<EventQueue<u64>>,
+    op: impl Fn(&mut EventQueue<u64>) -> R,
+) -> R {
+    let answer = op(engine);
+    if let Some(copy) = copy {
+        assert_eq!(op(copy), answer, "the clone diverged");
+    }
+    answer
+}
+
+/// Lanes that drain to empty and refill, over and over, mixed with
+/// wheel pushes: `peek_time` must name the next popped time after every
+/// operation, and a clone taken mid-stream must answer every later
+/// operation as the original does.
+#[test]
+fn lanes_draining_and_refilling_keep_peek_and_pop_exact() {
+    for seed in 0..8u64 {
+        let mut rng = Lcg(0x4ead ^ (seed << 19));
+        let mut engine: EventQueue<u64> = EventQueue::new();
+        let mut reference = ReferenceQueue::new();
+        let mut copy = None;
+        let mut tails = [SimTime::ZERO; 4];
+        // Pending entries per lane, and the lane of each laned payload.
+        let mut depth = [0usize; 4];
+        let mut lane_of = std::collections::HashMap::new();
+        let mut refills = 0;
+        let mut payload = 0u64;
+        for step in 0..6000u64 {
+            let now = engine.now();
+            match rng.next() % 10 {
+                // Short bursts onto a lane, often one that just drained.
+                0..=2 => {
+                    let lane = (rng.next() % 4) as usize;
+                    refills += usize::from(depth[lane] == 0);
+                    for _ in 0..1 + rng.next() % 2 {
+                        let t = now + SimDuration::from_nanos(rng.next() % 3_000);
+                        let t = t.max(tails[lane]);
+                        tails[lane] = t;
+                        assert!(on_both(&mut engine, &mut copy, |q| q.push_lane(lane, t, payload)));
+                        reference.push(t, payload);
+                        lane_of.insert(payload, lane);
+                        depth[lane] += 1;
+                        payload += 1;
+                    }
+                }
+                3 => {
+                    let t = now + SimDuration::from_nanos(rng.next() % 2_000_000);
+                    on_both(&mut engine, &mut copy, |q| q.push(t, payload));
+                    reference.push(t, payload);
+                    payload += 1;
+                }
+                // Pops outnumber pushes, so every lane keeps draining.
+                _ => {
+                    let popped = on_both(&mut engine, &mut copy, EventQueue::pop);
+                    assert_eq!(popped, reference.pop(), "divergence (seed {seed}, step {step})");
+                    if let Some(lane) = popped.and_then(|(_, p)| lane_of.remove(&p)) {
+                        depth[lane] -= 1;
+                    }
+                }
+            }
+            let peek = on_both(&mut engine, &mut copy, |q| q.peek_time());
+            assert_eq!(peek, reference.peek_time(), "peek (seed {seed}, step {step})");
+            // Clone halfway, at the first step with a lane entry pending.
+            if step >= 3000 && copy.is_none() && engine.health().lane_depth > 0 {
+                copy = Some(engine.clone());
+            }
+        }
+        assert!(refills > 300, "only {refills} refills of a drained lane (seed {seed})");
+        assert!(copy.is_some(), "no clone taken (seed {seed})");
+        while let Some(popped) = on_both(&mut engine, &mut copy, EventQueue::pop) {
+            assert_eq!(Some(popped), reference.pop(), "drain divergence (seed {seed})");
+        }
+        assert_eq!(reference.pop(), None);
+    }
+}
+
+/// `pop_until(end)` pops a lane head at exactly `end` and leaves one at
+/// `end + 1`, whichever of a lane or the wheel holds the entry.
+#[test]
+fn pop_until_bounds_lane_heads_inclusively() {
+    for on_lane in [true, false] {
+        let mut engine: EventQueue<u64> = EventQueue::new();
+        let push = |engine: &mut EventQueue<u64>, t: u64, payload| {
+            if on_lane {
+                assert!(engine.push_lane(2, SimTime::from_nanos(t), payload));
+            } else {
+                engine.push(SimTime::from_nanos(t), payload);
+            }
+        };
+        push(&mut engine, 1_000, 0);
+        push(&mut engine, 1_001, 1);
+        assert!(engine.push_lane(0, SimTime::from_nanos(5_000), 2));
+        let end = SimTime::from_nanos(1_000);
+        assert_eq!(engine.pop_until(end), Some((end, 0)));
+        assert_eq!(engine.pop_until(end), None, "a head at end + 1 popped");
+        assert_eq!(engine.peek_time(), Some(SimTime::from_nanos(1_001)));
+        assert_eq!(engine.now(), end);
+        let next = SimTime::from_nanos(1_001);
+        assert_eq!(engine.pop_until(next), Some((next, 1)));
+        assert_eq!(engine.pop_until(SimTime::from_nanos(4_999)), None);
+        assert_eq!(engine.pop(), Some((SimTime::from_nanos(5_000), 2)));
+        assert_eq!((engine.pop(), engine.peek_time()), (None, None));
+    }
+}
+
+/// Lane and wheel entries at the very end of the clock, `u64::MAX`
+/// included: the packed keys still order them, and the last one is
+/// still distinguishable from an empty queue.
+#[test]
+fn lane_times_near_the_end_of_the_clock_match_reference() {
+    let mut engine: EventQueue<u64> = EventQueue::new();
+    let mut reference = ReferenceQueue::new();
+    let max = u64::MAX;
+    let schedule = [
+        (Some(0), max - 9),
+        (None, max - 5),
+        (Some(1), max - 5),
+        (Some(0), max - 5),
+        (None, max),
+        (Some(1), max),
+        (Some(0), max),
+        (None, max - 1),
+    ];
+    for (payload, &(lane, t)) in schedule.iter().enumerate() {
+        let t = SimTime::from_nanos(t);
+        match lane {
+            Some(lane) => assert!(engine.push_lane(lane, t, payload as u64)),
+            None => engine.push(t, payload as u64),
+        }
+        reference.push(t, payload as u64);
+    }
+    assert_eq!(engine.pop_until(SimTime::from_nanos(max - 10)), None);
+    let end = SimTime::from_nanos(max - 1);
+    loop {
+        assert_eq!(engine.peek_time(), reference.peek_time());
+        let popped = engine.pop_until(end);
+        assert_eq!(popped, reference.pop_until(end));
+        if popped.is_none() {
+            break;
+        }
+    }
+    assert_eq!(engine.len(), 3, "the three entries at u64::MAX stay pending");
+    assert_eq!(engine.peek_time(), Some(SimTime::from_nanos(max)));
+    assert_drained_identically(&mut engine, &mut reference);
+    assert_eq!(engine.peek_time(), None);
 }
