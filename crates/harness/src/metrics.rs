@@ -227,6 +227,8 @@ impl MetricsHub {
         r.gauge_set("engine_queue_overflow_live", h.overflow_live as f64);
         r.describe("engine_queue_lane_depth", "Live events in the FIFO lanes");
         r.gauge_set("engine_queue_lane_depth", h.lane_depth as f64);
+        r.describe("engine_queue_lane_fallbacks", "Lane pushes filed in the wheel (behind the lane's tail)");
+        r.gauge_set("engine_queue_lane_fallbacks", h.lane_fallbacks as f64);
         r.describe("engine_queue_stale_timers", "Cancelled-timer tombstones awaiting drain");
         r.gauge_set("engine_queue_stale_timers", h.stale_timers as f64);
         r.describe("engine_queue_slab_slots", "Allocated timer-payload slab slots");
@@ -501,10 +503,12 @@ mod tests {
             free_slots: 6,
             len: 13,
             past_clamps: 0,
+            lane_fallbacks: 7,
         });
         let snap = hub.recorder().snapshot();
         assert_eq!(snap.gauges["engine_queue_near_depth"], 3.0);
         assert_eq!(snap.gauges["engine_queue_lane_depth"], 4.0);
+        assert_eq!(snap.gauges["engine_queue_lane_fallbacks"], 7.0);
         assert_eq!(snap.gauges["engine_queue_len"], 13.0);
         assert_eq!(snap.hists["engine_queue_depth"].count(), 1);
         assert!(!snap.gauges.contains_key("engine_past_clamps"));

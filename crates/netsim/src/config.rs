@@ -188,18 +188,14 @@ impl SimConfig {
         if self.workload.fq_rate.is_some() && !self.sender.sysctl.supports_fq_pacing() {
             problems.push("--fq-rate requires net.core.default_qdisc=fq".into());
         }
-        // Every rate below serialises bursts, and a zero, negative or
-        // non-finite one cannot (`BitRate::serialize_time` asserts).
+        // Every rate below serialises bursts.
         let rates = [
             ("--fq-rate", self.workload.fq_rate),
             ("path bottleneck", Some(self.path.bottleneck)),
             ("path policy cap", self.path.policy_cap),
         ];
         for (what, rate) in rates {
-            let unusable = |bps: &f64| !(*bps > 0.0 && bps.is_finite());
-            if let Some(bps) = rate.map(BitRate::as_bps).filter(unusable) {
-                problems.push(format!("{what} must be a positive, finite rate, got {bps} bit/s"));
-            }
+            problems.extend(rate.and_then(|r| r.check_positive_finite(what)));
         }
         if self.workload.telemetry.is_some_and(|t| t.is_zero()) {
             problems.push("telemetry tick must be positive".into());

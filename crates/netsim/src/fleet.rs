@@ -884,6 +884,30 @@ mod tests {
     }
 
     #[test]
+    fn unusable_class_bottlenecks_are_config_errors_not_panics() {
+        let zero = BitRate::ZERO;
+        let infinite = BitRate::gbps(1.0).mul_f64(f64::INFINITY);
+        let nan = infinite.mul_f64(0.0);
+        let mut rates = vec![zero, infinite, nan];
+        // Debug builds already refuse a negative rate where it is made.
+        if !cfg!(debug_assertions) {
+            rates.push(BitRate::from_bps(-1e9));
+        }
+        for rate in rates {
+            let mut p = small_profile(100.0, 1);
+            p.classes[0].bottleneck = rate;
+            let problems = p.validate();
+            assert_eq!(problems.len(), 1, "{rate:?}: {problems:?}");
+            assert!(problems[0].starts_with("class 'wan' bottleneck must be"), "{problems:?}");
+            match FleetSim::new(p) {
+                Err(SimError::InvalidConfig(p)) => assert_eq!(p, problems),
+                Err(e) => panic!("{rate:?}: expected InvalidConfig, got {e}"),
+                Ok(_) => panic!("{rate:?} was accepted"),
+            }
+        }
+    }
+
+    #[test]
     fn invalid_profile_is_rejected() {
         let mut p = small_profile(100.0, 1);
         p.classes.clear();

@@ -215,9 +215,8 @@ impl FleetProfile {
             problems.push("at least one class weight must be positive".into());
         }
         for class in &self.classes {
-            if class.bottleneck.is_zero() {
-                problems.push(format!("class '{}' has a zero bottleneck rate", class.name));
-            }
+            let what = format!("class '{}' bottleneck", class.name);
+            problems.extend(class.bottleneck.check_positive_finite(&what));
             if class.buffer < self.burst {
                 problems.push(format!(
                     "class '{}' buffer smaller than one burst ({} < {})",

@@ -194,6 +194,13 @@ impl HdrHistogram {
         self.sum = self.sum.saturating_add(other.sum);
     }
 
+    /// Release the bucket storage's growth slack. Recording grows it
+    /// by doubling; a histogram that will take no more samples (a
+    /// sealed interval's) need not keep the spare half.
+    pub fn shrink_to_fit(&mut self) {
+        self.counts.shrink_to_fit();
+    }
+
     /// Non-empty buckets as `(representative value, count)` pairs in
     /// ascending value order — the exposition renderers' iteration.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
@@ -452,6 +459,23 @@ mod tests {
         let mut empty = HdrHistogram::new();
         empty.merge(&before);
         assert_eq!(empty, before);
+    }
+
+    #[test]
+    fn shrink_to_fit_drops_slack_and_keeps_every_answer() {
+        let mut rng = Rng(11);
+        let mut h = HdrHistogram::new();
+        for _ in 0..1000 {
+            h.record(rng.next() % 100_000);
+        }
+        let before = h.clone();
+        h.shrink_to_fit();
+        assert_eq!(h.counts.capacity(), h.counts.len());
+        assert_eq!(h, before);
+        assert_eq!(h.quantile(0.99), before.quantile(0.99));
+        assert!(h.nonzero_buckets().eq(before.nonzero_buckets()));
+        h.record(u64::MAX);
+        assert_eq!(h.max(), Some(u64::MAX), "a shrunk histogram still grows");
     }
 
     #[test]

@@ -110,7 +110,8 @@ impl IntervalAggregator {
             }
             // Infallible: the `while let` above just observed a first
             // entry and nothing was removed since.
-            let (idx, metrics) = self.open.pop_first().expect("checked non-empty");
+            let (idx, mut metrics) = self.open.pop_first().expect("checked non-empty");
+            metrics.values_mut().for_each(HdrHistogram::shrink_to_fit);
             self.sealed.push(IntervalRecord { start: idx * self.width, width: self.width, metrics });
         }
         self.watermark = self.watermark.max(first_open);

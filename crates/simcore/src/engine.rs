@@ -260,6 +260,9 @@ pub struct QueueHealth {
     pub len: usize,
     /// Lifetime count of past-time pushes clamped to `now`.
     pub past_clamps: u64,
+    /// Lifetime count of lane pushes earlier than their lane's tail,
+    /// which went to the wheel instead.
+    pub lane_fallbacks: u64,
 }
 
 /// An event queue over an arbitrary event payload type `E`.
@@ -330,6 +333,7 @@ pub struct EventQueue<E> {
     popped: u64,
     cancelled: u64,
     past_clamps: u64,
+    lane_fallbacks: u64,
 }
 
 /// Receipt for a pending timer scheduled with
@@ -379,6 +383,7 @@ impl<E> EventQueue<E> {
             popped: 0,
             cancelled: 0,
             past_clamps: 0,
+            lane_fallbacks: 0,
         }
     }
 
@@ -434,6 +439,7 @@ impl<E> EventQueue<E> {
         let fifo = &mut self.lanes[lane];
         match fifo.back() {
             Some(&(tail, _, _)) if time < tail => {
+                self.lane_fallbacks += 1;
                 self.insert(time, seq, event);
                 return false;
             }
@@ -897,6 +903,7 @@ impl<E> EventQueue<E> {
             free_slots: self.free.len(),
             len: self.len(),
             past_clamps: self.past_clamps,
+            lane_fallbacks: self.lane_fallbacks,
         }
     }
 

@@ -254,6 +254,16 @@ impl BitRate {
         self.0 == 0.0
     }
 
+    /// The configuration problem with serialising bursts at this rate,
+    /// naming it `what`, or `None` for a positive, finite rate. A zero,
+    /// negative or non-finite rate cannot serialise (`serialize_time`
+    /// asserts), so every configured rate is checked here first.
+    pub fn check_positive_finite(self, what: &str) -> Option<String> {
+        let bps = self.0;
+        (!(bps > 0.0 && bps.is_finite()))
+            .then(|| format!("{what} must be a positive, finite rate, got {bps} bit/s"))
+    }
+
     /// Compute the average rate of `bytes` over `dur`.
     #[inline]
     pub fn average(bytes: Bytes, dur: SimDuration) -> BitRate {

@@ -74,6 +74,10 @@ pub struct Bbr {
     /// entries, newest last.
     bw_samples: [f64; BW_FILTER_LEN],
     bw_len: usize,
+    /// Bottleneck bandwidth estimate (bits/s): the filter's maximum, 0
+    /// while it is empty. Read on every ACK and transmit, so it is kept
+    /// here and refreshed wherever the filter changes.
+    btlbw: f64,
     /// Propagation estimate and when it was last re-anchored. Expires
     /// after [`MIN_RTT_EXPIRY`] (the ProbeRTT stand-in): without
     /// expiry, a path change that raises the base RTT would leave the
@@ -118,6 +122,7 @@ impl Bbr {
             mode: Mode::Startup,
             bw_samples: [0.0; BW_FILTER_LEN],
             bw_len: 0,
+            btlbw: 0.0,
             min_rtt: None,
             cwnd: init_cwnd.max(mss * super::MIN_CWND_SEGMENTS),
             init_cwnd: init_cwnd.max(mss * super::MIN_CWND_SEGMENTS),
@@ -142,9 +147,9 @@ impl Bbr {
         }
     }
 
-    /// Bottleneck bandwidth estimate (bits/s).
-    fn btlbw(&self) -> f64 {
-        self.bw_samples[..self.bw_len].iter().copied().fold(0.0, f64::max)
+    /// Recompute `btlbw` from the filter's live samples.
+    fn refresh_btlbw(&mut self) {
+        self.btlbw = self.bw_samples[..self.bw_len].iter().copied().fold(0.0, f64::max);
     }
 
     fn push_bw(&mut self, bw: f64) {
@@ -154,12 +159,13 @@ impl Bbr {
         }
         self.bw_samples[self.bw_len] = bw;
         self.bw_len += 1;
+        self.refresh_btlbw();
     }
 
     fn bdp(&self) -> Bytes {
         match self.min_rtt {
-            Some((rtt, _)) if self.btlbw() > 0.0 => {
-                Bytes::new((self.btlbw() / 8.0 * rtt.as_secs_f64()) as u64)
+            Some((rtt, _)) if self.btlbw > 0.0 => {
+                Bytes::new((self.btlbw / 8.0 * rtt.as_secs_f64()) as u64)
             }
             _ => self.init_cwnd,
         }
@@ -242,7 +248,7 @@ impl CongestionControl for Bbr {
                 // *round* (evaluating per ACK would see a flat filter
                 // within the round and bail out instantly).
                 if round_complete {
-                    let bw = self.btlbw();
+                    let bw = self.btlbw;
                     if bw > self.full_bw * 1.25 {
                         self.full_bw = bw;
                         self.full_bw_rounds = 0;
@@ -326,6 +332,7 @@ impl CongestionControl for Bbr {
                 for s in &mut self.bw_samples[..self.bw_len] {
                     *s *= V3_BW_TRIM;
                 }
+                self.refresh_btlbw();
                 let pre = self.cwnd;
                 self.cwnd = Bytes::new((self.cwnd.as_f64() * V3_BETA) as u64)
                     .max(self.mss * super::MIN_CWND_SEGMENTS);
@@ -345,6 +352,7 @@ impl CongestionControl for Bbr {
         self.full_bw = 0.0;
         self.full_bw_rounds = 0;
         self.bw_len = 0;
+        self.refresh_btlbw();
         self.round_delivered = 0.0;
         self.round_start = now;
         self.inflight_hi = None;
@@ -361,7 +369,7 @@ impl CongestionControl for Bbr {
     }
 
     fn pacing_rate(&self, srtt: SimDuration) -> BitRate {
-        let bw = self.btlbw();
+        let bw = self.btlbw;
         if bw > 0.0 {
             BitRate::from_bps(bw * self.pacing_gain())
         } else {

@@ -348,7 +348,9 @@ impl TcpSender {
             self.snd_una += 1;
         }
         // Drop any stale retransmit requests below the new left edge.
-        self.retx_queue.retain(|&idx| idx >= cum_ack);
+        if !self.retx_queue.is_empty() {
+            self.retx_queue.retain(|&idx| idx >= cum_ack);
+        }
 
         if advanced {
             self.dupacks = 0;

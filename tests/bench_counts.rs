@@ -244,3 +244,24 @@ fn fleet_1m_profile_matches_perfbench() {
          perfbench would time a different workload from the one whose event count is pinned"
     );
 }
+
+/// Lane pushes that fell back to the wheel over a whole stepped run.
+fn lane_fallbacks(name: &str) -> u64 {
+    let (_, cfg) = sim_configs()
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no scenario {name}"));
+    let mut run = Simulation::new(cfg).unwrap_or_else(|e| panic!("{name}: {e}")).start();
+    while !run.step_events(65_536).unwrap_or_else(|e| panic!("{name}: {e}")) {}
+    run.queue_health().lane_fallbacks
+}
+
+/// One stream has one pacer and one core per stage, so each lane's
+/// times never decrease and nothing falls back. Eight streams
+/// interleave their pacers and cores, and some pushes land behind
+/// another stream's later tail.
+#[test]
+fn lanes_fall_back_only_when_streams_interleave() {
+    assert_eq!(lane_fallbacks("fig05_single_stream"), 0);
+    assert!(lane_fallbacks("table3_multi_stream") > 0);
+}

@@ -536,10 +536,11 @@ fn non_monotone_lane_push_falls_back_to_the_wheel() {
     assert!(!engine.push_lane(0, SimTime::from_nanos(100), 1));
     assert!(engine.push_lane(0, SimTime::from_nanos(500), 2));
     let h = engine.health();
-    assert_eq!((h.lane_depth, h.len), (2, 3));
+    assert_eq!((h.lane_depth, h.len, h.lane_fallbacks), (2, 3, 1));
     assert_eq!(engine.peek_time(), Some(SimTime::from_nanos(100)));
     let order: Vec<u64> = std::iter::from_fn(|| engine.pop().map(|(_, p)| p)).collect();
     assert_eq!(order, [1, 0, 2]);
+    assert_eq!(engine.health().lane_fallbacks, 1, "a lifetime count, not a depth");
 
     for seed in 0..8u64 {
         let mut rng = Lcg(0xfa11 ^ (seed << 5));
@@ -745,4 +746,71 @@ fn lane_times_near_the_end_of_the_clock_match_reference() {
     assert_eq!(engine.peek_time(), Some(SimTime::from_nanos(max)));
     assert_drained_identically(&mut engine, &mut reference);
     assert_eq!(engine.peek_time(), None);
+}
+
+/// Several FIFO servers share one lane, as a simulator's flows share a
+/// lane per event kind: each server's completions never go back in
+/// time, but the merged stream does, so pushes alternate between the
+/// lane and the wheel. Times on a coarse grid make same-instant ties
+/// between laned and fallen-back entries common; a clone taken
+/// mid-stream must answer every later operation alike, and
+/// `lane_fallbacks` must count exactly the pushes that fell back.
+#[test]
+fn interleaved_server_streams_in_one_lane_match_reference() {
+    const SERVERS: usize = 4;
+    const GRID: u64 = 1_000;
+    for seed in 0..8u64 {
+        let mut rng = Lcg(0x5e4e ^ (seed << 13));
+        let mut engine: EventQueue<u64> = EventQueue::new();
+        let mut reference = ReferenceQueue::new();
+        let mut copy = None;
+        let mut busy_until = [SimTime::ZERO; SERVERS];
+        let mut laned = std::collections::HashMap::new();
+        let (mut fell_back, mut mixed_ties) = (0u64, 0u64);
+        let mut last_pop: Option<(SimTime, bool)> = None;
+        for payload in 0..8000u64 {
+            let now = engine.now();
+            match rng.next() % 8 {
+                // One server completes a job: after its previous one,
+                // never before now.
+                0..=3 => {
+                    let s = (rng.next() % SERVERS as u64) as usize;
+                    let service = SimDuration::from_nanos(GRID * (rng.next() % 4));
+                    let t = busy_until[s].max(now) + service;
+                    busy_until[s] = t;
+                    let in_lane = on_both(&mut engine, &mut copy, |q| q.push_lane(0, t, payload));
+                    fell_back += u64::from(!in_lane);
+                    laned.insert(payload, in_lane);
+                    reference.push(t, payload);
+                }
+                4 => {
+                    let t = now + SimDuration::from_nanos(GRID * (rng.next() % 8));
+                    on_both(&mut engine, &mut copy, |q| q.push(t, payload));
+                    laned.insert(payload, false);
+                    reference.push(t, payload);
+                }
+                _ => {
+                    let popped = on_both(&mut engine, &mut copy, EventQueue::pop);
+                    assert_eq!(popped, reference.pop(), "divergence (seed {seed}, step {payload})");
+                    if let Some((t, p)) = popped {
+                        let in_lane = laned.remove(&p).expect("popped payload was pushed");
+                        if last_pop.is_some_and(|(lt, ll)| lt == t && ll != in_lane) {
+                            mixed_ties += 1;
+                        }
+                        last_pop = Some((t, in_lane));
+                    }
+                }
+            }
+            assert_eq!(engine.health().lane_fallbacks, fell_back, "fallback count (seed {seed})");
+            if payload == 4000 {
+                copy = Some(engine.clone());
+            }
+        }
+        assert!(fell_back > 500, "only {fell_back} fallbacks (seed {seed})");
+        assert!(mixed_ties > 100, "only {mixed_ties} laned/wheel ties (seed {seed})");
+        while let Some(popped) = on_both(&mut engine, &mut copy, EventQueue::pop) {
+            assert_eq!(Some(popped), reference.pop(), "drain divergence (seed {seed})");
+        }
+        assert_eq!(reference.pop(), None);
+    }
 }
