@@ -58,8 +58,8 @@ pub mod iperf3 {
 pub mod prelude {
     pub use harness::experiments::{self, ExperimentId};
     pub use harness::{
-        AmLightPath, Effort, EsnetPath, FigureData, RunCache, RunCtx, Scenario, TableData,
-        TestHarness, Testbeds,
+        AmLightPath, Effort, EsnetPath, FigureData, RunCtx, Scenario, TableData, TestHarness,
+        Testbeds,
     };
     pub use iperf3sim::{Iperf3Opts, Iperf3Report, Iperf3Version};
     pub use linuxhost::{

@@ -11,15 +11,14 @@
 //! repro --trace out/ ext_telemetry  # --metrics out/ + per-tick traces, profiles
 //! REPRO_EFFORT=smoke repro fig05    # quick CI-sized run
 //! REPRO_EFFORT=full  repro all      # paper-faithful 60 s × 10 reps
-//! REPRO_CACHE_DIR=~/.cache/repro repro fig05  # content-addressed cache
 //! REPRO_JOBS=4 repro all            # cap concurrent repetitions
 //! REPRO_CHAOS=42 repro fig05        # inject harness faults, verify recovery
 //! ```
 //!
-//! The environment (`REPRO_EFFORT`, `REPRO_JOBS`, `REPRO_CACHE_DIR`,
-//! `REPRO_CHAOS`, `REPRO_CHECKPOINT_EVERY`, `REPRO_METRICS`) is
-//! resolved exactly once here, into a [`RunCtx`], and threaded
-//! explicitly through every experiment. The output directory
+//! The environment (`REPRO_EFFORT`, `REPRO_JOBS`, `REPRO_CHAOS`,
+//! `REPRO_CHECKPOINT_EVERY`, `REPRO_METRICS`) is resolved exactly once
+//! here, into a [`RunCtx`], and threaded explicitly through every
+//! experiment. The output directory
 //! (`REPRO_METRICS` or a flag) is created only once the arguments are
 //! known to name a run.
 //!
@@ -46,7 +45,7 @@
 
 use harness::experiments::{ablations, ExperimentId};
 use harness::supervise::RunLedger;
-use harness::{RunCache, RunCtx};
+use harness::RunCtx;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -211,16 +210,11 @@ fn main() {
 }
 
 /// Run one experiment and return its rendered output and its ledger;
-/// progress, wall-clock and cache hit/miss counts go to stderr. Each
-/// experiment gets a private handle onto the shared cache directory (so
-/// its hit/miss counters stay per-experiment even when `all` runs
-/// experiments concurrently) and a fresh run ledger.
+/// progress and wall-clock go to stderr. Each experiment gets a fresh
+/// run ledger, so its `failed=` count stays per-experiment even when
+/// `all` runs experiments concurrently.
 fn run_one(id: ExperimentId, ctx: &RunCtx) -> (String, Arc<RunLedger>) {
     let mut ctx = ctx.clone();
-    let cache = ctx.cache.as_ref().map(|c| {
-        Arc::new(RunCache::new(c.dir().to_path_buf()).with_cost_model_version(c.cost_model_version()))
-    });
-    ctx.cache = cache.clone();
     ctx.ledger = Arc::default();
     eprintln!("running {} at {:?} effort...", id.name(), ctx.effort);
     let start = std::time::Instant::now();
@@ -244,51 +238,16 @@ fn run_one(id: ExperimentId, ctx: &RunCtx) -> (String, Arc<RunLedger>) {
         }
     }
     let secs = start.elapsed().as_secs_f64();
-    match &cache {
-        Some(c) => {
-            // Recovery counts ride after the store count so the
-            // established "cache: H hit(s), M miss(es), S store(s)"
-            // prefix stays grep-stable for CI.
-            let recoveries = if c.stats.recoveries() > 0 {
-                format!(
-                    ", recovered {} corrupt / {} truncated / {} stale",
-                    c.stats.corrupt_recoveries(),
-                    c.stats.truncated_recoveries(),
-                    c.stats.stale_recoveries(),
-                )
-            } else {
-                String::new()
-            };
-            eprintln!(
-                "({} done in {secs:.1}s; cache: {} hit(s), {} miss(es), {} store(s){recoveries})",
-                id.name(),
-                c.stats.hits(),
-                c.stats.misses(),
-                c.stats.stores(),
-            );
-        }
-        None => eprintln!("({} done in {secs:.1}s)", id.name()),
-    }
+    eprintln!("({} done in {secs:.1}s)", id.name());
     // The machine-parseable twin of the human line above: one
     // `repro-summary` record per experiment with stable `key=value`
     // fields (CI and scripts match on these, never on the prose).
     let mut summary = format!(
-        "repro-summary experiment={} secs={secs:.1} effort={}",
+        "repro-summary experiment={} secs={secs:.1} effort={} failed={}",
         id.name(),
         format!("{:?}", ctx.effort).to_lowercase(),
+        ctx.ledger.failed_scenarios().len(),
     );
-    if let Some(c) = &cache {
-        summary.push_str(&format!(
-            " cache_hits={} cache_misses={} cache_stores={} cache_recovered_corrupt={} cache_recovered_truncated={} cache_recovered_stale={}",
-            c.stats.hits(),
-            c.stats.misses(),
-            c.stats.stores(),
-            c.stats.corrupt_recoveries(),
-            c.stats.truncated_recoveries(),
-            c.stats.stale_recoveries(),
-        ));
-    }
-    summary.push_str(&format!(" failed={}", ctx.ledger.failed_scenarios().len()));
     // Late-dropped interval samples are an aggregation bug (a watermark
     // advanced past live samples); surface them loudly but keep the
     // exit code to the scenario/ledger verdicts.
@@ -302,9 +261,6 @@ fn run_one(id: ExperimentId, ctx: &RunCtx) -> (String, Arc<RunLedger>) {
         );
     }
     eprintln!("{summary}\n");
-    if let (Some(hub), Some(c)) = (&ctx.metrics, &cache) {
-        harness::metrics::fold_cache_stats(hub.recorder(), &c.stats);
-    }
     (rendered, ctx.ledger)
 }
 
@@ -332,10 +288,9 @@ fn usage() {
                       (either flag's directory must be empty or not yet exist)\n\
          environment: REPRO_EFFORT=smoke|standard|full (default standard)\n\
                       REPRO_JOBS=<n> to cap concurrently simulating repetitions\n\
-                      REPRO_CACHE_DIR=<dir> content-addressed report cache\n\
                       REPRO_CSV_DIR=<dir> to also dump CSV data files\n\
-                      REPRO_CHAOS=<seed> inject harness faults (kills, cache\n\
-                      corruption, artefact-write failures) and verify recovery\n\
+                      REPRO_CHAOS=<seed> inject harness faults (worker kills,\n\
+                      artefact-write failures) and verify recovery\n\
                       REPRO_CHECKPOINT_EVERY=<events> checkpoint cadence\n\
                       REPRO_METRICS=<dir> same as --metrics\n\
                       REPRO_MANIFEST=<file> write the degraded-run manifest here\n\

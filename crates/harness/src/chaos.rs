@@ -1,18 +1,17 @@
 //! Harness-level fault injection (`REPRO_CHAOS=<seed>`).
 //!
 //! Chaos mode attacks the *harness*, never the simulation: workers are
-//! killed (panicked) at pseudo-random event counts, freshly stored
-//! cache entries are corrupted or truncated on disk, and the metrics
+//! killed (panicked) at pseudo-random event counts, and the metrics
 //! hub's per-repetition artefact writes fail through the
 //! [`crate::trace::TraceIo`] shim. The supervision layer
-//! ([`crate::supervise`]) must absorb all of it — resume from the last
-//! checkpoint, recompute poisoned cache entries, degrade a lost
-//! artefact to a warning — while the final reports stay bit-identical
-//! to a chaos-free run and every repetition is accounted for.
+//! ([`crate::supervise`]) must absorb both — resume from the last
+//! checkpoint, degrade a lost artefact to a warning — while the final
+//! reports stay bit-identical to a chaos-free run and every repetition
+//! is accounted for.
 //!
 //! Every injection decision is a pure function of the chaos seed and
 //! the identity of the thing being attacked (run seed, resume round,
-//! entry path), so a chaos run is exactly as reproducible as a normal
+//! artefact path), so a chaos run is exactly as reproducible as a normal
 //! one: same seed, same faults, same recoveries.
 
 use crate::trace::{RealIo, TraceIo};
@@ -24,7 +23,6 @@ use std::sync::Arc;
 /// Decision-space salts, one per fault class (keeps the per-class
 /// decision streams independent).
 const SALT_KILL: u64 = 0x6b69_6c6c; // "kill"
-const SALT_CACHE: u64 = 0x6361_6368; // "cach"
 const SALT_TRACE: u64 = 0x7472_6163; // "trac"
 
 /// Percent chance a fresh worker is killed mid-run.
@@ -32,26 +30,14 @@ const KILL_PCT_FIRST: u64 = 40;
 /// Percent chance a *resumed* worker is killed again (kept low so a
 /// repetition almost surely completes within the resume cap).
 const KILL_PCT_RESUMED: u64 = 20;
-/// Percent chance a newly stored cache entry is poisoned.
-const CACHE_PCT: u64 = 50;
 /// Percent chance a per-repetition artefact write fails.
 const TRACE_PCT: u64 = 30;
-
-/// How a poisoned cache entry is damaged on disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheDamage {
-    /// Drop the tail of the file (header `len` check must catch it).
-    Truncate,
-    /// Flip one payload bit (header checksum must catch it).
-    BitFlip,
-}
 
 /// Injection counters, readable while runs are in flight.
 #[derive(Debug, Default)]
 pub struct ChaosStats {
     kills: AtomicU64,
     resumes: AtomicU64,
-    cache_corruptions: AtomicU64,
     trace_failures: AtomicU64,
 }
 
@@ -67,11 +53,6 @@ impl ChaosStats {
         self.resumes.load(Ordering::Relaxed)
     }
 
-    /// Cache entries corrupted or truncated after a store.
-    pub fn cache_corruptions(&self) -> u64 {
-        self.cache_corruptions.load(Ordering::Relaxed)
-    }
-
     /// Artefact writes failed through the io shim.
     pub fn trace_failures(&self) -> u64 {
         self.trace_failures.load(Ordering::Relaxed)
@@ -79,7 +60,7 @@ impl ChaosStats {
 
     /// Total faults injected across all classes.
     pub fn total(&self) -> u64 {
-        self.kills() + self.cache_corruptions() + self.trace_failures()
+        self.kills() + self.trace_failures()
     }
 
     pub(crate) fn count_kill(&self) {
@@ -90,10 +71,6 @@ impl ChaosStats {
         self.resumes.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn count_cache_corruption(&self) {
-        self.cache_corruptions.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn count_trace_failure(&self) {
         self.trace_failures.fetch_add(1, Ordering::Relaxed);
     }
@@ -101,10 +78,9 @@ impl ChaosStats {
     /// One-line summary for the end-of-run report.
     pub fn summary(&self) -> String {
         format!(
-            "chaos: {} worker kill(s) ({} resumed from checkpoint), {} cache corruption(s), {} trace failure(s)",
+            "chaos: {} worker kill(s) ({} resumed from checkpoint), {} trace failure(s)",
             self.kills(),
             self.resumes(),
-            self.cache_corruptions(),
             self.trace_failures(),
         )
     }
@@ -165,46 +141,10 @@ impl ChaosPlan {
         }
     }
 
-    /// Should the just-stored cache entry for `run_seed` be poisoned —
-    /// and how? Only *fresh* stores are attacked (the caller skips
-    /// entries that already survived a corruption), so a recomputed
-    /// entry heals instead of being re-poisoned forever.
-    pub fn cache_damage(&self, run_seed: u64) -> Option<CacheDamage> {
-        let r = self.roll(SALT_CACHE, run_seed, 0);
-        if r % 100 < CACHE_PCT {
-            Some(if (r >> 8).is_multiple_of(2) {
-                CacheDamage::Truncate
-            } else {
-                CacheDamage::BitFlip
-            })
-        } else {
-            None
-        }
-    }
-
     /// Should this artefact write fail?
     pub fn trace_write_fails(&self, path: &Path) -> bool {
         let h = simcore::fnv1a_64(path.to_string_lossy().as_bytes());
         self.roll(SALT_TRACE, h, 0) % 100 < TRACE_PCT
-    }
-
-    /// Apply `damage` to the cache entry at `path` (counted). Best
-    /// effort: a vanished file is fine, the point is the next lookup.
-    pub fn damage_entry(&self, path: &Path, damage: CacheDamage) {
-        let Ok(mut bytes) = std::fs::read(path) else { return };
-        match damage {
-            CacheDamage::Truncate => {
-                bytes.truncate(bytes.len().saturating_sub(bytes.len() / 4).max(1));
-            }
-            CacheDamage::BitFlip => {
-                if let Some(last) = bytes.last_mut() {
-                    *last ^= 0x10;
-                }
-            }
-        }
-        if std::fs::write(path, &bytes).is_ok() {
-            self.stats.count_cache_corruption();
-        }
     }
 }
 
@@ -251,7 +191,6 @@ mod tests {
         let b = ChaosPlan::new(7);
         for seed in 0..50u64 {
             assert_eq!(a.kill_after(seed, 0), b.kill_after(seed, 0));
-            assert_eq!(a.cache_damage(seed), b.cache_damage(seed));
         }
         let p = PathBuf::from("/tmp/x_rep0.jsonl");
         assert_eq!(a.trace_write_fails(&p), b.trace_write_fails(&p));
@@ -278,15 +217,6 @@ mod tests {
                 assert!(off >= 5_000);
             }
         }
-    }
-
-    #[test]
-    fn both_damage_kinds_occur() {
-        let plan = ChaosPlan::new(9);
-        let kinds: Vec<CacheDamage> =
-            (0..200u64).filter_map(|s| plan.cache_damage(s)).collect();
-        assert!(kinds.contains(&CacheDamage::Truncate));
-        assert!(kinds.contains(&CacheDamage::BitFlip));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The run context: everything the environment used to leak into
 //! arbitrary call sites, resolved once at harness entry.
 //!
-//! `Effort::from_env`, `REPRO_CACHE_DIR`, `REPRO_CHAOS` and
-//! `REPRO_CHECKPOINT_EVERY` are read exactly once — by
-//! [`RunCtx::from_env`] in the `repro` binary — and threaded explicitly
-//! from there. `REPRO_JOBS` sizes the process-wide scheduler gate
+//! `Effort::from_env`, `REPRO_CHAOS` and `REPRO_CHECKPOINT_EVERY` are
+//! read exactly once — by [`RunCtx::from_env`] in the `repro` binary —
+//! and threaded explicitly from there. `REPRO_JOBS` sizes the process-wide scheduler gate
 //! (`sched::global_gate`) on its first use. `REPRO_METRICS` names a directory the hub creates, so
 //! `repro` resolves it itself, after parsing its arguments. Tests
 //! build a [`RunCtx`] directly and never touch process-global
@@ -13,7 +12,6 @@
 //! account, a [`RunLedger`]: no counter of failed scenarios or dropped
 //! samples lives outside it.
 
-use crate::cache::RunCache;
 use crate::chaos::ChaosPlan;
 use crate::effort::Effort;
 use crate::metrics::MetricsHub;
@@ -26,8 +24,6 @@ use std::sync::Arc;
 pub struct RunCtx {
     /// Simulation effort (repetitions and durations).
     pub effort: Effort,
-    /// Content-addressed report cache (`REPRO_CACHE_DIR`).
-    pub cache: Option<Arc<RunCache>>,
     /// Harness-level fault injection (`REPRO_CHAOS=<seed>`).
     pub chaos: Option<Arc<ChaosPlan>>,
     /// Checkpoint cadence override (`REPRO_CHECKPOINT_EVERY`, events;
@@ -37,7 +33,7 @@ pub struct RunCtx {
     /// `--trace <dir>` for a per-tick one): HDR-histogram registry,
     /// OpenMetrics exposition, per-repetition artefacts, phase spans,
     /// live heartbeat. Observer-neutral unless per-tick — attaching a
-    /// plain hub never changes simulation results or cache eligibility.
+    /// plain hub never changes simulation results or turns observers on.
     pub metrics: Option<Arc<MetricsHub>>,
     /// The run ledger every harness this context builds records into,
     /// and where experiments record wrong results and late-dropped
@@ -46,12 +42,11 @@ pub struct RunCtx {
 }
 
 impl RunCtx {
-    /// A context at the given effort, with no metrics hub, no cache, and
-    /// no chaos — what tests and library callers start from.
+    /// A context at the given effort, with no metrics hub and no chaos —
+    /// what tests and library callers start from.
     pub fn new(effort: Effort) -> Self {
         RunCtx {
             effort,
-            cache: None,
             chaos: None,
             checkpoint_every: 0,
             metrics: None,
@@ -59,9 +54,9 @@ impl RunCtx {
         }
     }
 
-    /// Resolve the environment once: `REPRO_EFFORT`,
-    /// `REPRO_CACHE_DIR`, `REPRO_CHAOS`, `REPRO_CHECKPOINT_EVERY`. The
-    /// metrics hub stays unset: building one creates its directory.
+    /// Resolve the environment once: `REPRO_EFFORT`, `REPRO_CHAOS`,
+    /// `REPRO_CHECKPOINT_EVERY`. The metrics hub stays unset: building
+    /// one creates its directory.
     pub fn from_env() -> Self {
         let checkpoint_every = std::env::var("REPRO_CHECKPOINT_EVERY")
             .ok()
@@ -77,18 +72,11 @@ impl RunCtx {
             .unwrap_or(0);
         RunCtx {
             effort: Effort::from_env(),
-            cache: RunCache::from_env().map(Arc::new),
             chaos: ChaosPlan::from_env().map(Arc::new),
             checkpoint_every,
             metrics: None,
             ledger: Arc::default(),
         }
-    }
-
-    /// Builder: consult and fill `cache`.
-    pub fn with_cache(mut self, cache: Arc<RunCache>) -> Self {
-        self.cache = Some(cache);
-        self
     }
 
     /// Builder: inject harness faults per `chaos`.
@@ -131,7 +119,6 @@ impl RunCtx {
     /// context's ledger.
     pub fn harness_with_reps(&self, repetitions: usize) -> TestHarness {
         let mut h = TestHarness::new(repetitions).with_supervisor(self.supervisor());
-        h.cache = self.cache.clone();
         h.ledger = self.ledger.clone();
         h
     }
@@ -150,11 +137,9 @@ mod tests {
 
     #[test]
     fn harness_inherits_ctx_settings() {
-        let cache = Arc::new(RunCache::new("/tmp/nonexistent-cache-dir-for-test"));
-        let ctx = RunCtx::new(Effort::Smoke).with_cache(cache);
+        let ctx = RunCtx::new(Effort::Smoke);
         let h = ctx.harness();
         assert_eq!(h.repetitions, Effort::Smoke.repetitions());
-        assert!(h.cache.is_some());
         assert_eq!(ctx.harness_with_reps(1).repetitions, 1);
     }
 
@@ -162,7 +147,6 @@ mod tests {
     fn plain_ctx_has_no_observers() {
         let ctx = RunCtx::new(Effort::Smoke);
         let h = ctx.harness();
-        assert!(h.cache.is_none());
         assert!(h.supervisor.chaos().is_none());
         assert!(h.supervisor.metrics().is_none());
     }

@@ -180,7 +180,7 @@ pub fn run_profile(
         FleetSim::new(profile.clone()).map(|sim| configure(sim).start())
     });
     if let Some(hub) = &ctx.metrics {
-        hub.rep_finished(false, outcome.is_err(), wall_start.elapsed());
+        hub.rep_finished(outcome.is_err(), wall_start.elapsed());
     }
     if let Err(f) = &outcome {
         eprintln!("warning: scenario '{}': {}", profile.name, f.error);

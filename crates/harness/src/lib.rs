@@ -16,16 +16,12 @@
 //!   not loop positions.
 //! * [`sched`] — the bounded work-conserving pool and the process-wide
 //!   concurrency gate (`REPRO_JOBS`).
-//! * [`cache`] — the content-addressed run cache (`REPRO_CACHE_DIR`):
-//!   checksummed JSON reports keyed on canonical scenario + seed +
-//!   cost-model version, with corrupt/truncated/stale entries counted
-//!   and self-healed.
 //! * [`supervise`] — the run supervisor: crash isolation, wall-clock
 //!   deadlines, checkpoint/resume, the defect/host-failure error
 //!   taxonomy, and the degraded-run ledger.
 //! * [`chaos`] — seeded harness-fault injection (`REPRO_CHAOS`):
-//!   worker kills, cache corruption, trace-write failures.
-//! * [`ctx`] — [`ctx::RunCtx`]: effort, metrics hub, cache, chaos and
+//!   worker kills and trace-write failures.
+//! * [`ctx`] — [`ctx::RunCtx`]: effort, metrics hub, chaos and
 //!   parallelism resolved once at entry and threaded explicitly.
 //! * [`metrics`] — the run-output hub (`--metrics <dir>` /
 //!   `REPRO_METRICS`; `--trace <dir>` is the per-tick variant), the one
@@ -50,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod chaos;
 pub mod ctx;
 pub mod effort;
@@ -64,7 +59,6 @@ pub mod supervise;
 pub mod testbeds;
 pub mod trace;
 
-pub use cache::{CacheFault, RunCache};
 pub use chaos::{ChaosPlan, ChaosStats};
 pub use ctx::RunCtx;
 pub use effort::Effort;

@@ -7,12 +7,11 @@
 //! the harness and supervisor. Everything here honours the
 //! observer-neutrality contract (DESIGN.md §6h): the hub is consulted
 //! only *between* repetitions and at checkpoint barriers, never inside
-//! the event loop, and no simulation input (seeds, options, cache
-//! eligibility) depends on whether it exists — so metrics-on runs are
-//! bit-identical to metrics-off runs. The one exception is opt-in: a
-//! *per-tick* hub (`--trace <dir>`, [`MetricsHub::with_per_tick`])
-//! forces a 1 s telemetry tick and bottleneck attribution onto every
-//! repetition, which makes those runs bypass the cache.
+//! the event loop, and no simulation input (seeds, options) depends on
+//! whether it exists — so metrics-on runs are bit-identical to
+//! metrics-off runs. The one exception is opt-in: a *per-tick* hub
+//! (`--trace <dir>`, [`MetricsHub::with_per_tick`]) forces a 1 s
+//! telemetry tick and bottleneck attribution onto every repetition.
 //!
 //! Outputs, all in the hub's one directory:
 //!
@@ -20,7 +19,7 @@
 //!   registry (counters, gauges, histogram summaries), written at the
 //!   end of the invocation;
 //! * `spans.jsonl` — phase spans (`setup`/`steady`/`drain` in wall
-//!   time, `warmup`/`steady` in sim time, `checkpoint`, `cache_lookup`);
+//!   time, `warmup`/`steady` in sim time, `checkpoint`);
 //! * per surviving repetition, written by `MetricsHub::write_rep`
 //!   through the [`TraceIo`] shim (so chaos mode covers every write):
 //!   * `<label>_rep<i>.intervals.jsonl` — always: a fixed-width interval
@@ -32,7 +31,7 @@
 //!     and the simulated-`perf` profiles rendered by [`crate::trace`].
 //!
 //! The heartbeat is a throttled (≥ 1 s apart) single-line progress
-//! report on stderr: repetitions done/cached/failed, aggregate
+//! report on stderr: repetitions done/failed, aggregate
 //! events/s, and an ETA extrapolated from mean repetition wall time
 //! over the scheduler gate's parallelism.
 
@@ -65,7 +64,6 @@ pub struct MetricsHub {
     // because only one thread may print at a time anyway.
     expected: AtomicU64,
     done: AtomicU64,
-    cached: AtomicU64,
     failed: AtomicU64,
     events: AtomicU64,
     busy_nanos: AtomicU64,
@@ -96,7 +94,6 @@ impl MetricsHub {
             start: now,
             expected: AtomicU64::new(0),
             done: AtomicU64::new(0),
-            cached: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             events: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
@@ -149,23 +146,15 @@ impl MetricsHub {
     }
 
     /// Record one finished repetition and maybe emit a heartbeat line.
-    /// `cached` repetitions were served from the run cache; `failed`
-    /// ones produced no report.
-    pub fn rep_finished(&self, cached: bool, failed: bool, wall: Duration) {
+    /// `failed` repetitions produced no report.
+    pub fn rep_finished(&self, failed: bool, wall: Duration) {
         self.done.fetch_add(1, Ordering::Relaxed);
-        if cached {
-            self.cached.fetch_add(1, Ordering::Relaxed);
-        }
         if failed {
             self.failed.fetch_add(1, Ordering::Relaxed);
         }
         self.busy_nanos.fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-        self.recorder.describe("repro_reps", "Repetitions finished (cached, simulated or failed)");
+        self.recorder.describe("repro_reps", "Repetitions finished (simulated or failed)");
         self.recorder.counter_add("repro_reps", 1);
-        if cached {
-            self.recorder.describe("repro_reps_cached", "Repetitions served from the run cache");
-            self.recorder.counter_add("repro_reps_cached", 1);
-        }
         if failed {
             self.recorder.describe("repro_reps_failed", "Repetitions that produced no report");
             self.recorder.counter_add("repro_reps_failed", 1);
@@ -187,7 +176,6 @@ impl MetricsHub {
         }
         let done = self.done.load(Ordering::Relaxed);
         let expected = self.expected.load(Ordering::Relaxed).max(done);
-        let cached = self.cached.load(Ordering::Relaxed);
         let failed = self.failed.load(Ordering::Relaxed);
         let events = self.events.load(Ordering::Relaxed);
         let elapsed = self.start.elapsed().as_secs_f64().max(1e-9);
@@ -202,7 +190,7 @@ impl MetricsHub {
             "-".to_string()
         };
         eprintln!(
-            "heartbeat: reps {done}/{expected} ({cached} cached, {failed} failed) | {} events/s | ETA {eta}",
+            "heartbeat: reps {done}/{expected} ({failed} failed) | {} events/s | ETA {eta}",
             human_rate(rate),
         );
     }
@@ -382,23 +370,6 @@ fn human_rate(rate: f64) -> String {
     }
 }
 
-/// Fold final cache statistics into the registry (called per
-/// experiment by `repro` with that experiment's private cache handle).
-pub fn fold_cache_stats(recorder: &Recorder, stats: &crate::cache::CacheStats) {
-    recorder.describe("cache_hits", "Repetitions served from the run cache");
-    recorder.counter_add("cache_hits", stats.hits());
-    recorder.describe("cache_misses", "Cache lookups that simulated instead");
-    recorder.counter_add("cache_misses", stats.misses());
-    recorder.describe("cache_stores", "Reports written to the run cache");
-    recorder.counter_add("cache_stores", stats.stores());
-    recorder.describe("cache_recovered_corrupt", "Corrupt cache entries recomputed");
-    recorder.counter_add("cache_recovered_corrupt", stats.corrupt_recoveries());
-    recorder.describe("cache_recovered_truncated", "Truncated cache entries recomputed");
-    recorder.counter_add("cache_recovered_truncated", stats.truncated_recoveries());
-    recorder.describe("cache_recovered_stale", "Stale cache entries recomputed");
-    recorder.counter_add("cache_recovered_stale", stats.stale_recoveries());
-}
-
 /// Fold the run ledger (its repetition totals and late-drop count) and
 /// (when present) chaos statistics into the registry — called once at
 /// the end of a `repro` invocation with every experiment's ledger
@@ -431,8 +402,6 @@ pub fn fold_run_totals(
         recorder.counter_add("chaos_worker_kills", stats.kills());
         recorder.describe("chaos_resumes", "Checkpoint resumes after chaos kills");
         recorder.counter_add("chaos_resumes", stats.resumes());
-        recorder.describe("chaos_cache_corruptions", "Chaos-poisoned cache entries");
-        recorder.counter_add("chaos_cache_corruptions", stats.cache_corruptions());
         recorder.describe("chaos_trace_failures", "Chaos-failed run-artefact writes");
         recorder.counter_add("chaos_trace_failures", stats.trace_failures());
     }
@@ -461,12 +430,12 @@ mod tests {
     fn hub_writes_exposition_and_spans() {
         let dir = std::env::temp_dir().join(format!("metrics_hub_{}", std::process::id()));
         let hub = MetricsHub::new(&dir).expect("hub dir");
-        hub.recorder().counter_add("cache_hits", 2);
+        hub.recorder().counter_add("repro_reps", 2);
         hub.span("fig05/rep0", "steady", "sim_s", 0.0, 4.0);
         let path = hub.write_exposition().expect("write");
         let text = std::fs::read_to_string(&path).expect("read back");
-        assert!(text.contains("# TYPE cache_hits counter"));
-        assert!(text.contains("cache_hits_total 2"));
+        assert!(text.contains("# TYPE repro_reps counter"));
+        assert!(text.contains("repro_reps_total 2"));
         assert!(text.ends_with("# EOF\n"));
         let spans = std::fs::read_to_string(dir.join("spans.jsonl")).expect("spans");
         assert!(spans.contains("\"name\":\"steady\""));
@@ -479,10 +448,9 @@ mod tests {
         let hub = MetricsHub::new(&dir).expect("hub dir");
         hub.expect_reps(4);
         hub.add_events(1000);
-        hub.rep_finished(true, false, Duration::from_millis(5));
-        hub.rep_finished(false, true, Duration::from_millis(7));
+        hub.rep_finished(false, Duration::from_millis(5));
+        hub.rep_finished(true, Duration::from_millis(7));
         assert_eq!(hub.done.load(Ordering::Relaxed), 2);
-        assert_eq!(hub.cached.load(Ordering::Relaxed), 1);
         assert_eq!(hub.failed.load(Ordering::Relaxed), 1);
         let snap = hub.recorder().snapshot();
         assert_eq!(snap.hists["repro_rep_wall_ms"].count(), 2);

@@ -11,9 +11,7 @@
 //! Seeds are *derived*, not positional: repetition `i` of a scenario
 //! runs on `derive_seed(scenario.fingerprint(), base_seed, i)`, so a
 //! scenario's seeds depend only on what it is — never on where it sits
-//! in a grid or which loop launched it. When a [`RunCache`] is
-//! attached, each repetition is looked up by content address before
-//! simulating and stored after.
+//! in a grid or which loop launched it.
 //!
 //! Every repetition gets exactly one attempt, on its derived seed. Real
 //! campaigns lose repetitions (a host reboots, a watchdog fires): a
@@ -22,7 +20,6 @@
 //! repetition produced a report. A simulator defect on any seed still
 //! fails its scenario in the [`RunLedger`], which names that seed.
 
-use crate::cache::RunCache;
 use crate::scenario::Scenario;
 use crate::sched;
 use crate::supervise::{json_unescape, ErrorClass, RunLedger, ScenarioRecord, Supervisor};
@@ -197,11 +194,6 @@ pub struct TestHarness {
     /// Run repetitions on parallel threads (bounded by the process-wide
     /// scheduler gate).
     pub parallel: bool,
-    /// Content-addressed report cache, consulted per repetition before
-    /// simulating and filled after. Repetitions that carry observers
-    /// (telemetry sampling or attribution, e.g. under a per-tick
-    /// metrics hub) bypass it.
-    pub cache: Option<Arc<RunCache>>,
     /// Crash isolation, deadline, checkpoints, chaos schedule — every
     /// repetition runs under it (see [`crate::supervise`]).
     pub supervisor: Supervisor,
@@ -216,7 +208,6 @@ impl Default for TestHarness {
             repetitions: 5,
             base_seed: 1000,
             parallel: true,
-            cache: None,
             supervisor: Supervisor::default(),
             ledger: Arc::default(),
         }
@@ -301,10 +292,9 @@ impl TestHarness {
         let wall_start = std::time::Instant::now();
         let outcome = self.attempt(scenario, seed);
         if let Some(hub) = self.supervisor.metrics() {
-            let cached = matches!(outcome, Ok((_, true)));
-            hub.rep_finished(cached, outcome.is_err(), wall_start.elapsed());
+            hub.rep_finished(outcome.is_err(), wall_start.elapsed());
         }
-        outcome.map(|(report, _)| report)
+        outcome
     }
 
     /// Aggregate one scenario's repetition slots into a summary (or a
@@ -384,10 +374,8 @@ impl TestHarness {
         (reports, failures)
     }
 
-    /// One supervised simulation run. The boolean is `true` when
-    /// the report came straight from the cache (the heartbeat and the
-    /// structured summary distinguish cached from simulated reps).
-    fn attempt(&self, scenario: &Scenario, seed: u64) -> Result<(Iperf3Report, bool), FailedRep> {
+    /// One supervised simulation run.
+    fn attempt(&self, scenario: &Scenario, seed: u64) -> Slot {
         let mut opts = scenario.opts.clone().seed(seed);
         // A per-tick hub (`--trace`) needs samples: default to a 1 s
         // tick unless the scenario already chose one, and turn on
@@ -402,72 +390,23 @@ impl TestHarness {
         // The simulation itself always runs under the supervisor:
         // crash-isolated, stepped under a wall-clock deadline, and —
         // when chaos is on — killed and resumed per the schedule.
-        let simulate = || {
-            let result = self.supervisor.drive(seed, || {
-                iperf3sim::start_session(
-                    &scenario.client,
-                    &scenario.server,
-                    &scenario.path,
-                    &opts,
-                    &scenario.faults,
-                    scenario.event_budget,
-                )
-            })?;
-            // Run-level warnings (e.g. past-scheduled events clamped by
-            // the release-mode queue) don't fail the run, but the
-            // report is suspect and the reader should know.
-            for warning in result.warnings() {
-                eprintln!("warning: {warning}");
-            }
-            Ok::<_, FailedRep>(Iperf3Report::from_run(
-                opts.command_line(&scenario.server.name),
-                &result,
-            ))
-        };
-        // Observer-free runs are pure functions of (scenario, seed):
-        // consult the content-addressed cache before simulating, fill
-        // it after. Runs carrying telemetry/attribution bypass it (the
-        // cached payload deliberately excludes observer data).
-        let cacheable = opts.telemetry.is_none() && !opts.attribution;
-        if cacheable {
-            if let Some(cache) = &self.cache {
-                let key = cache.key(scenario, seed);
-                let lookup_start = self.supervisor.metrics().map(|hub| hub.wall_now());
-                let looked_up = cache.lookup_detail(&key);
-                if let (Some(hub), Some(start)) = (self.supervisor.metrics(), lookup_start) {
-                    hub.span(
-                        format!("{}/seed_{seed:016x}", scenario.label),
-                        "cache_lookup",
-                        "wall_s",
-                        start,
-                        hub.wall_now() - start,
-                    );
-                }
-                let clean_miss = match looked_up {
-                    Ok(Some(report)) => return Ok((report, true)),
-                    Ok(None) => true,
-                    // Corrupt/truncated/stale entry: already counted
-                    // and logged by the cache — recompute and overwrite
-                    // (self-heal).
-                    Err(_fault) => false,
-                };
-                let report = simulate()?;
-                cache.store(&key, &report);
-                // Chaos poisons only entries stored after a clean
-                // miss: a store that just healed a poisoned entry is
-                // left alone, so the cache converges instead of
-                // being re-corrupted forever.
-                if clean_miss {
-                    if let Some(chaos) = self.supervisor.chaos() {
-                        if let Some(damage) = chaos.cache_damage(seed) {
-                            chaos.damage_entry(&cache.entry_path(&key), damage);
-                        }
-                    }
-                }
-                return Ok((report, false));
-            }
+        let result = self.supervisor.drive(seed, || {
+            iperf3sim::start_session(
+                &scenario.client,
+                &scenario.server,
+                &scenario.path,
+                &opts,
+                &scenario.faults,
+                scenario.event_budget,
+            )
+        })?;
+        // Run-level warnings (e.g. past-scheduled events clamped by
+        // the release-mode queue) don't fail the run, but the report is
+        // suspect and the reader should know.
+        for warning in result.warnings() {
+            eprintln!("warning: {warning}");
         }
-        simulate().map(|report| (report, false))
+        Ok(Iperf3Report::from_run(opts.command_line(&scenario.server.name), &result))
     }
 
     fn aggregate(
@@ -594,24 +533,18 @@ mod tests {
     fn watchdog_failures_recorded_per_seed() {
         // An absurdly small event budget trips the watchdog on every
         // seed: at every effort, each repetition gets exactly one
-        // attempt (one cache lookup, no perturbed seed), the failure is
-        // recorded against its derived seed, and the ledger fails the
-        // scenario naming that seed and the class.
+        // attempt (no perturbed seed), the failure is recorded against
+        // its derived seed, and the ledger fails the scenario naming
+        // that seed and the class.
         let sc = scenario().with_faults(FaultPlan::none()).with_event_budget(10);
         for effort in [Effort::Smoke, Effort::Standard, Effort::Full] {
-            let cache = Arc::new(RunCache::new(std::env::temp_dir().join(format!(
-                "runner_watchdog_{effort:?}_{}",
-                std::process::id()
-            ))));
-            let mut h = TestHarness::new(2)
+            let h = TestHarness::new(2)
                 .with_base_seed(7)
                 .with_supervisor(Supervisor::for_effort(effort));
-            h.cache = Some(cache.clone());
             let err = h.run(&sc).unwrap_err();
             let ScenarioError::AllRepetitionsFailed { failures, .. } = err else {
                 panic!("{effort:?}: expected AllRepetitionsFailed, got {err}");
             };
-            assert_eq!((cache.stats.misses(), cache.stats.stores()), (2, 0), "{effort:?}");
             assert_eq!(failures.len(), 2, "{effort:?}");
             let failed = h.ledger.failed_scenarios();
             assert_eq!(failed.len(), 1, "{effort:?}: {failed:?}");

@@ -70,7 +70,7 @@ impl Scenario {
     }
 
     /// The scenario's stable 64-bit fingerprint — the identity seeds
-    /// and cache keys derive from. `label` (and the hosts'/path's
+    /// derive from. `label` (and the hosts'/path's
     /// display names) are excluded, so renaming never re-seeds a run.
     pub fn fingerprint(&self) -> u64 {
         use simcore::Canonicalize;

@@ -9,16 +9,17 @@
 //! * every repetition — an iperf3-style session or a fleet run —
 //!   executes under [`Supervisor::drive`], inside `catch_unwind`,
 //!   stepped in bounded event chunks with a wall-clock deadline and
-//!   periodic [checkpoints](netsim::Checkpoint) — a crashed worker
-//!   resumes from its last snapshot instead of taking the whole harness
-//!   down;
+//!   periodic [checkpoints](netsim::Checkpoint) — a worker killed by
+//!   chaos mode resumes from its last snapshot, and any other panic
+//!   fails its repetition instead of taking the whole harness down;
 //! * every repetition gets exactly one attempt, on its derived seed.
 //!   A failure carries an [`ErrorClass`] that says whose fault it was:
 //!   a simulator defect (a watchdog trip, state corruption, a
-//!   conservation violation) is deterministic in its seed and fails its
-//!   scenario naming that seed, while a host failure (a worker that
-//!   died past its resume allowance, an overrun deadline) only degrades
-//!   the run — a same-seed rerun would replay the same events;
+//!   conservation violation, a panic) is deterministic in its seed and
+//!   fails its scenario naming that seed, while a host failure (a
+//!   worker that died past its resume allowance, an overrun deadline)
+//!   only degrades the run — a same-seed rerun would replay the same
+//!   events;
 //! * every scenario reports into its experiment's [`RunLedger`], from
 //!   which `repro` derives its exit code and builds the degraded-run
 //!   manifest (exit code 3) when repetitions went missing.
@@ -38,8 +39,13 @@ use std::time::{Duration, Instant};
 const STEP_CHUNK: u64 = 65_536;
 
 /// A worker that keeps dying is eventually declared dead for real:
-/// after this many unwinds the repetition fails as [`ErrorClass::WorkerDeath`].
+/// after this many chaos kills the repetition fails as
+/// [`ErrorClass::WorkerDeath`].
 const MAX_RESUMES: u32 = 8;
+
+/// The unwind payload of a chaos kill. [`Supervisor::drive`] resumes
+/// only this payload; every other unwind is a real panic.
+struct ChaosKill;
 
 /// Checkpoint cadence used when chaos is on but no explicit
 /// `REPRO_CHECKPOINT_EVERY` was given.
@@ -63,7 +69,10 @@ pub enum ErrorClass {
     StateCorruption,
     /// End-of-run burst accounting did not balance.
     ConservationViolation,
-    /// The worker panicked and exhausted its resume allowance.
+    /// The simulation panicked (a bug, not a chaos kill).
+    Panic,
+    /// The worker was killed and exhausted its resume allowance, or
+    /// died before reporting a result.
     WorkerDeath,
     /// The repetition overran its wall-clock deadline.
     DeadlineExceeded,
@@ -71,12 +80,13 @@ pub enum ErrorClass {
 
 impl ErrorClass {
     /// All classes, for exhaustive tests.
-    pub const ALL: [ErrorClass; 7] = [
+    pub const ALL: [ErrorClass; 8] = [
         ErrorClass::InvalidConfig,
         ErrorClass::WatchdogBudget,
         ErrorClass::WatchdogLivelock,
         ErrorClass::StateCorruption,
         ErrorClass::ConservationViolation,
+        ErrorClass::Panic,
         ErrorClass::WorkerDeath,
         ErrorClass::DeadlineExceeded,
     ];
@@ -89,6 +99,7 @@ impl ErrorClass {
             ErrorClass::WatchdogLivelock => "watchdog-livelock",
             ErrorClass::StateCorruption => "state-corruption",
             ErrorClass::ConservationViolation => "conservation-violation",
+            ErrorClass::Panic => "panic",
             ErrorClass::WorkerDeath => "worker-death",
             ErrorClass::DeadlineExceeded => "deadline-exceeded",
         }
@@ -115,11 +126,11 @@ impl ErrorClass {
         }
     }
 
-    /// Is this a simulator defect? A watchdog trip, state corruption
-    /// or a conservation violation is a deterministic function of the
-    /// scenario and its seed: it fails the scenario, naming the seed, so
-    /// the defect can be replayed. Config rejections, worker deaths and
-    /// overrun deadlines are not defects of the simulation.
+    /// Is this a simulator defect? A watchdog trip, state corruption,
+    /// a conservation violation or a panic is a deterministic function
+    /// of the scenario and its seed: it fails the scenario, naming the
+    /// seed, so the defect can be replayed. Config rejections, worker
+    /// deaths and overrun deadlines are not defects of the simulation.
     pub fn is_defect(self) -> bool {
         matches!(
             self,
@@ -127,6 +138,7 @@ impl ErrorClass {
                 | ErrorClass::WatchdogLivelock
                 | ErrorClass::StateCorruption
                 | ErrorClass::ConservationViolation
+                | ErrorClass::Panic
         )
     }
 }
@@ -215,11 +227,14 @@ impl Supervisor {
     /// fixed-size event slices; between slices the supervisor
     /// enforces the wall-clock deadline, takes checkpoints on the
     /// configured cadence, and — under chaos — kills the worker at the
-    /// scheduled event count. A killed (or genuinely panicked) worker
-    /// is restarted from the latest checkpoint, or from scratch if none
-    /// was taken yet; because checkpoints snapshot the full engine
-    /// state between events, the resumed run replays the exact event
-    /// sequence and the result is bit-identical to an undisturbed run.
+    /// scheduled event count. A killed worker is restarted from the
+    /// latest checkpoint, or from scratch if none was taken yet;
+    /// because checkpoints snapshot the full engine state between
+    /// events, the resumed run replays the exact event sequence and the
+    /// result is bit-identical to an undisturbed run. Any other panic
+    /// is deterministic in the seed, so it is not resumed: the
+    /// repetition fails at once as [`ErrorClass::Panic`], carrying the
+    /// panic message.
     pub fn drive<E, F>(&self, run_seed: u64, start: F) -> Result<E::Output, FailedRep>
     where
         E: Engine,
@@ -236,7 +251,20 @@ impl Supervisor {
             }));
             match outcome {
                 Ok(result) => return result,
-                Err(_payload) => {
+                Err(payload) if !payload.is::<ChaosKill>() => {
+                    let msg = payload
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                        .unwrap_or("non-text panic payload");
+                    return Err(FailedRep {
+                        seed: run_seed,
+                        class: ErrorClass::Panic,
+                        error: format!("worker panicked: {msg}"),
+                        problems: Vec::new(),
+                    });
+                }
+                Err(_chaos_kill) => {
                     round += 1;
                     if round > MAX_RESUMES {
                         return Err(FailedRep {
@@ -335,7 +363,7 @@ impl Supervisor {
                     }
                     // resume_unwind skips the panic hook: a scheduled
                     // kill is part of the test, not console noise.
-                    std::panic::resume_unwind(Box::new("chaos: worker killed"));
+                    std::panic::resume_unwind(Box::new(ChaosKill));
                 }
             }
         }
@@ -612,6 +640,7 @@ mod tests {
             (ErrorClass::WatchdogLivelock, true),
             (ErrorClass::StateCorruption, true),
             (ErrorClass::ConservationViolation, true),
+            (ErrorClass::Panic, true),
             (ErrorClass::WorkerDeath, false),
             (ErrorClass::DeadlineExceeded, false),
         ];
@@ -650,6 +679,31 @@ mod tests {
         assert!(err.error.contains("deadline"), "{}", err.error);
         // A hang can be load-dependent: a host failure, not a defect.
         assert!(!ErrorClass::DeadlineExceeded.is_defect());
+    }
+
+    #[test]
+    fn a_panic_runs_once_and_fails_its_scenario() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let starts = AtomicU32::new(0);
+        let err = Supervisor::default()
+            .drive(7, || -> Result<netsim::RunningSim, SimError> {
+                starts.fetch_add(1, Ordering::Relaxed);
+                panic!("boom")
+            })
+            .unwrap_err();
+        assert_eq!(starts.load(Ordering::Relaxed), 1, "a real panic is not resumed");
+        assert_eq!(err.class, ErrorClass::Panic);
+        assert!(err.error.contains("boom"), "{}", err.error);
+        // A completed repetition beside it does not hide the defect.
+        let ledger = RunLedger::default();
+        ledger.record(ScenarioRecord {
+            label: "panicky".into(),
+            expected: 2,
+            completed: 1,
+            failed: vec![err],
+        });
+        assert_eq!(ledger.failed_scenarios(), ["panicky: panic on seed 0x0000000000000007"]);
+        assert_eq!(ledger.exit_code(), 1);
     }
 
     #[test]

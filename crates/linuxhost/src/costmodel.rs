@@ -108,13 +108,6 @@ pub enum TxMode {
     Sendfile,
 }
 
-/// Version of the cost model's *numbers* (calibration constants and
-/// service-time formulas). Cached simulation results are keyed on this:
-/// bump it whenever a change to `calib.rs`/`costmodel.rs` (or anything
-/// else that alters simulated outcomes for an unchanged scenario) would
-/// make previously cached reports stale.
-pub const COST_MODEL_VERSION: u32 = 3;
-
 /// Resolved per-host cost model.
 #[derive(Debug, Clone)]
 pub struct CostModel {

@@ -42,7 +42,7 @@ pub mod sysctl;
 pub mod virt;
 pub mod zerocopy;
 
-pub use costmodel::{CostModel, Stage, TxMode, COST_MODEL_VERSION};
+pub use costmodel::{CostModel, Stage, TxMode};
 pub use cpu::{CoreAllocation, CpuArch};
 pub use hostcfg::HostConfig;
 pub use kernel::KernelVersion;

@@ -238,7 +238,7 @@ impl FleetProfile {
         problems
     }
 
-    /// The canonical fingerprint (seed and cache identity).
+    /// The canonical fingerprint (the seed identity).
     pub fn fingerprint(&self) -> u64 {
         let mut c = Canon::new();
         self.canonicalize(&mut c);

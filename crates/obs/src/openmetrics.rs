@@ -54,16 +54,16 @@ mod tests {
     #[test]
     fn renders_all_families_and_eof() {
         let r = Recorder::new();
-        r.describe("cache_hits", "Repetitions served from the run cache");
-        r.counter_add("cache_hits", 3);
+        r.describe("repro_reps", "Repetitions finished");
+        r.counter_add("repro_reps", 3);
         r.gauge_set("queue_depth", 17.0);
         for v in [10u64, 20, 30] {
             r.hist_record("rep_wall_ms", v);
         }
         let text = render_openmetrics(&r.snapshot());
-        assert!(text.contains("# HELP cache_hits Repetitions served from the run cache\n"));
-        assert!(text.contains("# TYPE cache_hits counter\n"));
-        assert!(text.contains("cache_hits_total 3\n"));
+        assert!(text.contains("# HELP repro_reps Repetitions finished\n"));
+        assert!(text.contains("# TYPE repro_reps counter\n"));
+        assert!(text.contains("repro_reps_total 3\n"));
         assert!(text.contains("# TYPE queue_depth gauge\n"));
         assert!(text.contains("queue_depth 17\n"));
         assert!(text.contains("# TYPE rep_wall_ms summary\n"));

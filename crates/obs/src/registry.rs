@@ -17,7 +17,7 @@ use crate::hist::HdrHistogram;
 ///
 /// Metric names should follow OpenMetrics conventions
 /// (`[a-zA-Z_][a-zA-Z0-9_]*`, unit-suffixed, e.g.
-/// `cache_hits`, `rep_wall_seconds`); the exposition layer renders
+/// `repro_reps`, `rep_wall_seconds`); the exposition layer renders
 /// them verbatim.
 #[derive(Debug, Default)]
 pub struct Recorder {

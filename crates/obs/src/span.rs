@@ -1,7 +1,7 @@
 //! Lightweight phase spans.
 //!
 //! A [`SpanRecord`] marks one named phase of a run — `setup`,
-//! `warmup`, `steady`, `drain`, `checkpoint`, `cache_lookup` — within
+//! `warmup`, `steady`, `drain`, `checkpoint` — within
 //! a scope (typically `experiment/scenario/repN`). Spans are plain
 //! data; the harness times phases itself and appends records to a
 //! JSONL sink in the metrics directory. Wall-clock spans carry the
@@ -14,7 +14,7 @@ use crate::json_escape;
 pub struct SpanRecord {
     /// Owning scope, e.g. `fig05/wan_25ms/rep0`.
     pub scope: String,
-    /// Phase name, e.g. `steady` or `cache_lookup`.
+    /// Phase name, e.g. `steady` or `checkpoint`.
     pub name: String,
     /// Time unit of `start`/`dur`: `"wall_s"` (wall clock, relative to
     /// the metrics session start) or `"sim_s"` (simulated time).

@@ -1,8 +1,8 @@
 //! Canonical serialization and stable fingerprints for configuration
 //! values.
 //!
-//! The harness derives per-repetition seeds and content-addressed cache
-//! keys from *what a scenario is*, not from where it sits in a loop.
+//! The harness derives per-repetition seeds from *what a scenario is*,
+//! not from where it sits in a loop.
 //! That requires a serialization of the configuration that is stable
 //! across refactors: a [`Canon`] collects `path = value` records
 //! through the [`Canonicalize`] trait, then sorts them by path before
@@ -149,20 +149,10 @@ impl Canon {
     pub fn fingerprint(&self) -> u64 {
         fnv1a(FNV_OFFSET, self.render().as_bytes())
     }
-
-    /// A second, independent 64-bit hash (FNV-1a over the reversed
-    /// text). Cache keys combine both into 128 bits so that a random
-    /// collision is out of reach for any realistic grid size.
-    pub fn fingerprint_alt(&self) -> u64 {
-        let text = self.render();
-        let mut state = fnv1a(FNV_OFFSET ^ 0x5bd1_e995_9e37_79b9, text.as_bytes());
-        state = fnv1a(state, &[0xff]);
-        fnv1a(state, text.len().to_le_bytes().as_slice())
-    }
 }
 
-/// Hash arbitrary bytes with 64-bit FNV-1a (checksums for cache
-/// entries).
+/// Hash arbitrary bytes with 64-bit FNV-1a (stable digests of paths
+/// and rendered output).
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     fnv1a(FNV_OFFSET, bytes)
 }
@@ -213,7 +203,6 @@ mod tests {
         rev.put_u64("a", 1);
         assert_eq!(fwd.render(), rev.render());
         assert_eq!(fwd.fingerprint(), rev.fingerprint());
-        assert_eq!(fwd.fingerprint_alt(), rev.fingerprint_alt());
     }
 
     #[test]

@@ -26,8 +26,7 @@
 //!   the domain layers implement on top of `Clone`-able engine state.
 //! * [`canon`] — canonical configuration serialization and stable
 //!   FNV-1a fingerprints ([`Canon`], [`Canonicalize`]), from which the
-//!   harness derives position-free per-repetition seeds and
-//!   content-addressed cache keys.
+//!   harness derives position-free per-repetition seeds.
 //!
 //! Nothing in this crate knows about TCP, Linux, or NICs; it is the
 //! domain-neutral substrate.

@@ -41,7 +41,7 @@ pub enum CcAlgorithm {
 /// A congestion-control name that matches no known algorithm.
 ///
 /// Scenario loaders must surface this as a typed error — silently
-/// falling back to CUBIC would run (and cache) the wrong controller
+/// falling back to CUBIC would run the wrong controller
 /// under the requested label.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownCcError {

@@ -1,10 +1,9 @@
 //! Chaos soak and supervision-contract tests.
 //!
 //! The recovery contract under attack: a seeded chaos schedule
-//! (`REPRO_CHAOS`) kills workers mid-run, poisons freshly stored cache
-//! entries, and fails run-artefact writes — and the harness must lose no
-//! repetition, duplicate no result, self-heal the cache, and leave
-//! every report — iperf3-style or fleet — bit-identical to a
+//! (`REPRO_CHAOS`) kills workers mid-run and fails run-artefact writes —
+//! and the harness must lose no repetition, duplicate no result, and
+//! leave every report — iperf3-style or fleet — bit-identical to a
 //! chaos-free run. Alongside the soak,
 //! this suite pins the one-attempt contract — a watchdog trip is a
 //! simulator defect that fails its scenario on its own seed, at every
@@ -112,18 +111,14 @@ fn chaos_soak_loses_nothing_and_matches_clean_runs() {
     let chaos = Arc::new(ChaosPlan::new(SOAK_CHAOS_SEED));
     let supervisor = Supervisor::default().with_chaos(chaos.clone());
 
-    // Harness 1: content-addressed cache under attack — every fresh
-    // store is a poisoning candidate — plus scheduled worker kills.
-    let cache_dir = scratch_dir("repro_chaos_soak_cache");
-    let cache = Arc::new(RunCache::new(&cache_dir));
-    let mut cached_h = TestHarness::new(SOAK_REPS)
+    // Harness 1: scheduled worker kills.
+    let killed_h = TestHarness::new(SOAK_REPS)
         .with_base_seed(SOAK_BASE_SEED)
         .with_supervisor(supervisor.clone());
-    cached_h.cache = Some(cache.clone());
-    let cached: Vec<TestSummary> = cached_h
+    let killed: Vec<TestSummary> = killed_h
         .run_batch(&scenarios)
         .into_iter()
-        .map(|r| r.expect("chaos cached run"))
+        .map(|r| r.expect("chaos killed run"))
         .collect();
 
     // Harness 2: artefact writes under attack. A per-tick metrics hub
@@ -152,7 +147,7 @@ fn chaos_soak_loses_nothing_and_matches_clean_runs() {
 
     // Zero lost, zero duplicated: every repetition reported exactly
     // once, no failure records left behind.
-    for s in cached.iter().chain(&traced) {
+    for s in killed.iter().chain(&traced) {
         assert_eq!(s.reports.len(), SOAK_REPS, "'{}' lost repetitions", s.label);
         assert!(
             s.failed_reps.is_empty(),
@@ -163,7 +158,7 @@ fn chaos_soak_loses_nothing_and_matches_clean_runs() {
     }
     // ...and each harness pass's run ledger accounts for every
     // scenario, complete.
-    for h in [&clean_h, &cached_h, &clean_traced_h, &traced_h] {
+    for h in [&clean_h, &killed_h, &clean_traced_h, &traced_h] {
         let records = h.ledger.snapshot();
         let labels: Vec<&str> = records.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(labels, ["soak_lan", "soak_wan_zc"], "ledger records");
@@ -175,8 +170,8 @@ fn chaos_soak_loses_nothing_and_matches_clean_runs() {
     }
 
     // Recovery leaves no fingerprint in the results.
-    for (a, b) in clean.iter().zip(&cached) {
-        assert_eq!(report_bytes(a), report_bytes(b), "'{}': cached chaos run diverged", a.label);
+    for (a, b) in clean.iter().zip(&killed) {
+        assert_eq!(report_bytes(a), report_bytes(b), "'{}': killed chaos run diverged", a.label);
     }
     for (a, b) in clean_traced.iter().zip(&traced) {
         assert_eq!(report_bytes(a), report_bytes(b), "'{}': traced chaos run diverged", a.label);
@@ -198,7 +193,7 @@ fn chaos_soak_loses_nothing_and_matches_clean_runs() {
     assert_eq!(records[0].label, "soak_fleet_incast");
     assert_eq!(fleet_ctx.ledger.exit_code(), 0);
 
-    // Acceptance floor: ≥20 injected faults, all three classes
+    // Acceptance floor: ≥20 injected faults, both classes
     // represented, every kill resumed from a checkpoint (the default
     // cadence is finer than the supervisor's step chunk, so a snapshot
     // always exists by the first possible kill point).
@@ -206,93 +201,23 @@ fn chaos_soak_loses_nothing_and_matches_clean_runs() {
     eprintln!("{}", stats.summary());
     assert!(stats.kills() >= 3, "{}", stats.summary());
     assert_eq!(stats.resumes(), stats.kills(), "{}", stats.summary());
-    assert!(stats.cache_corruptions() >= 3, "{}", stats.summary());
     assert!(stats.trace_failures() >= 3, "{}", stats.summary());
     assert!(stats.total() >= 20, "acceptance floor: {}", stats.summary());
 
-    std::fs::remove_dir_all(&cache_dir).ok();
     std::fs::remove_dir_all(&trace_dir).ok();
     std::fs::remove_dir_all(&clean_trace_dir).ok();
-}
-
-#[test]
-fn cache_self_heals_under_chaos() {
-    const REPS: usize = 4;
-    let sc = lan_scenario("heal");
-    let base_seed = 505;
-    let seeds: Vec<u64> =
-        (0..REPS).map(|i| derive_seed(sc.fingerprint(), base_seed, i as u64)).collect();
-    // Pick (deterministically) a chaos seed that poisons a strict
-    // subset of this scenario's stores: some entries must heal, some
-    // must hit clean, so both paths are exercised.
-    let chaos_seed = (0..500u64)
-        .find(|cs| {
-            let p = ChaosPlan::new(*cs);
-            let poisoned = seeds.iter().filter(|s| p.cache_damage(**s).is_some()).count();
-            (1..REPS).contains(&poisoned)
-        })
-        .expect("a 50% poison rate hits a strict subset for some seed");
-    let poisoned =
-        seeds.iter().filter(|s| ChaosPlan::new(chaos_seed).cache_damage(**s).is_some()).count();
-
-    let dir = scratch_dir("repro_chaos_heal_cache");
-    let pass = |cache: Arc<RunCache>| {
-        let chaos = Arc::new(ChaosPlan::new(chaos_seed));
-        let mut h = TestHarness::new(REPS)
-            .with_base_seed(base_seed)
-            .with_supervisor(Supervisor::default().with_chaos(chaos.clone()));
-        h.cache = Some(cache);
-        let summary = h.run(&sc).expect("heal pass");
-        (summary, chaos)
-    };
-
-    // Pass 1: all misses; some freshly stored entries get poisoned.
-    let c1 = Arc::new(RunCache::new(&dir));
-    let (s1, chaos1) = pass(c1.clone());
-    assert_eq!(
-        (c1.stats.hits(), c1.stats.misses() as usize, c1.stats.stores() as usize),
-        (0, REPS, REPS)
-    );
-    assert_eq!(chaos1.stats.cache_corruptions() as usize, poisoned);
-    assert_eq!(c1.stats.recoveries(), 0);
-
-    // Pass 2: the poisoned entries surface as counted faults, are
-    // recomputed, and are re-stored clean — heal stores are exempt
-    // from further poisoning, so the cache converges.
-    let c2 = Arc::new(RunCache::new(&dir));
-    let (s2, chaos2) = pass(c2.clone());
-    assert_eq!(c2.stats.hits() as usize, REPS - poisoned);
-    assert_eq!(c2.stats.misses() as usize, poisoned);
-    assert_eq!(c2.stats.recoveries() as usize, poisoned, "every fault counted");
-    assert_eq!(c2.stats.stale_recoveries(), 0, "damage reads as corrupt/truncated, not stale");
-    assert_eq!(c2.stats.stores() as usize, poisoned);
-    assert_eq!(chaos2.stats.cache_corruptions(), 0, "heal stores must not be re-poisoned");
-
-    // Pass 3: converged — all hits, nothing recomputed or recovered.
-    let c3 = Arc::new(RunCache::new(&dir));
-    let (s3, _chaos3) = pass(c3.clone());
-    assert_eq!(
-        (c3.stats.hits() as usize, c3.stats.misses(), c3.stats.stores(), c3.stats.recoveries()),
-        (REPS, 0, 0, 0)
-    );
-
-    // The healed cache serves bit-identical reports throughout.
-    assert_eq!(report_bytes(&s1), report_bytes(&s2));
-    assert_eq!(report_bytes(&s2), report_bytes(&s3));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn watchdog_budget_trips_are_classed_and_retried_per_effort() {
     // A 10-event budget trips the watchdog on every seed. At every
     // effort, through the same context-built harness `repro` uses, each
-    // repetition gets exactly one attempt (one cache lookup, no
-    // perturbed seed), the typed failure is recorded against its derived
-    // seed, and the simulator defect fails the scenario naming the seed.
+    // repetition gets exactly one attempt (no perturbed seed), the typed
+    // failure is recorded against its derived seed, and the simulator
+    // defect fails the scenario naming the seed.
     for effort in [Effort::Smoke, Effort::Standard, Effort::Full] {
         let sc = lan_scenario(&format!("watchdog_{effort:?}")).with_event_budget(10);
-        let cache = Arc::new(RunCache::new(scratch_dir(&format!("repro_watchdog_{effort:?}"))));
-        let ctx = RunCtx::new(effort).with_cache(cache.clone());
+        let ctx = RunCtx::new(effort);
         let h = ctx.harness();
         let reps = effort.repetitions();
         let err = h.run(&sc).unwrap_err();
@@ -300,8 +225,6 @@ fn watchdog_budget_trips_are_classed_and_retried_per_effort() {
             panic!("{effort:?}: expected AllRepetitionsFailed, got {err}");
         };
         assert_eq!(failures.len(), reps, "{effort:?}");
-        assert_eq!(cache.stats.misses() as usize, reps, "{effort:?}: one attempt per repetition");
-        assert_eq!(cache.stats.stores(), 0, "{effort:?}");
         let failed = ctx.ledger.failed_scenarios();
         assert_eq!(failed.len(), 1, "{effort:?}: {failed:?}");
         for (i, f) in failures.iter().enumerate() {
