@@ -16,11 +16,11 @@
 //! ```
 //!
 //! The environment (`REPRO_EFFORT`, `REPRO_JOBS`, `REPRO_CHAOS`,
-//! `REPRO_CHECKPOINT_EVERY`, `REPRO_METRICS`) is resolved exactly once
-//! here, into a [`RunCtx`], and threaded explicitly through every
-//! experiment. The output directory
-//! (`REPRO_METRICS` or a flag) is created only once the arguments are
-//! known to name a run.
+//! `REPRO_METRICS`) is resolved exactly once here, into a [`RunCtx`],
+//! and threaded explicitly through every experiment; a `REPRO_CHAOS`
+//! that is not a u64 seed is a usage error, before anything runs. The
+//! output directory (`REPRO_METRICS` or a flag) is created only once
+//! the arguments are known to name a run.
 //!
 //! Every run artefact lands in one directory, written by one
 //! [`harness::MetricsHub`]: `--metrics <dir>` (or `REPRO_METRICS`)
@@ -38,8 +38,9 @@
 //! comes from all of them merged: `0` clean, `1` failed scenarios (a
 //! simulator defect, printed with its seed; no surviving repetition;
 //! or a wrong result), `2` usage error, `3` degraded — every artefact
-//! rendered, but some repetitions were lost to host failures (see the
-//! missing-repetition manifest on stderr, or `REPRO_MANIFEST=<file>`).
+//! rendered, but some repetitions overran their wall-clock deadline
+//! (see the missing-repetition manifest on stderr, or
+//! `REPRO_MANIFEST=<file>`).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -51,7 +52,10 @@ use std::sync::Arc;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut ctx = RunCtx::from_env();
+    let mut ctx = RunCtx::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     // `--trace <dir>` / `--metrics <dir>`: the one run-output directory
     // (OpenMetrics exposition, interval series, phase spans, live
     // stderr heartbeat); `--trace` adds per-tick JSON-lines traces and
@@ -291,7 +295,6 @@ fn usage() {
                       REPRO_CSV_DIR=<dir> to also dump CSV data files\n\
                       REPRO_CHAOS=<seed> inject harness faults (worker kills,\n\
                       artefact-write failures) and verify recovery\n\
-                      REPRO_CHECKPOINT_EVERY=<events> checkpoint cadence\n\
                       REPRO_METRICS=<dir> same as --metrics\n\
                       REPRO_MANIFEST=<file> write the degraded-run manifest here\n\
          exit codes:  0 clean, 1 failed scenario(s), 2 usage, 3 degraded (lost reps)"

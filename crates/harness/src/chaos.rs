@@ -1,8 +1,9 @@
 //! Harness-level fault injection (`REPRO_CHAOS=<seed>`).
 //!
-//! Chaos mode attacks the *harness*, never the simulation: workers are
-//! killed (panicked) at pseudo-random event counts, and the metrics
-//! hub's per-repetition artefact writes fail through the
+//! Chaos mode attacks the *harness*, never the simulation: a worker's
+//! live session is dropped at a pseudo-random event count, at most
+//! once in each of its first two rounds, and the metrics hub's
+//! per-repetition artefact writes fail through the
 //! [`crate::trace::TraceIo`] shim. The supervision layer
 //! ([`crate::supervise`]) must absorb both — resume from the last
 //! checkpoint, degrade a lost artefact to a warning — while the final
@@ -25,10 +26,13 @@ use std::sync::Arc;
 const SALT_KILL: u64 = 0x6b69_6c6c; // "kill"
 const SALT_TRACE: u64 = 0x7472_6163; // "trac"
 
+/// Rounds in which a worker may be killed: round 0 is the first
+/// execution, round 1 the first resume. A later round always runs to
+/// the end, so every chaos run completes after at most this many kills.
+const KILL_ROUNDS: u32 = 2;
 /// Percent chance a fresh worker is killed mid-run.
 const KILL_PCT_FIRST: u64 = 40;
-/// Percent chance a *resumed* worker is killed again (kept low so a
-/// repetition almost surely completes within the resume cap).
+/// Percent chance a worker is killed again after its first resume.
 const KILL_PCT_RESUMED: u64 = 20;
 /// Percent chance a per-repetition artefact write fails.
 const TRACE_PCT: u64 = 30;
@@ -101,16 +105,15 @@ impl ChaosPlan {
     }
 
     /// From `REPRO_CHAOS=<seed>`, if set. An unparsable value is a
-    /// configuration error worth failing loudly over — silently running
+    /// configuration error, returned as its message: silently running
     /// without chaos would turn a chaos-soak CI job into a no-op.
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("REPRO_CHAOS").ok()?;
+    pub fn from_env() -> Result<Option<Self>, String> {
+        let Ok(raw) = std::env::var("REPRO_CHAOS") else {
+            return Ok(None);
+        };
         match raw.parse::<u64>() {
-            Ok(seed) => Some(ChaosPlan::new(seed)),
-            Err(_) => {
-                eprintln!("REPRO_CHAOS='{raw}' is not a u64 seed; chaos disabled");
-                None
-            }
+            Ok(seed) => Ok(Some(ChaosPlan::new(seed))),
+            Err(_) => Err(format!("REPRO_CHAOS='{raw}' is not a u64 seed")),
         }
     }
 
@@ -127,8 +130,12 @@ impl ChaosPlan {
     /// Should the worker for `run_seed`, on resume round `round`
     /// (0 = first execution), be killed — and if so, after how many
     /// further events? The offset guarantees forward progress: at least
-    /// one chunk of events runs before the kill.
+    /// one chunk of events runs before the kill. No round from
+    /// `KILL_ROUNDS` (2) on is killed.
     pub fn kill_after(&self, run_seed: u64, round: u32) -> Option<u64> {
+        if round >= KILL_ROUNDS {
+            return None;
+        }
         let r = self.roll(SALT_KILL, run_seed, round as u64);
         let pct = if round == 0 { KILL_PCT_FIRST } else { KILL_PCT_RESUMED };
         if r % 100 < pct {
@@ -208,9 +215,11 @@ mod tests {
     fn kill_rates_roughly_match_targets() {
         let plan = ChaosPlan::new(42);
         let first = (0..1000u64).filter(|&s| plan.kill_after(s, 0).is_some()).count();
-        let resumed = (0..1000u64).filter(|&s| plan.kill_after(s, 3).is_some()).count();
+        let resumed = (0..1000u64).filter(|&s| plan.kill_after(s, 1).is_some()).count();
         assert!((300..500).contains(&first), "first-round kills ≈40%: {first}");
         assert!((100..300).contains(&resumed), "resume-round kills ≈20%: {resumed}");
+        // Kills are bounded: no seed is killed from round KILL_ROUNDS on.
+        assert!((0..1000u64).all(|s| plan.kill_after(s, KILL_ROUNDS).is_none()));
         // Offsets guarantee forward progress.
         for s in 0..1000u64 {
             if let Some(off) = plan.kill_after(s, 0) {

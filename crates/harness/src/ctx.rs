@@ -1,9 +1,9 @@
 //! The run context: everything the environment used to leak into
 //! arbitrary call sites, resolved once at harness entry.
 //!
-//! `Effort::from_env`, `REPRO_CHAOS` and `REPRO_CHECKPOINT_EVERY` are
-//! read exactly once — by [`RunCtx::from_env`] in the `repro` binary —
-//! and threaded explicitly from there. `REPRO_JOBS` sizes the process-wide scheduler gate
+//! `Effort::from_env` and `REPRO_CHAOS` are read exactly once — by
+//! [`RunCtx::from_env`] in the `repro` binary — and threaded explicitly
+//! from there. `REPRO_JOBS` sizes the process-wide scheduler gate
 //! (`sched::global_gate`) on its first use. `REPRO_METRICS` names a directory the hub creates, so
 //! `repro` resolves it itself, after parsing its arguments. Tests
 //! build a [`RunCtx`] directly and never touch process-global
@@ -26,9 +26,6 @@ pub struct RunCtx {
     pub effort: Effort,
     /// Harness-level fault injection (`REPRO_CHAOS=<seed>`).
     pub chaos: Option<Arc<ChaosPlan>>,
-    /// Checkpoint cadence override (`REPRO_CHECKPOINT_EVERY`, events;
-    /// 0 = unset, chaos picks its own default).
-    pub checkpoint_every: u64,
     /// The run-output hub (`--metrics <dir>` / `REPRO_METRICS`, or
     /// `--trace <dir>` for a per-tick one): HDR-histogram registry,
     /// OpenMetrics exposition, per-repetition artefacts, phase spans,
@@ -45,38 +42,20 @@ impl RunCtx {
     /// A context at the given effort, with no metrics hub and no chaos —
     /// what tests and library callers start from.
     pub fn new(effort: Effort) -> Self {
-        RunCtx {
-            effort,
-            chaos: None,
-            checkpoint_every: 0,
-            metrics: None,
-            ledger: Arc::default(),
-        }
+        RunCtx { effort, chaos: None, metrics: None, ledger: Arc::default() }
     }
 
-    /// Resolve the environment once: `REPRO_EFFORT`, `REPRO_CHAOS`,
-    /// `REPRO_CHECKPOINT_EVERY`. The metrics hub stays unset: building
-    /// one creates its directory.
-    pub fn from_env() -> Self {
-        let checkpoint_every = std::env::var("REPRO_CHECKPOINT_EVERY")
-            .ok()
-            .and_then(|v| match v.parse::<u64>() {
-                Ok(n) => Some(n),
-                Err(_) => {
-                    eprintln!(
-                        "REPRO_CHECKPOINT_EVERY='{v}' is not an event count; ignoring"
-                    );
-                    None
-                }
-            })
-            .unwrap_or(0);
-        RunCtx {
+    /// Resolve the environment once: `REPRO_EFFORT` and `REPRO_CHAOS`.
+    /// An unparsable `REPRO_CHAOS` is an error (a usage error in
+    /// `repro`). The metrics hub stays unset: building one creates its
+    /// directory.
+    pub fn from_env() -> Result<Self, String> {
+        Ok(RunCtx {
             effort: Effort::from_env(),
-            chaos: ChaosPlan::from_env().map(Arc::new),
-            checkpoint_every,
+            chaos: ChaosPlan::from_env()?.map(Arc::new),
             metrics: None,
             ledger: Arc::default(),
-        }
+        })
     }
 
     /// Builder: inject harness faults per `chaos`.
@@ -97,13 +76,10 @@ impl RunCtx {
     }
 
     /// The supervisor every run of this context goes through, assembled
-    /// from the context: effort-matched deadline, the chaos schedule,
-    /// the checkpoint cadence and the metrics hub.
+    /// from the context: effort-matched deadline, the chaos schedule
+    /// (which turns checkpointing on) and the metrics hub.
     pub fn supervisor(&self) -> Supervisor {
         let mut supervisor = Supervisor::for_effort(self.effort);
-        if self.checkpoint_every > 0 {
-            supervisor = supervisor.with_checkpoint_every(self.checkpoint_every);
-        }
         if let Some(chaos) = &self.chaos {
             supervisor = supervisor.with_chaos(chaos.clone());
         }
@@ -204,11 +180,8 @@ mod tests {
         assert_eq!(sup.deadline, Effort::Full.rep_deadline());
         assert!(Arc::ptr_eq(sup.chaos().expect("chaos wired"), &chaos));
         assert!(Arc::ptr_eq(&h.ledger, &ctx.ledger));
-        // Chaos without an explicit cadence turns checkpointing on.
+        // Chaos turns checkpointing on; without it there is none.
         assert_eq!(sup.checkpoint_every, DEFAULT_CHECKPOINT_EVERY);
-        // An explicit cadence wins.
-        let mut ctx2 = RunCtx::new(Effort::Smoke).with_chaos(chaos);
-        ctx2.checkpoint_every = 7;
-        assert_eq!(ctx2.harness().supervisor.checkpoint_every, 7);
+        assert_eq!(RunCtx::new(Effort::Full).harness().supervisor.checkpoint_every, 0);
     }
 }

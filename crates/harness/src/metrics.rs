@@ -6,8 +6,8 @@
 //! (as `Option<Arc<MetricsHub>>`) through [`crate::ctx::RunCtx`] into
 //! the harness and supervisor. Everything here honours the
 //! observer-neutrality contract (DESIGN.md §6h): the hub is consulted
-//! only *between* repetitions and at checkpoint barriers, never inside
-//! the event loop, and no simulation input (seeds, options) depends on
+//! only *between* repetitions and between supervised step slices,
+//! never inside the event loop, and no simulation input (seeds, options) depends on
 //! whether it exists — so metrics-on runs are bit-identical to
 //! metrics-off runs. The one exception is opt-in: a *per-tick* hub
 //! (`--trace <dir>`, [`MetricsHub::with_per_tick`]) forces a 1 s
@@ -39,7 +39,7 @@ use crate::scenario::Scenario;
 use crate::sched;
 use crate::trace::{self, TraceIo};
 use iperf3sim::Iperf3Report;
-use obs::{render_openmetrics, HdrHistogram, IntervalAggregator, IntervalRecord, Recorder, SpanRecord};
+use obs::{render_openmetrics, IntervalAggregator, IntervalRecord, Recorder, SpanRecord};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,8 +139,8 @@ impl MetricsHub {
         self.expected.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Add dispatched simulation events (called by the supervisor per
-    /// stepping round; feeds the aggregate events/s readout).
+    /// Add a finished repetition's simulation events (called by the
+    /// supervisor once per run; feeds the aggregate events/s readout).
     pub fn add_events(&self, n: u64) {
         self.events.fetch_add(n, Ordering::Relaxed);
     }
@@ -203,8 +203,8 @@ impl MetricsHub {
     // ---- engine health ---------------------------------------------
 
     /// Fold an engine-health snapshot into the registry as gauges
-    /// (last sample wins) and depth histograms. Called at checkpoint
-    /// barriers and at the end of each supervised round.
+    /// (last sample wins) and depth histograms. Called by the
+    /// supervisor after every step slice and once at the end of a run.
     pub fn sample_queue_health(&self, h: simcore::QueueHealth) {
         let r = &self.recorder;
         r.describe("engine_queue_near_depth", "Live events in the near-heap rung");
@@ -405,13 +405,6 @@ pub fn fold_run_totals(
         recorder.describe("chaos_trace_failures", "Chaos-failed run-artefact writes");
         recorder.counter_add("chaos_trace_failures", stats.trace_failures());
     }
-}
-
-/// A histogram of per-repetition sim-event counts, merged losslessly
-/// into the registry by the supervisor (the parallel-shard fold).
-pub fn fold_events_hist(recorder: &Recorder, shard: &HdrHistogram) {
-    recorder.describe("rep_sim_events", "Simulation events dispatched per repetition");
-    recorder.hist_merge("rep_sim_events", shard);
 }
 
 #[cfg(test)]

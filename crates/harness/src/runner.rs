@@ -245,8 +245,8 @@ impl TestHarness {
     ///
     /// Invalid scenarios (flag/kernel mismatches) fail with
     /// [`ScenarioError::Invalid`]. Each repetition runs once; runtime
-    /// failures (watchdog trips, conservation violations, worker
-    /// deaths) are recorded against their seed in
+    /// failures (watchdog trips, conservation violations, panics,
+    /// overrun deadlines) are recorded against their seed in
     /// [`TestSummary::failed_reps`]. Only a scenario with *zero*
     /// surviving repetitions is an error here; the ledger additionally
     /// fails a scenario on any simulator defect.
@@ -274,16 +274,16 @@ impl TestHarness {
             let (si, i) = (j / reps, j % reps);
             self.run_one_rep(&scenarios[si], derive_seed(fingerprints[si], self.base_seed, i as u64))
         };
-        let slots: Vec<Option<Slot>> = if self.parallel {
-            sched::run_batch(sched::global_gate(), scenarios.len() * reps, |j| Some(job(j)))
+        let mut slots = if self.parallel {
+            sched::run_batch(sched::global_gate(), scenarios.len() * reps, job)
         } else {
-            (0..scenarios.len() * reps).map(|j| Some(job(j))).collect()
-        };
-        slots
-            .chunks(reps)
-            .zip(scenarios)
+            (0..scenarios.len() * reps).map(job).collect()
+        }
+        .into_iter();
+        scenarios
+            .iter()
             .zip(&fingerprints)
-            .map(|((chunk, sc), &fp)| self.finish_scenario(sc, fp, chunk.to_vec()))
+            .map(|(sc, &fp)| self.finish_scenario(sc, fp, slots.by_ref().take(reps).collect()))
             .collect()
     }
 
@@ -303,13 +303,19 @@ impl TestHarness {
         &self,
         scenario: &Scenario,
         fingerprint: u64,
-        slots: Vec<Option<Slot>>,
+        slots: Vec<Slot>,
     ) -> Result<TestSummary, ScenarioError> {
         let expected = slots.len();
-        let seeds: Vec<u64> = (0..slots.len())
-            .map(|i| derive_seed(fingerprint, self.base_seed, i as u64))
-            .collect();
-        let (reports, failures) = Self::collect_slots(slots, &seeds);
+        let mut reports = Vec::new();
+        let mut failures = Vec::new();
+        for (i, slot) in slots.into_iter().enumerate() {
+            match slot {
+                Ok(report) => {
+                    reports.push((i, derive_seed(fingerprint, self.base_seed, i as u64), report))
+                }
+                Err(failure) => failures.push(failure),
+            }
+        }
         // Every scenario reports into the ledger — success, degraded,
         // or total loss — so `repro` can account for every repetition
         // in the end-of-run manifest.
@@ -346,32 +352,6 @@ impl TestHarness {
         }
         let reports = reports.into_iter().map(|(_, _, r)| r).collect();
         Ok(Self::aggregate(&scenario.label, reports, failures))
-    }
-
-    /// Drain the repetition slots, converting an empty slot (a worker
-    /// thread died before writing its result — a panic swallowed by a
-    /// crashed thread, an OOM kill) into a recorded runtime failure so
-    /// the scenario degrades instead of panicking the whole harness.
-    /// `seeds[i]` is the seed repetition `i` would have run with.
-    fn collect_slots(
-        slots: Vec<Option<Slot>>,
-        seeds: &[u64],
-    ) -> (Vec<(usize, u64, Iperf3Report)>, Vec<FailedRep>) {
-        let mut reports = Vec::new();
-        let mut failures = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(Ok(report)) => reports.push((i, seeds[i], report)),
-                Some(Err(failure)) => failures.push(failure),
-                None => failures.push(FailedRep {
-                    seed: seeds[i],
-                    error: format!("repetition {i}: worker died before reporting a result"),
-                    class: ErrorClass::WorkerDeath,
-                    problems: Vec::new(),
-                }),
-            }
-        }
-        (reports, failures)
     }
 
     /// One supervised simulation run.
@@ -560,22 +540,6 @@ mod tests {
             }
             assert_eq!(h.ledger.exit_code(), 1, "{effort:?}");
         }
-    }
-
-    #[test]
-    fn missing_slot_recorded_as_failed_rep() {
-        // A worker thread that dies before writing its slot must not
-        // panic the harness: the empty slot reads as a runtime failure
-        // so the usual degradation path (aggregate the survivors, or
-        // AllRepetitionsFailed) applies.
-        let (reports, failures) = TestHarness::collect_slots(vec![None, None], &[50, 51]);
-        assert!(reports.is_empty());
-        assert_eq!(failures.len(), 2);
-        assert_eq!(failures[0].seed, 50);
-        assert_eq!(failures[1].seed, 51);
-        assert!(failures.iter().all(|f| !f.invalid()));
-        assert!(failures.iter().all(|f| f.class == ErrorClass::WorkerDeath));
-        assert!(failures[0].error.contains("worker died"), "{}", failures[0].error);
     }
 
     #[test]

@@ -7,19 +7,19 @@
 //! This module is that answer for the simulated campaign:
 //!
 //! * every repetition — an iperf3-style session or a fleet run —
-//!   executes under [`Supervisor::drive`], inside `catch_unwind`,
-//!   stepped in bounded event chunks with a wall-clock deadline and
-//!   periodic [checkpoints](netsim::Checkpoint) — a worker killed by
-//!   chaos mode resumes from its last snapshot, and any other panic
-//!   fails its repetition instead of taking the whole harness down;
+//!   executes under [`Supervisor::drive`], inside one `catch_unwind`,
+//!   stepped in bounded event chunks with a wall-clock deadline and,
+//!   when a cadence is set, periodic [checkpoints](netsim::Checkpoint).
+//!   A worker killed by chaos mode is dropped and resumes from its
+//!   last snapshot; a panic fails its repetition instead of taking the
+//!   whole harness down;
 //! * every repetition gets exactly one attempt, on its derived seed.
 //!   A failure carries an [`ErrorClass`] that says whose fault it was:
 //!   a simulator defect (a watchdog trip, state corruption, a
 //!   conservation violation, a panic) is deterministic in its seed and
-//!   fails its scenario naming that seed, while a host failure (a
-//!   worker that died past its resume allowance, an overrun deadline)
-//!   only degrades the run — a same-seed rerun would replay the same
-//!   events;
+//!   fails its scenario naming that seed, while a host failure (an
+//!   overrun deadline) only degrades the run — a same-seed rerun would
+//!   replay the same events;
 //! * every scenario reports into its experiment's [`RunLedger`], from
 //!   which `repro` derives its exit code and builds the degraded-run
 //!   manifest (exit code 3) when repetitions went missing.
@@ -34,21 +34,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Events dispatched per supervised step — small enough that deadlines,
-/// checkpoints and chaos kills land promptly, large enough that the
-/// step loop is invisible in the profile.
+/// checkpoints, queue-health samples and chaos kills land promptly,
+/// large enough that the step loop is invisible in the profile.
 const STEP_CHUNK: u64 = 65_536;
 
-/// A worker that keeps dying is eventually declared dead for real:
-/// after this many chaos kills the repetition fails as
-/// [`ErrorClass::WorkerDeath`].
-const MAX_RESUMES: u32 = 8;
-
-/// The unwind payload of a chaos kill. [`Supervisor::drive`] resumes
-/// only this payload; every other unwind is a real panic.
-struct ChaosKill;
-
-/// Checkpoint cadence used when chaos is on but no explicit
-/// `REPRO_CHECKPOINT_EVERY` was given.
+/// Checkpoint cadence, in events, that [`Supervisor::with_chaos`] turns
+/// on when none was set: the snapshots a killed worker resumes from.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 50_000;
 
 /// The failure taxonomy.
@@ -69,25 +60,21 @@ pub enum ErrorClass {
     StateCorruption,
     /// End-of-run burst accounting did not balance.
     ConservationViolation,
-    /// The simulation panicked (a bug, not a chaos kill).
+    /// The simulation panicked (a bug; a chaos kill does not unwind).
     Panic,
-    /// The worker was killed and exhausted its resume allowance, or
-    /// died before reporting a result.
-    WorkerDeath,
     /// The repetition overran its wall-clock deadline.
     DeadlineExceeded,
 }
 
 impl ErrorClass {
     /// All classes, for exhaustive tests.
-    pub const ALL: [ErrorClass; 8] = [
+    pub const ALL: [ErrorClass; 7] = [
         ErrorClass::InvalidConfig,
         ErrorClass::WatchdogBudget,
         ErrorClass::WatchdogLivelock,
         ErrorClass::StateCorruption,
         ErrorClass::ConservationViolation,
         ErrorClass::Panic,
-        ErrorClass::WorkerDeath,
         ErrorClass::DeadlineExceeded,
     ];
 
@@ -100,7 +87,6 @@ impl ErrorClass {
             ErrorClass::StateCorruption => "state-corruption",
             ErrorClass::ConservationViolation => "conservation-violation",
             ErrorClass::Panic => "panic",
-            ErrorClass::WorkerDeath => "worker-death",
             ErrorClass::DeadlineExceeded => "deadline-exceeded",
         }
     }
@@ -129,8 +115,8 @@ impl ErrorClass {
     /// Is this a simulator defect? A watchdog trip, state corruption,
     /// a conservation violation or a panic is a deterministic function
     /// of the scenario and its seed: it fails the scenario, naming the
-    /// seed, so the defect can be replayed. Config rejections, worker
-    /// deaths and overrun deadlines are not defects of the simulation.
+    /// seed, so the defect can be replayed. Config rejections and
+    /// overrun deadlines are not defects of the simulation.
     pub fn is_defect(self) -> bool {
         matches!(
             self,
@@ -192,10 +178,10 @@ impl Supervisor {
         self
     }
 
-    /// Builder: report event throughput, engine queue health and
-    /// checkpoint spans to a metrics hub. Purely observational — the
-    /// hub is consulted only between stepping slices and at checkpoint
-    /// barriers, never inside the event loop, so supervised runs stay
+    /// Builder: report event throughput, engine queue health (sampled
+    /// once per step slice) and checkpoint spans to a metrics hub.
+    /// Purely observational — the hub is consulted only between
+    /// stepping slices, never inside the event loop, so supervised runs stay
     /// bit-identical with or without it. The checkpoint counter is
     /// registered here, so the exposition reports it (0 with
     /// checkpointing off) for every supervised run.
@@ -220,19 +206,19 @@ impl Supervisor {
     /// Execute one repetition of either engine under full supervision
     /// and return its report.
     ///
-    /// `start` builds the run (it runs *inside* the
-    /// crash-isolation boundary, so a panicking config path is
-    /// survivable too);
+    /// `start` builds the run (it runs *inside* the crash-isolation
+    /// boundary, so a panicking config path is survivable too);
     /// `run_seed` keys the chaos schedule. The session is stepped in
-    /// fixed-size event slices; between slices the supervisor
-    /// enforces the wall-clock deadline, takes checkpoints on the
-    /// configured cadence, and — under chaos — kills the worker at the
-    /// scheduled event count. A killed worker is restarted from the
-    /// latest checkpoint, or from scratch if none was taken yet;
-    /// because checkpoints snapshot the full engine state between
-    /// events, the resumed run replays the exact event sequence and the
-    /// result is bit-identical to an undisturbed run. Any other panic
-    /// is deterministic in the seed, so it is not resumed: the
+    /// fixed-size event slices; between slices the supervisor enforces
+    /// the wall-clock deadline, samples queue health into the metrics
+    /// hub, takes checkpoints on the configured cadence, and — under
+    /// chaos — kills the worker at the scheduled event count. A kill
+    /// drops the live session and resumes from the latest checkpoint,
+    /// or restarts from scratch if none was taken yet; because
+    /// checkpoints snapshot the full engine state between events, the
+    /// resumed run replays the exact event sequence and the result is
+    /// bit-identical to an undisturbed run. Kills do not unwind, so
+    /// every unwind is a panic, deterministic in the seed: the
     /// repetition fails at once as [`ErrorClass::Panic`], carrying the
     /// panic message.
     pub fn drive<E, F>(&self, run_seed: u64, start: F) -> Result<E::Output, FailedRep>
@@ -240,146 +226,116 @@ impl Supervisor {
         E: Engine,
         F: Fn() -> Result<Running<E>, SimError>,
     {
-        let deadline = Instant::now() + self.deadline;
-        // The resume slot lives *outside* the unwind boundary: whatever
-        // the worker had checkpointed before dying survives the panic.
-        let slot: Mutex<Option<Checkpoint<E>>> = Mutex::new(None);
-        let mut round: u32 = 0;
-        loop {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                self.run_round(&slot, &start, run_seed, round, deadline)
-            }));
-            match outcome {
-                Ok(result) => return result,
-                Err(payload) if !payload.is::<ChaosKill>() => {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .copied()
-                        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                        .unwrap_or("non-text panic payload");
-                    return Err(FailedRep {
-                        seed: run_seed,
-                        class: ErrorClass::Panic,
-                        error: format!("worker panicked: {msg}"),
-                        problems: Vec::new(),
-                    });
-                }
-                Err(_chaos_kill) => {
-                    round += 1;
-                    if round > MAX_RESUMES {
-                        return Err(FailedRep {
-                            seed: run_seed,
-                            class: ErrorClass::WorkerDeath,
-                            error: format!(
-                                "worker died {round} times (resume allowance exhausted)"
-                            ),
-                            problems: Vec::new(),
-                        });
-                    }
-                    if slot.lock().is_ok_and(|s| s.is_some()) {
-                        if let Some(chaos) = &self.chaos {
-                            chaos.stats.count_resume();
-                        }
-                    }
-                    // Loop: resume from the checkpoint (or restart).
-                }
-            }
-        }
+        catch_unwind(AssertUnwindSafe(|| self.run_rounds(run_seed, &start))).unwrap_or_else(
+            |payload| {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-text panic payload");
+                Err(FailedRep {
+                    seed: run_seed,
+                    class: ErrorClass::Panic,
+                    error: format!("worker panicked: {msg}"),
+                    problems: Vec::new(),
+                })
+            },
+        )
     }
 
-    /// One unwind-isolated round of [`Supervisor::drive`].
-    fn run_round<E, F>(
-        &self,
-        slot: &Mutex<Option<Checkpoint<E>>>,
-        start: &F,
-        run_seed: u64,
-        round: u32,
-        deadline: Instant,
-    ) -> Result<E::Output, FailedRep>
+    /// The round loop of [`Supervisor::drive`]: round 0 is the first
+    /// execution, and each chaos kill starts the next round.
+    fn run_rounds<E, F>(&self, run_seed: u64, start: &F) -> Result<E::Output, FailedRep>
     where
         E: Engine,
         F: Fn() -> Result<Running<E>, SimError>,
     {
-        // Resume from the latest snapshot if one exists (clone, don't
-        // take: if this round dies before its first checkpoint, the
-        // next one must still have something to resume from).
-        let resumed = slot.lock().expect("checkpoint slot").clone();
-        let mut session = match resumed {
-            Some(ck) => Running::resume(ck),
-            None => start().map_err(|e| FailedRep::from_run(run_seed, &e))?,
-        };
-        let entry = session.events_done();
-        let kill_at = self
-            .chaos
-            .as_ref()
-            .and_then(|c| c.kill_after(run_seed, round))
-            .map(|offset| entry + offset);
+        let deadline = Instant::now() + self.deadline;
+        let fail = |e: SimError| FailedRep::from_run(run_seed, &e);
         let policy = if self.checkpoint_every > 0 {
             CheckpointPolicy::every(self.checkpoint_every)
         } else {
             CheckpointPolicy::DISABLED
         };
-        let mut ckpt = Checkpointer::new(policy);
-        // Skip cadence boundaries already behind a resumed session.
-        ckpt.due(entry);
-        loop {
-            let done = session
-                .step_events(STEP_CHUNK)
-                .map_err(|e| FailedRep::from_run(run_seed, &e))?;
-            if done {
-                break;
-            }
-            if Instant::now() >= deadline {
-                return Err(FailedRep {
-                    seed: run_seed,
-                    class: ErrorClass::DeadlineExceeded,
-                    error: format!(
-                        "repetition exceeded its {}s wall-clock deadline after {} events",
-                        self.deadline.as_secs(),
-                        session.events_done()
-                    ),
-                    problems: Vec::new(),
-                });
-            }
-            if ckpt.due(session.events_done()) {
-                // Checkpoint barriers are the engine-health sample
-                // points: the queue is between events, so the snapshot
-                // is consistent and free of races.
-                let start = self.metrics.as_ref().map(|hub| {
-                    hub.sample_queue_health(session.queue_health());
-                    hub.recorder().counter_add("supervisor_checkpoints", 1);
-                    hub.wall_now()
-                });
-                *slot.lock().expect("checkpoint slot") = Some(session.checkpoint());
-                if let (Some(hub), Some(start)) = (&self.metrics, start) {
-                    let span = hub.wall_now() - start;
-                    hub.span(format!("seed_{run_seed:016x}"), "checkpoint", "wall_s", start, span);
+        let mut latest: Option<Checkpoint<E>> = None;
+        let mut round: u32 = 0;
+        'rounds: loop {
+            // Clone, don't take: if this round is killed before its
+            // first checkpoint, the next one resumes from the same one.
+            let mut session = match &latest {
+                Some(ck) => Running::resume(ck.clone()),
+                None => start().map_err(fail)?,
+            };
+            let entry = session.events_done();
+            let kill_at = self
+                .chaos
+                .as_ref()
+                .and_then(|c| c.kill_after(run_seed, round))
+                .map(|offset| entry + offset);
+            let mut ckpt = Checkpointer::new(policy);
+            // Skip cadence boundaries already behind a resumed session.
+            ckpt.due(entry);
+            loop {
+                if session.step_events(STEP_CHUNK).map_err(fail)? {
+                    break;
                 }
-            }
-            if let Some(kill_at) = kill_at {
-                if session.events_done() >= kill_at {
+                if Instant::now() >= deadline {
+                    return Err(FailedRep {
+                        seed: run_seed,
+                        class: ErrorClass::DeadlineExceeded,
+                        error: format!(
+                            "repetition exceeded its {}s wall-clock deadline after {} events",
+                            self.deadline.as_secs(),
+                            session.events_done()
+                        ),
+                        problems: Vec::new(),
+                    });
+                }
+                // Slice boundaries are the engine-health sample points:
+                // the queue is between events, so the sample is
+                // consistent and free of races.
+                if let Some(hub) = &self.metrics {
+                    hub.sample_queue_health(session.queue_health());
+                }
+                if ckpt.due(session.events_done()) {
+                    let wall_start = self.metrics.as_ref().map(|hub| {
+                        hub.recorder().counter_add("supervisor_checkpoints", 1);
+                        hub.wall_now()
+                    });
+                    latest = Some(session.checkpoint());
+                    if let (Some(hub), Some(wall_start)) = (&self.metrics, wall_start) {
+                        let span = hub.wall_now() - wall_start;
+                        let scope = format!("seed_{run_seed:016x}");
+                        hub.span(scope, "checkpoint", "wall_s", wall_start, span);
+                    }
+                }
+                if kill_at.is_some_and(|at| session.events_done() >= at) {
+                    // A chaos kill: drop the live session and go round
+                    // again from the latest checkpoint (or from scratch).
                     if let Some(chaos) = &self.chaos {
                         chaos.stats.count_kill();
+                        if latest.is_some() {
+                            chaos.stats.count_resume();
+                        }
                     }
-                    // resume_unwind skips the panic hook: a scheduled
-                    // kill is part of the test, not console noise.
-                    std::panic::resume_unwind(Box::new(ChaosKill));
+                    round += 1;
+                    continue 'rounds;
                 }
             }
+            if let Some(hub) = &self.metrics {
+                // Credit the run's events, each once (a resumed session
+                // counts those before its checkpoint too; replays after
+                // a kill are not counted), and take a final health
+                // sample so the gauges exist even for a run shorter than
+                // one slice.
+                hub.add_events(session.events_done());
+                hub.sample_queue_health(session.queue_health());
+                let r = hub.recorder();
+                r.describe("rep_sim_events", "Simulation events dispatched per repetition");
+                r.hist_record("rep_sim_events", session.events_done());
+            }
+            return session.finish().map_err(fail);
         }
-        if let Some(hub) = &self.metrics {
-            // Credit this round's dispatched events (resumed rounds
-            // re-dispatch from their checkpoint; counting from `entry`
-            // keeps replayed events out of the throughput number) and
-            // take a final health sample so the gauges exist even when
-            // checkpointing is off.
-            hub.add_events(session.events_done().saturating_sub(entry));
-            hub.sample_queue_health(session.queue_health());
-            let mut shard = obs::HdrHistogram::new();
-            shard.record(session.events_done());
-            crate::metrics::fold_events_hist(hub.recorder(), &shard);
-        }
-        session.finish().map_err(|e| FailedRep::from_run(run_seed, &e))
     }
 }
 
@@ -641,7 +597,6 @@ mod tests {
             (ErrorClass::StateCorruption, true),
             (ErrorClass::ConservationViolation, true),
             (ErrorClass::Panic, true),
-            (ErrorClass::WorkerDeath, false),
             (ErrorClass::DeadlineExceeded, false),
         ];
         assert_eq!(table.map(|(class, _)| class), ErrorClass::ALL);
@@ -727,8 +682,8 @@ mod tests {
         };
         let lost = FailedRep {
             seed: 7,
-            error: "worker died".into(),
-            class: ErrorClass::WorkerDeath,
+            error: "deadline exceeded".into(),
+            class: ErrorClass::DeadlineExceeded,
             problems: Vec::new(),
         };
         let ledger = RunLedger::default();

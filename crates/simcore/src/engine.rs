@@ -234,7 +234,7 @@ fn sort_batch(batch: &mut Vec<Node>, scratch: &mut Vec<Node>, start: u64, width_
 
 /// A point-in-time snapshot of [`EventQueue`] internals for
 /// observability (see [`EventQueue::health`]). Sampled by the harness
-/// at checkpoint barriers and surfaced as gauges, so sharded engines
+/// between supervised step slices and surfaced as gauges, so sharded engines
 /// inherit per-shard metrics without reaching into queue internals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueHealth {
@@ -888,7 +888,7 @@ impl<E> EventQueue<E> {
     /// Point-in-time engine-health snapshot for observability: rung
     /// depths, tombstone debt and lifetime diagnostics in one plain
     /// struct. Costs a handful of field reads — cheap enough to sample
-    /// at every checkpoint barrier — and keeps metric consumers out of
+    /// after every supervised step slice — and keeps metric consumers out of
     /// the queue's private layout (simcore deliberately does not
     /// depend on the `obs` crate; the harness folds this snapshot into
     /// its registry).

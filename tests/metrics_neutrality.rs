@@ -133,9 +133,11 @@ fn interval_series_and_spans_are_written() {
 fn checkpointed_run_samples_queue_health_and_counts_checkpoints() {
     let dir = metrics_dir("ckpt");
     let hub = Arc::new(MetricsHub::new(&dir).expect("hub dir"));
-    let mut ctx = RunCtx::new(Effort::Smoke).with_metrics(hub.clone());
-    ctx.checkpoint_every = 50_000;
-    ctx.harness_with_reps(1).run(&scenario("ckpt_health")).expect("run");
+    let ctx = RunCtx::new(Effort::Smoke).with_metrics(hub.clone());
+    ctx.harness_with_reps(1)
+        .with_supervisor(ctx.supervisor().with_checkpoint_every(50_000))
+        .run(&scenario("ckpt_health"))
+        .expect("run");
     let snap = hub.recorder().snapshot();
     assert!(
         snap.counters.get("supervisor_checkpoints").copied().unwrap_or(0) > 0,
@@ -144,5 +146,21 @@ fn checkpointed_run_samples_queue_health_and_counts_checkpoints() {
     assert!(snap.gauges.contains_key("engine_queue_len"));
     assert!(snap.hists["engine_queue_depth"].count() > 0);
     assert!(snap.hists["rep_sim_events"].count() >= 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn plain_hub_samples_queue_health_mid_run_without_checkpoints() {
+    // No chaos and no checkpoint cadence: the supervisor still samples
+    // queue health after every step slice, so a run longer than one
+    // slice leaves more than the end-of-run sample.
+    let dir = metrics_dir("slices");
+    let hub = Arc::new(MetricsHub::new(&dir).expect("hub dir"));
+    let ctx = RunCtx::new(Effort::Smoke).with_metrics(hub.clone());
+    ctx.harness_with_reps(1).run(&scenario("slice_health")).expect("run");
+    let snap = hub.recorder().snapshot();
+    assert_eq!(snap.counters.get("supervisor_checkpoints").copied(), Some(0));
+    let samples = snap.hists["engine_queue_depth"].count();
+    assert!(samples > 1, "queue depth sampled {samples} time(s): no mid-run sample");
     std::fs::remove_dir_all(&dir).ok();
 }
