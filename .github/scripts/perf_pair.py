@@ -15,6 +15,8 @@ results), or when the head's median of an end-to-end metric in
 BENCHMARK.json is worse than the base's median by more than that
 metric's bound. Without `--base` the head runs alone and only
 correctness is checked. Run length is BENCHMARK.json's `run_seconds`.
+For each end-to-end metric it also prints both sides' quartiles
+[q1, q3] and how many same-seed pairs the head won.
 
     perf_pair.py --self-test
     perf_pair.py --workload cc_mix_256 --pairs 5 --ledger BENCH_LEDGER.delta.jsonl \\
@@ -48,6 +50,28 @@ def run_once(binary, workload, seed, seconds):
     return {**result, "digest": digest}
 
 
+def quartiles(values):
+    """(q1, median, q3) of values, by linear interpolation between runs."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(lines, metric):
+    """Quartiles of one metric on each side, and the same-seed pairs
+    the head won (strictly better) out of all pairs."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    sides = {side: [l for l in lines if l["side"] == side] for side in ("base", "head")}
+    value = {(l["side"], l["seed"]): l["metrics"][name]["value"] for l in lines}
+    pairs = {l["seed"] for l in sides["base"]} & {l["seed"] for l in sides["head"]}
+    won = sum((value["head", s] < value["base", s]) if lower else
+              (value["head", s] > value["base", s]) for s in pairs)
+    return {**{side: quartiles([l["metrics"][name]["value"] for l in side_lines])
+               for side, side_lines in sides.items()},
+            "won": won, "pairs": len(pairs)}
+
+
 def judge(lines, bench):
     """Everything wrong with one workload's ledger lines; empty means pass."""
     problems = [
@@ -69,15 +93,16 @@ def judge(lines, bench):
     for metric in bench["end_to_end"]:
         name, bound = metric["name"], metric["bound"]
         try:
-            base, head = (statistics.median(l["metrics"][name]["value"] for l in by_side[s])
-                          for s in ("base", "head"))
+            summary = summarize(lines, metric)
         except KeyError:
             problems.append(f"{name}: missing from a result line")
             continue
+        (b1, base, b3), (h1, head, h3) = summary["base"], summary["head"]
         delta = head - base if metric["better"] == "lower" else base - head
         worse = delta / abs(base) if base else (math.inf if delta > 0 else 0.0)
-        print(f"perf_pair: {name}: base median {base:.6g}, head median {head:.6g}, "
-              f"{worse:+.1%} worse (bound {bound:.0%})")
+        print(f"perf_pair: {name}: base median {base:.6g} [{b1:.6g}, {b3:.6g}], "
+              f"head median {head:.6g} [{h1:.6g}, {h3:.6g}], {worse:+.1%} worse "
+              f"(bound {bound:.0%}); head won {summary['won']}/{summary['pairs']} pairs")
         if worse > bound:
             problems.append(f"{name}: head median {head:.6g} is {worse:+.1%} worse than "
                             f"base median {base:.6g} (bound {bound:.0%})")
@@ -86,10 +111,10 @@ def judge(lines, bench):
 
 def self_test(bench):
     """Show on synthetic lines that the gate passes and fails as it should."""
-    def line(side, wall_rel=1.0, correct=True, failed=0, digest="00c0ffee"):
+    def line(side, wall_rel=1.0, correct=True, failed=0, digest="00c0ffee", seed=1):
         metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in bench["end_to_end"]}
         metrics["wall_rel"]["value"] = wall_rel
-        return {"commit": side, "side": side, "workload": "synthetic", "seed": 1,
+        return {"commit": side, "side": side, "workload": "synthetic", "seed": seed,
                 "correct": correct, "attempted": 10, "failed": failed, "metrics": metrics,
                 "digest": digest}
 
@@ -111,6 +136,17 @@ def self_test(bench):
         got = 1 if judge(lines, bench) else 0
         print(f"perf_pair self-test: {name}: exit {got} (want {want})")
         wrong += got != want
+
+    # Five seeds: the head wins on seeds 1-3, ties on 4 and loses on 5.
+    base = [10.0, 20.0, 30.0, 40.0, 50.0]
+    head = [5.0, 15.0, 25.0, 40.0, 60.0]
+    paired = [line(side, v, seed=seed) for seed, b, h in zip(range(1, 6), base, head)
+              for side, v in (("base", b), ("head", h))]
+    wall_rel = next(m for m in bench["end_to_end"] if m["name"] == "wall_rel")
+    got = summarize(paired, wall_rel)
+    want = {"base": (20.0, 30.0, 40.0), "head": (15.0, 25.0, 40.0), "won": 3, "pairs": 5}
+    print(f"perf_pair self-test: summary: {got} (want {want})")
+    wrong += got != want
     return 1 if wrong else 0
 
 

@@ -15,7 +15,7 @@
 use crate::calib::{self, ArchCosts};
 use crate::hostcfg::HostConfig;
 use crate::virt::VirtMode;
-use simcore::time::round_f64_u64;
+use simcore::time::{round_f64_u64, u64_to_f64};
 use simcore::{Bytes, SimDuration, SimRng};
 
 /// One stage of the host pipeline, for per-stage cycle attribution.
@@ -300,7 +300,7 @@ impl CostModel {
         if !self.iommu_pt {
             effective /= calib::IOMMU_NO_PT_FABRIC_DIVISOR;
         }
-        SimDuration::from_nanos(round_f64_u64(burst.bits() as f64 / effective))
+        SimDuration::from_nanos(round_f64_u64(u64_to_f64(burst.bits()) / effective))
     }
 
     fn iommu_pkt_extra(&self) -> f64 {

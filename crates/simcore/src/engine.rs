@@ -84,8 +84,11 @@
 //! key is kept in a flat `heads` array beside the lanes (`NO_KEY` for
 //! an empty lane), updated only when a push fills an empty lane or a
 //! pop exposes a new front. Selecting the next entry is then a
-//! branch-free minimum over the near tail's key and `heads`, without
-//! touching any `VecDeque`; `peek_time` makes the same selection.
+//! minimum over the near tail's key and `heads`, kept with conditional
+//! moves rather than branches and without touching any `VecDeque`;
+//! `peek_time` makes the same selection. `pop_until` is inlined into
+//! each engine's dispatch loop, and only the refill from the coarser
+//! rungs is an out-of-line call.
 //!
 //! # Cancelable timers
 //!
@@ -102,6 +105,7 @@
 
 use crate::time::SimTime;
 use std::collections::VecDeque;
+use std::hint::select_unpredictable;
 
 /// Number of buckets in the wheel ring: one bit each in the `u64`
 /// occupancy bitmap. Kept small so the bucket headers and their tail
@@ -234,8 +238,8 @@ fn sort_batch(batch: &mut Vec<Node>, scratch: &mut Vec<Node>, start: u64, width_
 
 /// A point-in-time snapshot of [`EventQueue`] internals for
 /// observability (see [`EventQueue::health`]). Sampled by the harness
-/// between supervised step slices and surfaced as gauges, so sharded engines
-/// inherit per-shard metrics without reaching into queue internals.
+/// between supervised step slices and surfaced as gauges, without the
+/// harness reaching into queue internals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueHealth {
     /// Live events in the near (sorted run) rung.
@@ -628,6 +632,12 @@ impl<E> EventQueue<E> {
     /// Pop the next event if it fires at or before `end`, advancing the
     /// clock to its firing time; otherwise leave it pending and return
     /// `None`. One call does the work of a `peek_time` and a `pop`.
+    ///
+    /// Inlined into each engine's dispatch loop, so the chosen entry is
+    /// read straight into the caller's `match` instead of through a
+    /// returned stack slot; the refill path (`migrate`) stays out of
+    /// line.
+    #[inline]
     pub fn pop_until(&mut self, end: SimTime) -> Option<(SimTime, E)> {
         if self.near.is_empty() {
             // Bring the wheel's minimum to the near run's tail (a no-op
@@ -664,6 +674,11 @@ impl<E> EventQueue<E> {
     /// The least of `wheel` (the wheel's minimum key, or `NO_KEY`) and
     /// the lane heads, with the lane it heads (`None` for the wheel).
     /// Ties cannot occur: keys are unique.
+    ///
+    /// The scan keeps a plain `(key, lane)` pair, with `usize::MAX` for
+    /// the wheel, and updates it with conditional moves rather than a
+    /// branch: which head wins is data-dependent and mispredicts often.
+    /// The sentinel becomes `None` once, after the scan.
     #[inline]
     fn select(&self, wheel: u128) -> (u128, Option<usize>) {
         debug_assert!(
@@ -672,13 +687,13 @@ impl<E> EventQueue<E> {
             }),
             "a lane head is out of step with its lane"
         );
-        let mut best = (wheel, None);
+        let (mut key, mut lane) = (wheel, usize::MAX);
         for (i, &head) in self.heads.iter().enumerate() {
-            if head < best.0 {
-                best = (head, Some(i));
-            }
+            let less = head < key;
+            key = select_unpredictable(less, head, key);
+            lane = select_unpredictable(less, i, lane);
         }
-        best
+        (key, (lane != usize::MAX).then_some(lane))
     }
 
     /// Refill the (empty) near run from the coarser rungs: drain the
@@ -692,6 +707,10 @@ impl<E> EventQueue<E> {
     /// split can never perturb determinism; and since each coarser rung
     /// only holds entries strictly beyond the finer rungs' coverage,
     /// the near run's minimum is always the global minimum.
+    ///
+    /// Runs once per drained batch, so it stays out of line: inlined
+    /// pops carry only the call.
+    #[inline(never)]
     fn migrate(&mut self) -> Option<()> {
         debug_assert!(self.near.is_empty());
         loop {

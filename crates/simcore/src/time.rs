@@ -31,6 +31,24 @@ fn trunc_then(x: f64, up: impl FnOnce(f64, f64) -> bool) -> u64 {
     }
 }
 
+/// `x as f64`, bit for bit, through `i64` below 2^63: one predicted
+/// sign test and one `cvtsi2sd` on baseline x86-64, where the unsigned
+/// conversion takes five or six instructions. Values at or above 2^63
+/// take `as f64` out of line: inlined, that branch lets the compiler
+/// fold the whole helper back into the unsigned sequence.
+#[inline(always)]
+pub fn u64_to_f64(x: u64) -> f64 {
+    #[cold]
+    #[inline(never)]
+    fn above_i64(x: u64) -> f64 {
+        x as f64
+    }
+    match i64::try_from(x) {
+        Ok(i) => i as f64,
+        Err(_) => above_i64(x),
+    }
+}
+
 /// Round a non-negative `f64` to the nearest integer, halves away from
 /// zero — bit-identical to `x.round() as u64` over the whole `f64`
 /// domain (negatives, NaN and out-of-range values all saturate through
@@ -95,7 +113,7 @@ impl SimTime {
     /// Seconds as `f64` (lossy for very large times; fine for our runs).
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
+        u64_to_f64(self.0) / 1e9
     }
 
     /// Saturating subtraction producing a duration.
@@ -161,7 +179,7 @@ impl SimDuration {
     /// Seconds as `f64`.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
+        u64_to_f64(self.0) / 1e9
     }
 
     /// Milliseconds as `f64`.
@@ -354,6 +372,16 @@ mod tests {
         for i in 0..200_000u64 {
             assert_helpers_match_std(v + (i as f64) * 0.137);
             v += 17.31;
+        }
+    }
+
+    #[test]
+    fn u64_to_f64_matches_as_on_the_edges_and_random_patterns() {
+        let edges = [0, 1, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, (1 << 63) - 1, 1 << 63, u64::MAX];
+        let mut rng = crate::SimRng::seed_from_u64(0x0064_f64d);
+        let random = (0..200_000).map(|_| rng.next_u64());
+        for x in edges.into_iter().chain(random) {
+            assert_eq!(u64_to_f64(x).to_bits(), (x as f64).to_bits(), "mismatch at {x:#x}");
         }
     }
 

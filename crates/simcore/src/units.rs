@@ -4,7 +4,7 @@
 //! the unit the paper reports: Gbps) and data volumes are [`Bytes`].
 //! Mixing the two — the classic factor-of-8 bug — is a type error.
 
-use crate::time::{ceil_f64_u64, floor_f64_u64, SimDuration};
+use crate::time::{ceil_f64_u64, floor_f64_u64, u64_to_f64, SimDuration};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
@@ -214,7 +214,7 @@ impl BitRate {
     #[inline]
     pub fn serialize_time(self, bytes: Bytes) -> SimDuration {
         assert!(self.0 > 0.0, "cannot serialise at zero rate");
-        SimDuration::from_nanos(ceil_f64_u64(bytes.bits() as f64 / self.0 * 1e9))
+        SimDuration::from_nanos(ceil_f64_u64(u64_to_f64(bytes.bits()) / self.0 * 1e9))
     }
 
     /// Bytes transferred in `dur` at this rate.

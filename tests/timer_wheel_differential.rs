@@ -814,3 +814,124 @@ fn interleaved_server_streams_in_one_lane_match_reference() {
         assert_eq!(reference.pop(), None);
     }
 }
+
+/// Selection over many lane heads, most of them empty: a few sparse
+/// lane numbers out of 0..=63 (always 0 and 63, the ends of the head
+/// scan) drain and refill among wheel pushes and cancelable timers.
+/// After every operation `peek_time` must match the reference; pops go
+/// through `pop` and through `pop_until` at exactly the next head time
+/// (with `pop_until` one nanosecond earlier popping nothing); and a
+/// clone taken mid-stream must answer every later operation alike.
+#[test]
+fn sparse_lanes_up_to_63_select_the_reference_minimum() {
+    for seed in 0..8u64 {
+        let mut rng = Lcg(0x5e1e ^ (seed << 17));
+        let mut lanes = vec![0, 63];
+        while lanes.len() < 6 {
+            let lane = (rng.next() % 64) as usize;
+            if !lanes.contains(&lane) {
+                lanes.push(lane);
+            }
+        }
+        let mut engine: EventQueue<u64> = EventQueue::new();
+        let mut reference = ReferenceQueue::new();
+        let mut copy = None;
+        let mut tails = [SimTime::ZERO; 64];
+        let mut depth = [0usize; 64];
+        // The lane of each laned payload; wheel payloads are absent.
+        let mut lane_of = std::collections::HashMap::new();
+        let mut timers: Vec<(TimerId, u64)> = Vec::new();
+        let (mut refills, mut lane_pops, mut wheel_pops) = (0, [0usize; 64], 0);
+        let mut payload = 0u64;
+        for step in 0..8000u64 {
+            let now = engine.now();
+            // Pops outnumber pushes, so every lane keeps draining.
+            match rng.next() % 12 {
+                0..=2 => {
+                    let lane = lanes[(rng.next() % lanes.len() as u64) as usize];
+                    refills += usize::from(depth[lane] == 0);
+                    for _ in 0..1 + rng.next() % 2 {
+                        let t =
+                            (now + SimDuration::from_nanos(rng.next() % 20_000)).max(tails[lane]);
+                        tails[lane] = t;
+                        assert!(on_both(&mut engine, &mut copy, |q| q.push_lane(lane, t, payload)));
+                        reference.push(t, payload);
+                        lane_of.insert(payload, lane);
+                        depth[lane] += 1;
+                        payload += 1;
+                    }
+                }
+                3 => {
+                    let t = now + SimDuration::from_nanos(rng.next() % 50_000_000);
+                    on_both(&mut engine, &mut copy, |q| q.push(t, payload));
+                    reference.push(t, payload);
+                    payload += 1;
+                }
+                4 => {
+                    let t = now + SimDuration::from_nanos(rng.next() % 200_000_000);
+                    // A clone holds the same slots, so the original's
+                    // receipt cancels the copy's timer too.
+                    let id = engine.schedule_timer(t, payload);
+                    if let Some(copy) = &mut copy {
+                        copy.schedule_timer(t, payload);
+                    }
+                    timers.push((id, reference.push(t, payload)));
+                    payload += 1;
+                }
+                5 if !timers.is_empty() => {
+                    let (id, seq) = timers.swap_remove((rng.next() as usize) % timers.len());
+                    let cancelled = on_both(&mut engine, &mut copy, |q| q.cancel_timer(id));
+                    assert_eq!(
+                        cancelled,
+                        reference.cancel(seq),
+                        "cancel (seed {seed}, step {step})"
+                    );
+                }
+                kind => {
+                    let popped = match reference.peek_time() {
+                        Some(t) if kind % 2 == 0 => {
+                            if t > now {
+                                let early = SimTime::from_nanos(t.as_nanos() - 1);
+                                let none = on_both(&mut engine, &mut copy, |q| q.pop_until(early));
+                                assert_eq!(none, None, "popped early (seed {seed}, step {step})");
+                            }
+                            let popped = on_both(&mut engine, &mut copy, |q| q.pop_until(t));
+                            assert_eq!(popped, reference.pop_until(t));
+                            popped
+                        }
+                        _ => {
+                            let popped = on_both(&mut engine, &mut copy, EventQueue::pop);
+                            assert_eq!(popped, reference.pop());
+                            popped
+                        }
+                    };
+                    assert!(popped.is_some() || reference.peek_time().is_none());
+                    if let Some((_, p)) = popped {
+                        match lane_of.remove(&p) {
+                            Some(lane) => {
+                                depth[lane] -= 1;
+                                lane_pops[lane] += 1;
+                            }
+                            None => wheel_pops += 1,
+                        }
+                    }
+                }
+            }
+            let peek = on_both(&mut engine, &mut copy, |q| q.peek_time());
+            assert_eq!(peek, reference.peek_time(), "peek (seed {seed}, step {step})");
+            if step >= 4000 && copy.is_none() && engine.health().lane_depth > 0 {
+                copy = Some(engine.clone());
+            }
+        }
+        assert!(refills > 1000, "only {refills} refills (seed {seed})");
+        assert!(wheel_pops > 500, "only {wheel_pops} wheel pops (seed {seed})");
+        for &lane in &lanes {
+            assert!(lane_pops[lane] > 300, "lane {lane}: {} pops (seed {seed})", lane_pops[lane]);
+        }
+        assert!(copy.is_some(), "no clone taken (seed {seed})");
+        while let Some(popped) = on_both(&mut engine, &mut copy, EventQueue::pop) {
+            assert_eq!(Some(popped), reference.pop(), "drain divergence (seed {seed})");
+        }
+        assert_eq!((reference.pop(), engine.peek_time()), (None, None));
+    }
+}
