@@ -7,28 +7,26 @@
 //! repro table1 table2        # several artefacts
 //! repro all                  # everything (experiments run concurrently)
 //! repro ablations            # the design-choice ablations
-//! repro --metrics m/ fig05   # + OpenMetrics, interval series, heartbeat
-//! repro --trace out/ ext_telemetry  # --metrics out/ + per-tick traces, profiles
+//! repro --metrics out/ fig05 # + every run file: CSVs, traces, profiles, metrics
 //! REPRO_EFFORT=smoke repro fig05    # quick CI-sized run
 //! REPRO_EFFORT=full  repro all      # paper-faithful 60 s × 10 reps
 //! REPRO_JOBS=4 repro all            # cap concurrent repetitions
 //! REPRO_CHAOS=42 repro fig05        # inject harness faults, verify recovery
 //! ```
 //!
-//! The environment (`REPRO_EFFORT`, `REPRO_JOBS`, `REPRO_CHAOS`,
-//! `REPRO_METRICS`) is resolved exactly once here, into a [`RunCtx`],
-//! and threaded explicitly through every experiment; a `REPRO_CHAOS`
-//! that is not a u64 seed is a usage error, before anything runs. The
-//! output directory (`REPRO_METRICS` or a flag) is created only once
-//! the arguments are known to name a run.
+//! The environment (`REPRO_EFFORT`, `REPRO_JOBS`, `REPRO_CHAOS`) is
+//! resolved exactly once, into a [`RunCtx`], and threaded explicitly
+//! through every experiment; a `REPRO_CHAOS` that is not a u64 seed is
+//! a usage error, before anything runs.
 //!
-//! Every run artefact lands in one directory, written by one
-//! [`harness::MetricsHub`]: `--metrics <dir>` (or `REPRO_METRICS`)
-//! names it, and `--trace <dir>` is the same hub with per-tick
-//! telemetry and attribution forced onto every repetition. Naming two
-//! different directories (`--trace A` with `--metrics B` or
-//! `REPRO_METRICS=B`), or a flag's directory that already has entries,
-//! is a usage error.
+//! Every run file lands in one directory, written by one
+//! [`harness::MetricsHub`], and `--metrics <dir>` is the one way to
+//! name it: per experiment its data as CSV, per repetition its interval
+//! series, JSON-lines trace and cycle profiles, and per invocation the
+//! OpenMetrics exposition, the phase spans and (for a degraded run) the
+//! missing-repetition manifest. The directory is created only once the
+//! arguments are known to name a run; one that already has entries, or
+//! cannot be created, is a usage error before anything runs.
 //!
 //! Besides the human-readable progress lines, every experiment emits
 //! one machine-parseable `repro-summary experiment=<name> key=value …`
@@ -39,8 +37,7 @@
 //! simulator defect, printed with its seed; no surviving repetition;
 //! or a wrong result), `2` usage error, `3` degraded — every artefact
 //! rendered, but some repetitions overran their wall-clock deadline
-//! (see the missing-repetition manifest on stderr, or
-//! `REPRO_MANIFEST=<file>`).
+//! (see the missing-repetition manifest on stderr).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -56,24 +53,9 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(2);
     });
-    // `--trace <dir>` / `--metrics <dir>`: the one run-output directory
-    // (OpenMetrics exposition, interval series, phase spans, live
-    // stderr heartbeat); `--trace` adds per-tick JSON-lines traces and
-    // cycle profiles per repetition.
-    let trace = take_dir_flag(&mut args, "--trace");
+    // `--metrics <dir>`: the one run-output directory (see the module
+    // docs) plus a live stderr heartbeat.
     let metrics = take_dir_flag(&mut args, "--metrics");
-    let env_dir = std::env::var_os("REPRO_METRICS").map(PathBuf::from);
-    if let (Some(t), Some(m)) = (&trace, metrics.as_ref().or(env_dir.as_ref())) {
-        if t != m {
-            eprintln!(
-                "--trace {} and --metrics/REPRO_METRICS {} name different directories; \
-                 --trace <dir> is --metrics <dir> with per-tick traces",
-                t.display(),
-                m.display()
-            );
-            std::process::exit(2);
-        }
-    }
     if args.is_empty() || args[0] == "help" || args[0] == "--help" {
         usage();
         return;
@@ -98,26 +80,16 @@ fn main() {
     }
     // The arguments name a run: only now create the output directory,
     // so `list`, `help` and usage errors leave nothing on disk.
-    if let Some(dir) = trace.clone().or(metrics) {
-        let flag = if trace.is_some() { "--trace" } else { "--metrics" };
+    if let Some(dir) = metrics {
         match harness::MetricsHub::new(&dir) {
             Ok(hub) => {
-                eprintln!("writing run metrics to {}/", dir.display());
-                let hub = if trace.is_some() { hub.with_per_tick() } else { hub };
+                eprintln!("writing run files to {}/", dir.display());
                 ctx.metrics = Some(Arc::new(hub));
             }
             Err(e) => {
-                eprintln!("{flag} '{}' cannot hold this run: {e}", dir.display());
+                eprintln!("--metrics '{}' cannot hold this run: {e}", dir.display());
                 std::process::exit(2);
             }
-        }
-    } else if let Some(dir) = env_dir {
-        match harness::MetricsHub::new(&dir) {
-            Ok(hub) => ctx.metrics = Some(Arc::new(hub)),
-            Err(e) => eprintln!(
-                "REPRO_METRICS='{}' cannot hold this run ({e}); ignoring",
-                dir.display()
-            ),
         }
     }
     if let Some(chaos) = &ctx.chaos {
@@ -152,12 +124,25 @@ fn main() {
             }
         }
     }
-    if let Some(chaos) = &ctx.chaos {
-        eprintln!("{}", chaos.stats.summary());
-    }
     // Every experiment's ledger, merged in the order they ran (the
     // ablations record straight into it).
     let ledger = &ctx.ledger;
+    // Degraded-run accounting: the ledger has one record per scenario;
+    // missing repetitions produce the manifest and exit code 3. A
+    // failed *scenario* (a simulator defect, all repetitions lost and
+    // reported as zeros, or a wrong result) is the stronger signal and
+    // keeps exit code 1.
+    if ledger.degraded() {
+        let manifest = ledger.manifest_json();
+        eprintln!("degraded run, missing-repetition manifest: {manifest}");
+        if let Some(hub) = &ctx.metrics {
+            let io = harness::chaos::artefact_io(ctx.chaos.as_ref());
+            hub.put(io.as_ref(), "manifest.json", &manifest);
+        }
+    }
+    if let Some(chaos) = &ctx.chaos {
+        eprintln!("{}", chaos.stats.summary());
+    }
     if let Some(hub) = &ctx.metrics {
         // Fold the end-of-run totals (ledger, chaos) into the registry
         // and write the exposition + span files.
@@ -170,27 +155,6 @@ fn main() {
         match hub.write_exposition() {
             Ok(path) => eprintln!("metrics written to {}", path.display()),
             Err(e) => eprintln!("cannot write metrics to {}: {e}", hub.dir().display()),
-        }
-    }
-    // Degraded-run accounting: the ledger has one record per scenario;
-    // missing repetitions produce the manifest and exit code 3. A
-    // failed *scenario* (a simulator defect, all repetitions lost and
-    // reported as zeros, or a wrong result) is the stronger signal and
-    // keeps exit code 1.
-    if ledger.degraded() {
-        let manifest = ledger.manifest_json();
-        match std::env::var_os("REPRO_MANIFEST") {
-            Some(path) => {
-                let path = PathBuf::from(path);
-                match std::fs::write(&path, &manifest) {
-                    Ok(()) => eprintln!("degraded run: manifest written to {}", path.display()),
-                    Err(e) => {
-                        eprintln!("cannot write manifest to {}: {e}", path.display());
-                        eprintln!("{manifest}");
-                    }
-                }
-            }
-            None => eprintln!("degraded run, missing-repetition manifest: {manifest}"),
         }
     }
     // Scenarios that failed (watchdog, conservation, invalid config,
@@ -224,21 +188,12 @@ fn run_one(id: ExperimentId, ctx: &RunCtx) -> (String, Arc<RunLedger>) {
     let start = std::time::Instant::now();
     let artifact = id.run(&ctx);
     let rendered = artifact.render_ascii();
-    // Open data: dump CSVs when REPRO_CSV_DIR is set (the paper
-    // releases all collected data; so do we).
-    if let Some(dir) = std::env::var_os("REPRO_CSV_DIR") {
-        let dir = PathBuf::from(dir);
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-        } else {
-            for (name, csv) in artifact.to_csv_files(id.name()) {
-                let path = dir.join(name);
-                if let Err(e) = std::fs::write(&path, csv) {
-                    eprintln!("cannot write {}: {e}", path.display());
-                } else {
-                    eprintln!("wrote {}", path.display());
-                }
-            }
+    // Open data: the paper releases all collected data; so do we, as
+    // CSV beside the run's other files.
+    if let Some(hub) = &ctx.metrics {
+        let io = harness::chaos::artefact_io(ctx.chaos.as_ref());
+        for (name, csv) in artifact.to_csv_files(id.name()) {
+            hub.put(io.as_ref(), &name, &csv);
         }
     }
     let secs = start.elapsed().as_secs_f64();
@@ -283,20 +238,17 @@ fn take_dir_flag(args: &mut Vec<String>, flag: &str) -> Option<PathBuf> {
 
 fn usage() {
     eprintln!(
-        "usage: repro [--trace <dir>] [--metrics <dir>] [list | all | ablations | fig04..fig13 | table1..table3 | ext_hw_gro | ext_bigtcp_zc | ext_faults | ext_telemetry | ext_bottleneck | ext_scale | ext_cc_matrix | ext_fleet]...\n\
-         flags:       --metrics <dir> to write OpenMetrics exposition, per-repetition\n\
-                      interval series and phase spans (plus a live stderr heartbeat)\n\
-                      --trace <dir> same as --metrics <dir>, plus per-tick telemetry and\n\
-                      attribution on every repetition: .jsonl traces and .folded/.perf.txt\n\
-                      cycle profiles per repetition in the same directory\n\
-                      (either flag's directory must be empty or not yet exist)\n\
+        "usage: repro [--metrics <dir>] [list | all | ablations | fig04..fig13 | table1..table3 | ext_hw_gro | ext_bigtcp_zc | ext_faults | ext_telemetry | ext_bottleneck | ext_scale | ext_cc_matrix | ext_fleet]...\n\
+         flags:       --metrics <dir> to write every run file into <dir>, which must be\n\
+                      empty or not yet exist: per experiment its data as CSV; per\n\
+                      repetition its interval series, .jsonl telemetry trace and\n\
+                      .folded/.perf.txt cycle profiles; the OpenMetrics exposition,\n\
+                      phase spans and a degraded run's manifest.json (plus a live\n\
+                      stderr heartbeat)\n\
          environment: REPRO_EFFORT=smoke|standard|full (default standard)\n\
                       REPRO_JOBS=<n> to cap concurrently simulating repetitions\n\
-                      REPRO_CSV_DIR=<dir> to also dump CSV data files\n\
                       REPRO_CHAOS=<seed> inject harness faults (worker kills,\n\
-                      artefact-write failures) and verify recovery\n\
-                      REPRO_METRICS=<dir> same as --metrics\n\
-                      REPRO_MANIFEST=<file> write the degraded-run manifest here\n\
+                      run-file write failures) and verify recovery\n\
          exit codes:  0 clean, 1 failed scenario(s), 2 usage, 3 degraded (lost reps)"
     );
 }

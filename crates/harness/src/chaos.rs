@@ -3,7 +3,7 @@
 //! Chaos mode attacks the *harness*, never the simulation: a worker's
 //! live session is dropped at a pseudo-random event count, at most
 //! once in each of its first two rounds, and the metrics hub's
-//! per-repetition artefact writes fail through the
+//! run-file writes fail through the
 //! [`crate::trace::TraceIo`] shim. The supervision layer
 //! ([`crate::supervise`]) must absorb both — resume from the last
 //! checkpoint, degrade a lost artefact to a warning — while the final
@@ -34,7 +34,7 @@ const KILL_ROUNDS: u32 = 2;
 const KILL_PCT_FIRST: u64 = 40;
 /// Percent chance a worker is killed again after its first resume.
 const KILL_PCT_RESUMED: u64 = 20;
-/// Percent chance a per-repetition artefact write fails.
+/// Percent chance a run-file write fails.
 const TRACE_PCT: u64 = 30;
 
 /// Injection counters, readable while runs are in flight.
@@ -178,9 +178,9 @@ impl TraceIo for ChaosIo {
     }
 }
 
-/// The filesystem per-repetition artefacts are written through:
-/// `plan`'s failure schedule when chaos is on, the real one otherwise.
-pub(crate) fn artefact_io(plan: Option<&Arc<ChaosPlan>>) -> Box<dyn TraceIo> {
+/// The filesystem run files are written through: `plan`'s failure
+/// schedule when chaos is on, the real one otherwise.
+pub fn artefact_io(plan: Option<&Arc<ChaosPlan>>) -> Box<dyn TraceIo> {
     match plan {
         Some(plan) => Box::new(ChaosIo::new(plan.clone())),
         None => Box::new(RealIo),

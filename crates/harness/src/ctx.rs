@@ -4,8 +4,9 @@
 //! `Effort::from_env` and `REPRO_CHAOS` are read exactly once — by
 //! [`RunCtx::from_env`] in the `repro` binary — and threaded explicitly
 //! from there. `REPRO_JOBS` sizes the process-wide scheduler gate
-//! (`sched::global_gate`) on its first use. `REPRO_METRICS` names a directory the hub creates, so
-//! `repro` resolves it itself, after parsing its arguments. Tests
+//! (`sched::global_gate`) on its first use. The metrics hub creates
+//! its directory, so `repro` builds it itself, from `--metrics <dir>`,
+//! after parsing its arguments. Tests
 //! build a [`RunCtx`] directly and never touch process-global
 //! environment variables, which would race across test threads under
 //! the parallel scheduler. The context also owns the run's outcome
@@ -26,11 +27,11 @@ pub struct RunCtx {
     pub effort: Effort,
     /// Harness-level fault injection (`REPRO_CHAOS=<seed>`).
     pub chaos: Option<Arc<ChaosPlan>>,
-    /// The run-output hub (`--metrics <dir>` / `REPRO_METRICS`, or
-    /// `--trace <dir>` for a per-tick one): HDR-histogram registry,
-    /// OpenMetrics exposition, per-repetition artefacts, phase spans,
-    /// live heartbeat. Observer-neutral unless per-tick — attaching a
-    /// plain hub never changes simulation results or turns observers on.
+    /// The run-output hub (`--metrics <dir>`): HDR-histogram registry,
+    /// OpenMetrics exposition, run files, phase spans, live heartbeat.
+    /// It turns telemetry and attribution on for every repetition; both
+    /// are observer-neutral, so attaching a hub never changes
+    /// simulation results.
     pub metrics: Option<Arc<MetricsHub>>,
     /// The run ledger every harness this context builds records into,
     /// and where experiments record wrong results and late-dropped

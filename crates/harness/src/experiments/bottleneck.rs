@@ -99,7 +99,7 @@ pub fn diagnosis(ctx: &RunCtx) -> TableData {
         vec!["scenario", "Gbps", "zc fallback", "verdict", "share", "expected", "agrees"],
     );
     // Each narrative is one run's diagnosis, not an aggregate (more
-    // seeds come from --trace); the verdict must be stable per seed.
+    // seeds come from --metrics); the verdict must be stable per seed.
     let harness = ctx.harness_with_reps(1);
     for Narrative { scenario, expected } in narratives(ctx.effort) {
         let summary = common::run_or_empty(&harness, &scenario);

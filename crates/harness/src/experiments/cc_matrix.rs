@@ -290,4 +290,28 @@ mod tests {
         }
         assert_eq!(ctx.ledger.failed_scenarios(), Vec::<String>::new());
     }
+
+    #[test]
+    fn steady_column_is_the_same_with_and_without_telemetry() {
+        // Telemetry is sampled on the simulation's time base, which
+        // starts `omit` seconds before the goodput bins: the steady
+        // column must fold the goodput alone, so whether an observer
+        // rode along cannot move it.
+        use crate::testbeds::EsnetPath;
+        let host = Testbeds::esnet_host(KernelVersion::L6_8);
+        let path = Testbeds::esnet_path(EsnetPath::Wan);
+        let opts = Iperf3Opts::new(4).omit(2).telemetry(SimDuration::from_secs(1));
+        let traced = iperf3sim::run(&host, &host, &path, &opts).expect("run");
+        assert!(traced.telemetry.is_some());
+        let mut plain = traced.clone();
+        plain.telemetry = None;
+        let series = |r| aggregate_report_intervals(r).finish();
+        assert_eq!(series(&traced), series(&plain));
+        let summary = |r: &iperf3sim::Iperf3Report| {
+            let mut s = crate::runner::TestSummary::empty("steady");
+            s.reports.push(r.clone());
+            s
+        };
+        assert_eq!(steady_p50_mbps(&summary(&traced)), steady_p50_mbps(&summary(&plain)));
+    }
 }

@@ -57,7 +57,7 @@ pub fn timeline(ctx: &RunCtx) -> TableData {
         );
         // The timeline is one run's story, not an aggregate: a single
         // repetition per algorithm (traces for more seeds come from
-        // --trace).
+        // --metrics).
         let summary = common::run_or_empty(&ctx.harness_with_reps(1), &sc);
         let Some(report) = summary.reports.first() else { continue };
         let Some(telemetry) = &report.telemetry else { continue };

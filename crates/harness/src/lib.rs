@@ -20,15 +20,15 @@
 //!   deadlines, checkpoint/resume, the defect/host-failure error
 //!   taxonomy, and the degraded-run ledger.
 //! * [`chaos`] — seeded harness-fault injection (`REPRO_CHAOS`):
-//!   worker kills and trace-write failures.
+//!   worker kills and run-file write failures.
 //! * [`ctx`] — [`ctx::RunCtx`]: effort, metrics hub, chaos and
 //!   parallelism resolved once at entry and threaded explicitly.
-//! * [`metrics`] — the run-output hub (`--metrics <dir>` /
-//!   `REPRO_METRICS`; `--trace <dir>` is the per-tick variant), the one
-//!   writer of run artefacts: HDR-histogram registry, OpenMetrics
+//! * [`metrics`] — the run-output hub (`--metrics <dir>`), the one
+//!   writer of run files: HDR-histogram registry, OpenMetrics
 //!   exposition, per-repetition interval series, traces and profiles,
-//!   phase spans, and the live stderr heartbeat. Observer-neutral
-//!   unless per-tick (§6h).
+//!   per-experiment CSVs, the degraded-run manifest, phase spans, and
+//!   the live stderr heartbeat. It turns the observer-neutral
+//!   telemetry and attribution on for every repetition (§6h).
 //! * [`render`] — ASCII tables and grouped bar charts for terminal
 //!   reports.
 //! * [`trace`] — renderers for a repetition's JSON-lines telemetry

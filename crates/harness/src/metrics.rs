@@ -1,17 +1,16 @@
-//! The run-output hub: the metrics registry, live heartbeat, phase
-//! spans, and the one writer of every run artefact, behind
-//! `--metrics <dir>` / `REPRO_METRICS` and `--trace <dir>`.
+//! The run-output hub behind `repro --metrics <dir>`: the metrics
+//! registry, live heartbeat, phase spans, and the one writer of every
+//! run file.
 //!
 //! One [`MetricsHub`] is created per `repro` invocation and threaded
 //! (as `Option<Arc<MetricsHub>>`) through [`crate::ctx::RunCtx`] into
-//! the harness and supervisor. Everything here honours the
-//! observer-neutrality contract (DESIGN.md §6h): the hub is consulted
-//! only *between* repetitions and between supervised step slices,
-//! never inside the event loop, and no simulation input (seeds, options) depends on
-//! whether it exists — so metrics-on runs are bit-identical to
-//! metrics-off runs. The one exception is opt-in: a *per-tick* hub
-//! (`--trace <dir>`, [`MetricsHub::with_per_tick`]) forces a 1 s
-//! telemetry tick and bottleneck attribution onto every repetition.
+//! the harness and supervisor. A hub turns the paper's collection model
+//! on for every repetition it records: a 1 s telemetry tick (unless the
+//! scenario chose its own) and bottleneck attribution. Both observers
+//! are neutral (DESIGN.md §6h), so a run with a hub prints exactly what
+//! a run without one prints. The hub itself is consulted only
+//! *between* repetitions and between supervised step slices, never
+//! inside the event loop, and no seed depends on whether it exists.
 //!
 //! Outputs, all in the hub's one directory:
 //!
@@ -20,15 +19,19 @@
 //!   end of the invocation;
 //! * `spans.jsonl` — phase spans (`setup`/`steady`/`drain` in wall
 //!   time, `warmup`/`steady` in sim time, `checkpoint`);
-//! * per surviving repetition, written by `MetricsHub::write_rep`
-//!   through the [`TraceIo`] shim (so chaos mode covers every write):
-//!   * `<label>_rep<i>.intervals.jsonl` — always: a fixed-width interval
-//!     series (goodput per stream, plus rtt/retransmit distributions
-//!     when the report carries telemetry), one JSON line per simulated
-//!     second, streamed through [`obs::IntervalAggregator`];
-//!   * `<label>_rep<i>.jsonl`, `.folded` and `.perf.txt` — whenever the
-//!     report carries telemetry or attribution: the JSON-lines trace
-//!     and the simulated-`perf` profiles rendered by [`crate::trace`].
+//! * per surviving repetition, written by `MetricsHub::write_rep`:
+//!   * `<label>_rep<i>.intervals.jsonl` — a fixed-width series of
+//!     per-stream goodput, one JSON line per post-omit second, streamed
+//!     through [`obs::IntervalAggregator`];
+//!   * `<label>_rep<i>.jsonl`, `.folded` and `.perf.txt` — the
+//!     JSON-lines trace and the simulated-`perf` profiles rendered by
+//!     [`crate::trace`];
+//! * per experiment, `repro` writes its data as CSV (`fig05.csv`,
+//!   `fig04_0.csv`, …) and, for a degraded run, `manifest.json`.
+//!
+//! Every per-repetition and per-experiment file goes through
+//! [`MetricsHub::put`] and a [`TraceIo`] shim, so chaos mode covers
+//! every write and a failed one is a warning, never a lost result.
 //!
 //! The heartbeat is a throttled (≥ 1 s apart) single-line progress
 //! report on stderr: repetitions done/failed, aggregate
@@ -53,9 +56,6 @@ const HEARTBEAT_EVERY: Duration = Duration::from_secs(1);
 #[derive(Debug)]
 pub struct MetricsHub {
     dir: PathBuf,
-    /// Force per-tick telemetry and attribution onto every repetition
-    /// (`--trace`).
-    per_tick: bool,
     recorder: Recorder,
     spans: Mutex<Vec<SpanRecord>>,
     start: Instant,
@@ -88,7 +88,6 @@ impl MetricsHub {
         let now = Instant::now();
         Ok(MetricsHub {
             dir,
-            per_tick: false,
             recorder: Recorder::new(),
             spans: Mutex::new(Vec::new()),
             start: now,
@@ -99,20 +98,6 @@ impl MetricsHub {
             busy_nanos: AtomicU64::new(0),
             last_emit: Mutex::new(now - HEARTBEAT_EVERY),
         })
-    }
-
-    /// Builder: force a 1 s telemetry tick (unless the scenario chose
-    /// its own) and bottleneck attribution onto every repetition, so
-    /// each survivor also gets its JSON-lines trace and cycle profiles
-    /// (what `--trace <dir>` means).
-    pub fn with_per_tick(mut self) -> Self {
-        self.per_tick = true;
-        self
-    }
-
-    /// Does this hub force per-tick telemetry and attribution on?
-    pub(crate) fn per_tick(&self) -> bool {
-        self.per_tick
     }
 
     /// The metrics output directory.
@@ -266,8 +251,7 @@ impl MetricsHub {
     }
 
     /// Record one surviving repetition: its `warmup`/`steady` sim-time
-    /// spans, its interval series and — when the report carries
-    /// telemetry or attribution — its JSON-lines trace and cycle
+    /// spans, its interval series, its JSON-lines trace and its cycle
     /// profiles, every file written through `io`. A failed write is a
     /// warning on stderr, never a lost repetition. Returns the interval
     /// samples dropped as late, for the run ledger.
@@ -319,7 +303,7 @@ impl MetricsHub {
 
     /// Write `body` to `name` in the hub directory through `io`,
     /// degrading a failure to a warning.
-    fn put(&self, io: &dyn TraceIo, name: &str, body: &str) {
+    pub fn put(&self, io: &dyn TraceIo, name: &str, body: &str) {
         let path = self.dir.join(name);
         if let Err(e) = io.write(&path, body.as_bytes()) {
             eprintln!("warning: could not write {}: {e}", path.display());
@@ -327,31 +311,17 @@ impl MetricsHub {
     }
 }
 
-/// Fold a report into a 1 s-wide interval aggregator: per-stream
-/// goodput (Mbps) from the interval bins every report carries, plus
-/// smoothed-RTT (µs) and per-tick retransmit distributions when
-/// telemetry rode along. Kept separate from the hub so tests can
-/// exercise the fold without touching the filesystem.
+/// Fold a report's per-stream goodput (Mbps) into a 1 s-wide interval
+/// aggregator: interval `k` is post-omit second `k`, from the bins
+/// every report carries. Per-tick srtt and retransmits live in the
+/// repetition's `.jsonl` trace, on the simulation's own time base.
+/// Kept separate from the hub so tests can exercise the fold without
+/// touching the filesystem.
 pub fn aggregate_report_intervals(report: &Iperf3Report) -> IntervalAggregator {
     let mut agg = IntervalAggregator::new(1);
     for stream in &report.streams {
         for (sec, rate) in stream.intervals.iter().enumerate() {
             agg.record(sec as u64, "goodput_mbps", (rate.as_gbps() * 1000.0).max(0.0) as u64);
-        }
-    }
-    if let Some(telemetry) = &report.telemetry {
-        for flow in &telemetry.flows {
-            // `retr_packets` is cumulative (like `bytes_retrans` in
-            // `ss -tin`); the interval series wants per-tick deltas.
-            let mut prev_retr = 0u64;
-            for (t, sample) in flow.samples.iter() {
-                let sec = t.as_secs_f64().max(0.0) as u64;
-                if let Some(srtt) = sample.srtt {
-                    agg.record(sec, "srtt_us", (srtt.as_secs_f64() * 1e6).max(0.0) as u64);
-                }
-                agg.record(sec, "retr_packets", sample.retr_packets.saturating_sub(prev_retr));
-                prev_retr = sample.retr_packets;
-            }
         }
     }
     agg
@@ -432,6 +402,32 @@ mod tests {
         assert!(text.ends_with("# EOF\n"));
         let spans = std::fs::read_to_string(dir.join("spans.jsonl")).expect("spans");
         assert!(spans.contains("\"name\":\"steady\""));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn chaos_failed_run_files_are_counted_warnings() {
+        use crate::chaos::{artefact_io, ChaosPlan};
+        use std::sync::Arc;
+        let dir = std::env::temp_dir().join(format!("metrics_chaos_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let hub = MetricsHub::new(&dir).expect("hub dir");
+        let names = ["fig05.csv", "manifest.json"];
+        // The schedule hashes the full path: pick a chaos seed that
+        // fails both of this directory's writes.
+        let plan = (0..10_000u64)
+            .map(ChaosPlan::new)
+            .find(|p| names.iter().all(|n| p.trace_write_fails(&dir.join(n))))
+            .map(Arc::new)
+            .expect("some seed fails two 30% writes");
+        let io = artefact_io(Some(&plan));
+        hub.put(io.as_ref(), "fig05.csv", "x,y\n1,2\n");
+        hub.put(io.as_ref(), "manifest.json", "{\"degraded\":true}");
+        assert_eq!(plan.stats.trace_failures(), 2);
+        assert!(names.iter().all(|n| !dir.join(n).exists()));
+        // Without chaos the same writes land.
+        hub.put(artefact_io(None).as_ref(), "fig05.csv", "x,y\n1,2\n");
+        assert_eq!(std::fs::read_to_string(dir.join("fig05.csv")).expect("csv"), "x,y\n1,2\n");
         std::fs::remove_dir_all(&dir).ok();
     }
 

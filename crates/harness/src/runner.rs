@@ -22,7 +22,7 @@
 
 use crate::scenario::Scenario;
 use crate::sched;
-use crate::supervise::{json_unescape, ErrorClass, RunLedger, ScenarioRecord, Supervisor};
+use crate::supervise::{ErrorClass, RunLedger, ScenarioRecord, Supervisor};
 use iperf3sim::Iperf3Report;
 use netsim::SimError;
 use simcore::{derive_seed, RunningStats, SimDuration, Summary};
@@ -70,19 +70,6 @@ impl FailedRep {
             self.class.name(),
             obs::json_escape(&self.error)
         )
-    }
-
-    /// Parse exactly what [`FailedRep::to_json`] emits; `None` on any
-    /// deviation (unknown class, malformed escape, missing field). The
-    /// parsed record has no `problems`.
-    pub fn from_json(s: &str) -> Option<FailedRep> {
-        let s = s.strip_prefix("{\"seed\":")?;
-        let (seed, s) = s.split_once(",\"class\":\"")?;
-        let seed = seed.parse().ok()?;
-        let (class, s) = s.split_once("\",\"error\":\"")?;
-        let class = ErrorClass::parse(class)?;
-        let error = json_unescape(s.strip_suffix("\"}")?)?;
-        Some(FailedRep { seed, error, class, problems: Vec::new() })
     }
 }
 
@@ -357,11 +344,11 @@ impl TestHarness {
     /// One supervised simulation run.
     fn attempt(&self, scenario: &Scenario, seed: u64) -> Slot {
         let mut opts = scenario.opts.clone().seed(seed);
-        // A per-tick hub (`--trace`) needs samples: default to a 1 s
-        // tick unless the scenario already chose one, and turn on
-        // attribution so the trace carries verdicts and the profile
-        // files have cycles.
-        if self.supervisor.metrics().is_some_and(|hub| hub.per_tick()) {
+        // A hub records the paper's collection model beside every
+        // repetition: default to a 1 s telemetry tick unless the
+        // scenario already chose one, and turn on attribution so the
+        // trace carries verdicts and the profile files have cycles.
+        if self.supervisor.metrics().is_some() {
             if opts.telemetry.is_none() {
                 opts = opts.telemetry(SimDuration::from_secs(1));
             }
@@ -560,34 +547,16 @@ mod tests {
     }
 
     #[test]
-    fn failed_rep_json_round_trips() {
-        let f = FailedRep {
-            seed: u64::MAX,
-            error: "weird \"msg\"\nwith\\slashes\tand tabs".into(),
-            class: ErrorClass::StateCorruption,
-            problems: Vec::new(),
-        };
-        assert_eq!(FailedRep::from_json(&f.to_json()), Some(f));
-        assert_eq!(FailedRep::from_json("{\"seed\":1}"), None);
-        assert_eq!(
-            FailedRep::from_json(
-                "{\"seed\":1,\"class\":\"no-such\",\"error\":\"x\"}"
-            ),
-            None
-        );
-    }
-
-    #[test]
-    fn per_tick_hub_writes_every_artefact_per_repetition() {
+    fn hub_writes_every_artefact_per_repetition() {
         let dir = std::env::temp_dir().join(format!("repro_trace_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let hub = crate::MetricsHub::new(&dir).expect("hub dir").with_per_tick();
+        let hub = crate::MetricsHub::new(&dir).expect("hub dir");
         let s = TestHarness::new(2)
             .with_supervisor(Supervisor::default().with_metrics(Arc::new(hub)))
             .run(&scenario())
             .expect("run");
         assert_eq!(s.reports.len(), 2);
-        // A per-tick hub forces telemetry sampling and attribution on.
+        // A hub forces telemetry sampling and attribution on.
         assert!(s.reports.iter().all(|r| r.telemetry.is_some()));
         assert!(s.reports.iter().all(|r| r.attribution.is_some()));
         let mut files: Vec<String> = std::fs::read_dir(&dir)

@@ -91,11 +91,6 @@ impl ErrorClass {
         }
     }
 
-    /// Inverse of [`ErrorClass::name`].
-    pub fn parse(name: &str) -> Option<ErrorClass> {
-        ErrorClass::ALL.into_iter().find(|c| c.name() == name)
-    }
-
     /// Classify a run error. Total: every [`SimError`] lands in exactly
     /// one class.
     pub fn classify(e: &SimError) -> ErrorClass {
@@ -504,35 +499,6 @@ impl RunLedger {
     }
 }
 
-/// Reverse [`obs::json_escape`]; `None` on a malformed escape.
-pub(crate) fn json_unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(ch) = chars.next() {
-        if ch != '\\' {
-            out.push(ch);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            '"' => out.push('"'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if hex.len() != 4 {
-                    return None;
-                }
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,14 +544,6 @@ mod tests {
             assert_eq!(row(err), i, "{err}");
             assert_eq!(ErrorClass::classify(err), *want, "{err}");
         }
-    }
-
-    #[test]
-    fn names_round_trip_for_every_class() {
-        for class in ErrorClass::ALL {
-            assert_eq!(ErrorClass::parse(class.name()), Some(class));
-        }
-        assert_eq!(ErrorClass::parse("no-such-class"), None);
     }
 
     #[test]
@@ -766,14 +724,5 @@ mod tests {
         assert!(manifest.contains("lossy \\\"quoted\\\""), "{manifest}");
         assert!(manifest.contains("watchdog-livelock"), "{manifest}");
         assert!(!manifest.contains("\"label\":\"clean\""), "{manifest}");
-    }
-
-    #[test]
-    fn json_escape_round_trips() {
-        let tricky = "plain \"quoted\" back\\slash\nnewline\ttab\rreturn \u{1} low";
-        assert_eq!(json_unescape(&obs::json_escape(tricky)).as_deref(), Some(tricky));
-        assert_eq!(json_unescape("trailing \\"), None);
-        assert_eq!(json_unescape("bad \\q escape"), None);
-        assert_eq!(json_unescape("short \\u00"), None);
     }
 }

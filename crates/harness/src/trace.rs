@@ -1,9 +1,9 @@
 //! Renderers for one repetition's sampled run artefacts, and the
 //! filesystem shim the metrics hub writes them through.
 //!
-//! When a report carries telemetry or attribution, the hub
-//! ([`crate::metrics::MetricsHub`]) writes three files per surviving
-//! repetition, all rendered here:
+//! The hub ([`crate::metrics::MetricsHub`]) turns telemetry and
+//! attribution on for every repetition and writes three files per
+//! survivor, all rendered here:
 //!
 //! * `<label>_rep<i>.jsonl` ([`render_jsonl`]) — a `meta` line, then
 //!   one `flow` line per flow sample (the `ss -tin` stream) and one

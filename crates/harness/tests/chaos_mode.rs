@@ -17,7 +17,6 @@ fn repro(chaos: &str, args: &[&str]) -> Output {
         .args(args)
         .env("REPRO_EFFORT", "smoke")
         .env("REPRO_CHAOS", chaos)
-        .env_remove("REPRO_METRICS")
         .output()
         .expect("repro starts")
 }

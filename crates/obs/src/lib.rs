@@ -64,3 +64,70 @@ pub fn json_escape(s: &str) -> String {
     }
     out
 }
+
+#[cfg(test)]
+mod tests {
+    use super::json_escape;
+
+    /// Reverse [`json_escape`] (the oracle for the round trip); `None`
+    /// on a malformed escape.
+    fn json_unescape(s: &str) -> Option<String> {
+        let mut out = String::with_capacity(s.len());
+        let mut chars = s.chars();
+        while let Some(ch) = chars.next() {
+            if ch != '\\' {
+                out.push(ch);
+                continue;
+            }
+            match chars.next()? {
+                '\\' => out.push('\\'),
+                '"' => out.push('"'),
+                'n' => out.push('\n'),
+                'r' => out.push('\r'),
+                't' => out.push('\t'),
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    if hex.len() != 4 {
+                        return None;
+                    }
+                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
+                }
+                _ => return None,
+            }
+        }
+        Some(out)
+    }
+
+    #[test]
+    fn json_escape_round_trips() {
+        // Adversarial strings (quotes, backslashes, control chars,
+        // multi-byte, JSON punctuation) drawn by a fixed splitmix64
+        // stream: every one must survive escaping, and the escaped form
+        // must hold no raw quote or control character.
+        const POOL: &[char] = &[
+            'a', 'Z', '0', ' ', '"', '\\', '\n', '\t', '\r', '\u{1}', '\u{1f}', 'é', '→', '日',
+            '{', '}', ':', ',', '[', ']', '/',
+        ];
+        let mut state = 0x5eed_f00d_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for i in 0..200 {
+            let len = (next() % 48) as usize;
+            let s: String = (0..len).map(|_| POOL[next() as usize % POOL.len()]).collect();
+            let escaped = json_escape(&s);
+            assert_eq!(json_unescape(&escaped).as_deref(), Some(s.as_str()), "case {i}: {escaped}");
+            let unescaped_quote = escaped.replace("\\\\", "").replace("\\\"", "").contains('"');
+            assert!(!unescaped_quote, "case {i}: raw quote in {escaped}");
+            assert!(!escaped.chars().any(|c| (c as u32) < 0x20), "case {i}: {escaped}");
+        }
+        // The oracle rejects what the escaper never emits.
+        assert_eq!(json_unescape("trailing \\"), None);
+        assert_eq!(json_unescape("bad \\q escape"), None);
+        assert_eq!(json_unescape("short \\u00"), None);
+    }
+}

@@ -7,16 +7,15 @@
 //! chaos-free run. Alongside the soak,
 //! this suite pins the one-attempt contract — a watchdog trip is a
 //! simulator defect that fails its scenario on its own seed, at every
-//! effort level — and that [`FailedRep`] round-trips through the
-//! degraded-run manifest JSON.
+//! effort level.
 
 use dtnperf::netsim::{ArrivalProcess, FleetClass, FleetProfile, FleetSim, SizeDist};
 use dtnperf::prelude::*;
-use dtnperf::simcore::{derive_seed, BitRate, Bytes, SimDuration, SimRng};
+use dtnperf::simcore::{derive_seed, BitRate, Bytes, SimDuration};
 use dtnperf::tcpstack::CcAlgorithm;
 use harness::experiments::fleet::run_profile;
 use harness::supervise::{ErrorClass, Supervisor};
-use harness::{ChaosPlan, FailedRep, MetricsHub, ScenarioError, TestSummary};
+use harness::{ChaosPlan, MetricsHub, ScenarioError, TestSummary};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -121,15 +120,14 @@ fn chaos_soak_loses_nothing_and_matches_clean_runs() {
         .map(|r| r.expect("chaos killed run"))
         .collect();
 
-    // Harness 2: artefact writes under attack. A per-tick metrics hub
-    // (what `--trace` builds) forces observers (telemetry +
-    // attribution) on, so the bit-identity reference is a chaos-free
-    // per-tick run, not the plain one.
-    let per_tick = |dir: &PathBuf| Arc::new(MetricsHub::new(dir).expect("hub dir").with_per_tick());
+    // Harness 2: artefact writes under attack. A metrics hub forces
+    // observers (telemetry + attribution) on, so the bit-identity
+    // reference is a chaos-free run with a hub, not the plain one.
+    let hub = |dir: &PathBuf| Arc::new(MetricsHub::new(dir).expect("hub dir"));
     let clean_trace_dir = scratch_dir("repro_chaos_soak_traces_clean");
     let clean_traced_h = TestHarness::new(SOAK_REPS)
         .with_base_seed(SOAK_BASE_SEED)
-        .with_supervisor(Supervisor::default().with_metrics(per_tick(&clean_trace_dir)));
+        .with_supervisor(Supervisor::default().with_metrics(hub(&clean_trace_dir)));
     let clean_traced: Vec<TestSummary> = clean_traced_h
         .run_batch(&scenarios)
         .into_iter()
@@ -138,7 +136,7 @@ fn chaos_soak_loses_nothing_and_matches_clean_runs() {
     let trace_dir = scratch_dir("repro_chaos_soak_traces");
     let traced_h = TestHarness::new(SOAK_REPS)
         .with_base_seed(SOAK_BASE_SEED)
-        .with_supervisor(supervisor.with_metrics(per_tick(&trace_dir)));
+        .with_supervisor(supervisor.with_metrics(hub(&trace_dir)));
     let traced: Vec<TestSummary> = traced_h
         .run_batch(&scenarios)
         .into_iter()
@@ -268,27 +266,4 @@ fn killed_worker_resumes_bit_identical_from_checkpoint() {
     );
     assert_eq!(format!("{clean:?}"), format!("{report:?}"));
     assert_eq!(clean.to_json(), report.to_json());
-}
-
-#[test]
-fn failed_rep_taxonomy_round_trips_through_json() {
-    // Property-style sweep: every error class, adversarial message
-    // strings (quotes, backslashes, control chars, multi-byte) and
-    // random seeds — all must survive the manifest JSON.
-    let mut rng = SimRng::seed_from_u64(0x5eed_f00d);
-    const POOL: &[char] = &[
-        'a', 'Z', '0', ' ', '"', '\\', '\n', '\t', '\r', '\u{1}', '\u{1f}', 'é', '→', '日', '{',
-        '}', ':', ',', '[', ']', '/',
-    ];
-    for i in 0..200usize {
-        let class = ErrorClass::ALL[i % ErrorClass::ALL.len()];
-        let len = (rng.next_u64() % 48) as usize;
-        let error: String =
-            (0..len).map(|_| POOL[(rng.next_u64() as usize) % POOL.len()]).collect();
-        let rep = FailedRep { seed: rng.next_u64(), error, class, problems: Vec::new() };
-        let json = rep.to_json();
-        assert_eq!(FailedRep::from_json(&json).as_ref(), Some(&rep), "case {i}: {json}");
-    }
-    // Wire names are the contract: an unknown class must not parse.
-    assert!(FailedRep::from_json("{\"seed\":1,\"class\":\"cosmic-ray\",\"error\":\"\"}").is_none());
 }
